@@ -8,12 +8,21 @@ canonical serialization order and a canonical leading term.
 
 Floating point coefficients are rejected outright: every operation in this
 module is exact.
+
+Kernel rule: ints inside the kernels, a reduced ``Fraction`` per term in
+storage.  Products and contents clear each operand's denominators by their
+lcm, run the inner loop on ints and build one reduced ``Fraction`` per output
+term, never one per partial product; an all-integer operand is the lcm = 1
+case of the same loop.  A sum keeps the stored ``Fraction`` of every term
+found on one side only and sums a shared term on ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
+from operator import add as _add
 
 from ..errors import DomainError
 
@@ -38,6 +47,23 @@ def as_fraction(value) -> Fraction:
 
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
+
+
+def _common_denominator(terms: dict[Exponents, Fraction]) -> tuple[int, list[int]]:
+    """(den, nums) with den the lcm of the denominators and terms[e] = num / den.
+
+    `nums` follows the iteration order of `terms`.
+    """
+    ratios = [c.as_integer_ratio() for c in terms.values()]
+    den = _int_lcm(*[d for _, d in ratios])
+    return den, [n * (den // d) for n, d in ratios]
+
+
+def _trusted(variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "MPoly":
+    """Wrap terms that are already canonical: no zero coefficients, right arity."""
+    out = MPoly.__new__(MPoly)
+    out.vars, out.terms, out._hash = variables, terms, None
+    return out
 
 
 class MPoly:
@@ -79,11 +105,9 @@ class MPoly:
 
     @classmethod
     def constant(cls, variables, value) -> "MPoly":
-        variables = tuple(variables)
+        variables = tuple(map(str, variables))
         c = as_fraction(value)
-        if not c:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(variables): c})
+        return _trusted(variables, {(0,) * len(variables): c} if c else {})
 
     @classmethod
     def variable(cls, variables, name: str) -> "MPoly":
@@ -121,8 +145,10 @@ class MPoly:
         return all(not any(e) for e in self.terms)
 
     def is_one(self) -> bool:
-        nv = len(self.vars)
-        return self.terms == {(0,) * nv: _ONE}
+        if len(self.terms) != 1:
+            return False
+        (exps, c), = self.terms.items()
+        return c == 1 and not any(exps)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
@@ -174,23 +200,23 @@ class MPoly:
             return NotImplemented
         terms = dict(self.terms)
         for exps, c in o.terms.items():
-            s = terms.get(exps, _ZERO) + c
+            prev = terms.get(exps)
+            if prev is None:
+                terms[exps] = c
+                continue
+            n1, d1 = prev.as_integer_ratio()
+            n2, d2 = c.as_integer_ratio()
+            s = n1 * d2 + n2 * d1
             if s:
-                terms[exps] = s
-            elif exps in terms:
+                terms[exps] = Fraction(s, d1 * d2)
+            else:
                 del terms[exps]
-        out = MPoly.__new__(MPoly)
-        out.vars, out.terms, out._hash = self.vars, terms, None
-        return out
+        return _trusted(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        return _trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -213,32 +239,33 @@ class MPoly:
         a, b = self.terms, o.terms
         if len(a) > len(b):
             a, b = b, a
-        terms: dict[Exponents, Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prev = terms.get(key)
+        da, na = _common_denominator(a)
+        db, nb = _common_denominator(b)
+        b_items = list(zip(b, nb))
+        # A key is deleted when its sum cancels and re-inserted if it comes
+        # back: float evaluation sums terms in dict order, so that order is
+        # part of the result.
+        acc: dict[Exponents, int] = {}
+        for ea, ca in zip(a, na):
+            for eb, cb in b_items:
+                key = tuple(map(_add, ea, eb))
+                prev = acc.get(key)
                 if prev is None:
-                    terms[key] = ca * cb
+                    acc[key] = ca * cb
                 else:
                     s = prev + ca * cb
                     if s:
-                        terms[key] = s
+                        acc[key] = s
                     else:
-                        del terms[key]
-        out = MPoly.__new__(MPoly)
-        out.vars, out.terms, out._hash = self.vars, terms, None
-        return out
+                        del acc[key]
+        den = da * db
+        return _trusted(self.vars, {e: Fraction(v, den) for e, v in acc.items()})
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MPoly":
         c = as_fraction(c)
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = {} if not c else {e: v * c for e, v in self.terms.items()}
-        out._hash = None
-        return out
+        return _trusted(self.vars, {e: v * c for e, v in self.terms.items()} if c else {})
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -280,12 +307,7 @@ class MPoly:
         for exps, c in self.terms.items():
             k = exps[vi]
             out.setdefault(k, {})[exps[:vi] + (0,) + exps[vi + 1:]] = c
-        result = {}
-        for k, terms in out.items():
-            p = MPoly.__new__(MPoly)
-            p.vars, p.terms, p._hash = self.vars, terms, None
-            result[k] = p
-        return result
+        return {k: _trusted(self.vars, terms) for k, terms in out.items()}
 
     def restrict(self, variables) -> "MPoly":
         """Reinterpret over a sub-tuple of variables; dropped ones must not occur."""
@@ -402,20 +424,16 @@ class MPoly:
 
     def rational_content(self) -> Fraction:
         """Positive rational c with self/c integer-coefficient and coprime."""
-        if not self.terms:
-            return _ZERO
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _int_gcd(num, c.numerator)
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        return Fraction(num, den)
+        den, nums = _common_denominator(self.terms)
+        return Fraction(_int_gcd(*nums), den)
 
     def primitive_int(self) -> "MPoly":
         """Divide out the rational content: integer coefficients with gcd 1."""
-        if not self.terms:
+        den, nums = _common_denominator(self.terms)
+        g = _int_gcd(*nums)
+        if den == 1 and g <= 1:  # already primitive, or zero (g = 0)
             return self
-        return self.scale(1 / self.rational_content())
+        return _trusted(self.vars, {e: Fraction(n // g) for e, n in zip(self.terms, nums)})
 
     def sign_normalized(self) -> "MPoly":
         """Flip sign so the graded-lex leading coefficient is positive."""

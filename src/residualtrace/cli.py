@@ -9,6 +9,7 @@ to stdout or a file, so they compose by piping.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import jsonio
@@ -50,8 +51,6 @@ def cmd_trace(args) -> int:
     if isinstance(current, ZeroCurrent):
         raise DomainError("the zero current has no finite trace data to emit")
     count = args.count if args.count is not None else 2 * current.degree + 2
-    if count < 1:
-        raise DomainError("--count must be at least 1")
     t = traces(current, count)
     _write(args.output, jsonio.canonical_dumps(jsonio.traces_to_obj(t)))
     return 0
@@ -110,6 +109,30 @@ def cmd_verify(args) -> int:
     return 0 if report["pass"] else DOMAIN_EXIT
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; anything else is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0, so the report stays valid JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="residual-trace",
@@ -125,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="emit traces u_0..u_{m} of a current")
     add_io(p)
-    p.add_argument("--count", type=int, default=None,
+    p.add_argument("--count", type=_int_at_least(1), default=None,
                    help="number of traces (default 2d+2)")
     p.set_defaults(func=cmd_trace)
 
@@ -139,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radon", help="emit chart traces in line coordinates")
     add_io(p)
-    p.add_argument("--kmax", type=int, default=None,
+    p.add_argument("--kmax", type=_int_at_least(0), default=None,
                    help="largest chart trace index (default 2d+n)")
     p.add_argument("--check-closedness", action="store_true",
                    help="include the closedness violation list in the output")
@@ -160,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None,
                    help="output file for the JSON report (default: stdout)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -36,7 +36,7 @@ __all__ = [
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def loads(text: str, where: str = "document"):
@@ -46,13 +46,18 @@ def loads(text: str, where: str = "document"):
         raise SchemaError(where, f"not valid JSON ({exc.msg} at char {exc.pos})") from None
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: `true` and `false` parse to bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_fraction(value, field: str) -> Fraction:
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise SchemaError(field, f"not a fraction string: {value!r}") from None
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     raise SchemaError(field, f"expected a fraction string, got {type(value).__name__}")
 
@@ -102,7 +107,7 @@ def poly_from_obj(obj, field: str = "poly") -> MPoly:
             raise SchemaError(f"{here}.coeff", "zero terms are not stored")
         exps = t["exps"]
         if (not isinstance(exps, list) or len(exps) != len(variables)
-                or not all(isinstance(e, int) and e >= 0 for e in exps)):
+                or not all(_is_int(e) and e >= 0 for e in exps)):
             raise SchemaError(
                 f"{here}.exps",
                 f"must be a list of {len(variables)} nonnegative integers")
@@ -146,7 +151,7 @@ def current_from_obj(obj, field: str = "current") -> ResidualCurrent | ZeroCurre
     if "n" not in obj:
         raise SchemaError(f"{field}.n", "missing")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SchemaError(f"{field}.n", "must be a positive integer")
     if obj.get("zero") is True:
         extra = set(obj) - {"n", "zero"}

@@ -186,17 +186,6 @@ def _strip(c: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _umul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _strip(out)
-
-
 def _udivmod(a: list[Fraction], b: list[Fraction]):
     b = _strip(b)
     if not b:

@@ -8,6 +8,7 @@ code with larger families.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -142,7 +143,8 @@ def check_closedness(seed: int, count: int = 25) -> dict:
             "pass": not failures}
 
 
-def _oracle_one(args) -> float:
+def _oracle_one(args) -> tuple[float | None, str | None]:
+    """(absolute error, None), or (None, why) when no finite error exists."""
     form, point = args
     values = [point[v] for v in form.base_vars]
     try:
@@ -150,9 +152,12 @@ def _oracle_one(args) -> float:
             {v: complex(x) for v, x in point.items()})
         quad = contour_oracle(form, values)
         psum = sum(res for _, res in pointwise_residues(form, values))
-    except DomainError:
-        return float("inf")
-    return max(abs(quad - exact), abs(psum - exact))
+    except DomainError as exc:
+        return None, f"oracle raised: {exc}"
+    error = max(abs(quad - exact), abs(psum - exact))
+    if not math.isfinite(error):
+        return None, "numeric error is not finite"
+    return error, None
 
 
 def check_numeric_oracle(seed: int, tolerance: float = DEFAULT_TOLERANCE,
@@ -188,15 +193,20 @@ def check_numeric_oracle(seed: int, tolerance: float = DEFAULT_TOLERANCE,
     cap = thread_cap()
     if cap > 1:
         with ThreadPoolExecutor(max_workers=cap) as pool:
-            errors = list(pool.map(_oracle_one, jobs))
+            results = list(pool.map(_oracle_one, jobs))
     else:
-        errors = [_oracle_one(j) for j in jobs]
-    failures = [i for i, e in enumerate(errors) if not (e <= tolerance)]
-    worst = max(errors) if errors else 0.0
-    return {"name": "numeric-oracle", "instances": len(jobs),
-            "failures": len(failures), "failed_indices": failures,
-            "max_abs_error": worst, "tolerance": tolerance,
-            "pass": not failures}
+        results = [_oracle_one(j) for j in jobs]
+    reasons = [[i, why] for i, (_, why) in enumerate(results) if why is not None]
+    errors = [e for e, _ in results if e is not None]
+    failures = [i for i, (e, why) in enumerate(results)
+                if why is not None or not (e <= tolerance)]
+    report = {"name": "numeric-oracle", "instances": len(jobs),
+              "failures": len(failures), "failed_indices": failures,
+              "max_abs_error": max(errors, default=0.0), "tolerance": tolerance,
+              "pass": not failures}
+    if reasons:
+        report["failure_reasons"] = reasons
+    return report
 
 
 SUITES = ("roundtrip", "recurrence", "hankel", "closedness", "oracle")

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from residualtrace.algebra import MPoly
 from residualtrace.currents import validate
+from residualtrace.errors import DomainError
 from residualtrace.jsonio import canonical_dumps, current_to_obj
 
 V = ("x", "y")
@@ -192,3 +195,68 @@ def test_verify_small_deterministic():
         "roundtrip-inversion", "trace-recurrence", "hankel-determinant",
         "radon-closedness", "numeric-oracle"]
     assert "PASS overall" in a.stderr
+
+
+def _with_bool(path, value=True):
+    """The running example with one JSON field replaced by a boolean."""
+    doc = json.loads(RUNNING_EXAMPLE)
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return json.dumps(doc)
+
+
+def test_boolean_n_exits_2():
+    out = run_cli(["trace"], _with_bool(["n"]))
+    assert out.returncode == 2
+    assert "current.n" in out.stderr
+
+
+def test_boolean_exponent_exits_2():
+    out = run_cli(["trace"], _with_bool(["P", "terms", 0, "exps", 0], False))
+    assert out.returncode == 2
+    assert "current.P.terms[0].exps" in out.stderr
+
+
+def test_boolean_coefficient_exits_2():
+    out = run_cli(["trace"], _with_bool(["r", "terms", 0, "coeff"]))
+    assert out.returncode == 2
+    assert "current.r.terms[0].coeff" in out.stderr
+
+
+def test_trace_count_below_one_exits_2():
+    out = run_cli(["trace", "--count", "0"], RUNNING_EXAMPLE)
+    assert out.returncode == 2
+    assert "--count" in out.stderr
+
+
+def test_radon_negative_kmax_exits_2():
+    out = run_cli(["radon", "--kmax", "-1"], RUNNING_EXAMPLE)
+    assert out.returncode == 2
+    assert "--kmax" in out.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_rejects_nonfinite_or_negative_tolerance(value):
+    out = run_cli(["verify", "--tolerance", value])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "--tolerance" in out.stderr
+
+
+def test_oracle_domain_error_is_a_named_failure(monkeypatch):
+    from residualtrace import verify
+
+    def refuse(form):
+        raise DomainError("no residue sum here")
+
+    monkeypatch.setattr(verify, "residue_sum", refuse)
+    suite = verify.check_numeric_oracle(3, count=2)
+    assert suite["pass"] is False
+    assert suite["failed_indices"] == [0, 1]
+    assert suite["failure_reasons"] == [
+        [0, "oracle raised: no residue sum here"],
+        [1, "oracle raised: no residue sum here"]]
+    assert suite["max_abs_error"] == 0.0
+    canonical_dumps(suite)  # finite numbers only: valid canonical JSON

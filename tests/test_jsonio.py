@@ -32,6 +32,12 @@ def test_canonical_dumps_shape():
     assert canonical_dumps({"b": 1, "a": 2}) == '{"a":2,"b":1}\n'
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_dumps_refuses_nonfinite_floats(value):
+    with pytest.raises(ValueError):
+        canonical_dumps({"tolerance": value})
+
+
 def test_loads_error_names_location():
     with pytest.raises(SchemaError) as exc:
         loads("{not json", "payload")

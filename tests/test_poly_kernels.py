@@ -1,0 +1,166 @@
+"""MPoly integer kernels against sympy as an independent oracle.
+
+Products, sums, contents and gcds run on ints over a common denominator and
+store one reduced Fraction per term; sympy's `Poly` over QQ computes the same
+results by its own code.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from residualtrace.algebra import MPoly, poly_gcd  # noqa: E402
+from residualtrace.algebra.poly import grlex_key  # noqa: E402
+
+V = ("x", "y", "z")
+SYMS = sympy.symbols(V)
+
+# Integers, negative values and non-integer denominators, mixed in one poly.
+coeffs = st.one_of(
+    st.integers(-6, 6).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 4, 6, 9])),
+)
+exps = st.tuples(*[st.integers(0, 3)] * len(V))
+# Empty term lists give the zero polynomial.
+polys = st.dictionaries(exps, coeffs, max_size=6).map(lambda t: MPoly(V, t))
+# Gcd factors stay small: the PRS gcd swells on larger products.
+factors = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(V)), coeffs,
+                          min_size=1, max_size=3).map(lambda t: MPoly(V, t))
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def to_sympy(p: MPoly):
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+        *SYMS, domain="QQ")
+
+
+def from_sympy(sp) -> dict:
+    out = {}
+    for e, c in sp.terms():
+        c = sympy.Rational(c)
+        if c:
+            out[tuple(e)] = Fraction(int(c.p), int(c.q))
+    return out
+
+
+def assert_canonical(p: MPoly):
+    """Stored form: nonzero reduced Fractions, equal and hash-equal to a rebuild."""
+    for c in p.terms.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    rebuilt = MPoly(p.vars, [(e, Fraction(c.numerator, c.denominator))
+                             for e, c in p.terms.items()])
+    assert rebuilt == p
+    assert hash(rebuilt) == hash(p)
+
+
+def reference_product(a: dict, b: dict) -> dict:
+    """The per-term Fraction loop, for values and for term insertion order."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+@SETTINGS
+@given(polys, polys)
+def test_mul_matches_sympy(p, q):
+    prod = p * q
+    assert prod.terms == from_sympy(to_sympy(p) * to_sympy(q))
+    assert_canonical(prod)
+
+
+@SETTINGS
+@given(polys, polys)
+def test_mul_keeps_fraction_loop_term_order(p, q):
+    # Float evaluation sums terms in dict order, so the order is part of
+    # what the kernel must reproduce.
+    ref = reference_product(p.terms, q.terms)
+    assert list((p * q).terms.items()) == list(ref.items())
+
+
+@SETTINGS
+@given(polys, polys)
+def test_add_and_sub_match_sympy(p, q):
+    total, diff = p + q, p - q
+    assert total.terms == from_sympy(to_sympy(p) + to_sympy(q))
+    assert diff.terms == from_sympy(to_sympy(p) - to_sympy(q))
+    assert_canonical(total)
+    assert_canonical(diff)
+
+
+@SETTINGS
+@given(polys, polys)
+def test_sums_that_cancel(p, q):
+    # q - p shares every term of p, so p + (q - p) cancels them term by term.
+    assert (p + (q - p)) == q
+    assert (p - p).is_zero() and (p + (-p)).terms == {}
+    assert_canonical(p + (q - p))
+
+
+@SETTINGS
+@given(polys)
+def test_content_and_primitive_match_sympy(p):
+    if p.is_zero():
+        assert p.rational_content() == 0
+        assert p.primitive_int().is_zero()
+        return
+    content, prim = to_sympy(p).primitive()
+    assert p.rational_content() == Fraction(int(content.p), int(content.q))
+    assert p.primitive_int().terms == from_sympy(prim)
+    assert_canonical(p.primitive_int())
+
+
+@SETTINGS
+@given(factors, factors, factors)
+def test_gcd_matches_sympy(g, a, b):
+    f, h = g * a, g * b
+    if f.is_zero() or h.is_zero():
+        return
+    ours = poly_gcd(f, h)
+    theirs = sympy.gcd(to_sympy(f), to_sympy(h))
+    assert to_sympy(ours).monic() == theirs.monic()
+    # normal form: integer-primitive with a positive graded-lex leading term
+    assert all(c.denominator == 1 for c in ours.terms.values())
+    assert ours.rational_content() == 1
+    assert max(ours.terms.items(), key=lambda t: grlex_key(t[0]))[1] > 0
+    assert_canonical(ours)
+
+
+@SETTINGS
+@given(polys, polys, polys)
+def test_ring_axioms(p, q, r):
+    zero, one = MPoly.zero(V), MPoly.constant(V, 1)
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and (p * zero).is_zero()
+    assert p - q == -(q - p)
+
+
+@SETTINGS
+@given(coeffs | st.just(Fraction(0)))
+def test_constant_and_is_one(c):
+    k = MPoly.constant(list(V), c)
+    assert k == MPoly(V, {(0, 0, 0): c})
+    assert k.vars == V
+    assert k.is_one() == (c == 1)
+    assert_canonical(k)
