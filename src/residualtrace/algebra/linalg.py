@@ -2,8 +2,8 @@
 
 Determinants use Bareiss fraction-free elimination after clearing row
 denominators, so all intermediate work stays in the polynomial ring.  The
-same elimination drives `solve_linear`; back substitution is the only place
-rational function division appears.
+same elimination, `_bareiss`, drives `solve_linear`; back substitution is
+the only place rational function division appears.
 """
 
 from __future__ import annotations
@@ -86,12 +86,15 @@ def _cleared_rows(m: FracMatrix, rhs: list[RatFunc] | None = None):
     return out_rows, out_rhs, multipliers
 
 
-def det_poly_grid(rows: list[list[MPoly]]) -> MPoly:
-    """Bareiss determinant of a square MPoly matrix."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DomainError("determinant requires a square matrix")
-    a = [list(r) for r in rows]
+def _bareiss(a: list[list[MPoly]], c: list[MPoly] | None = None) -> int:
+    """Bareiss fraction-free elimination of the square rows `a`, in place.
+
+    A right-hand side column `c` is swapped and eliminated alongside.  Each
+    step divides exactly by the previous pivot, so a[n-1][n-1] ends up as
+    the determinant up to sign.  Returns the sign of the row permutation, or
+    0 when a pivot column has no nonzero entry (the determinant is 0).
+    """
+    n = len(a)
     variables = a[0][0].vars
     sign = 1
     prev = MPoly.constant(variables, 1)
@@ -99,14 +102,30 @@ def det_poly_grid(rows: list[list[MPoly]]) -> MPoly:
         if a[k][k].is_zero():
             pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
             if pivot_row is None:
-                return MPoly.zero(variables)
+                return 0
             a[k], a[pivot_row] = a[pivot_row], a[k]
+            if c is not None:
+                c[k], c[pivot_row] = c[pivot_row], c[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+            if c is not None:
+                c[i] = exact_div(c[i] * a[k][k] - a[i][k] * c[k], prev)
             a[i][k] = MPoly.zero(variables)
         prev = a[k][k]
+    return 0 if a[n - 1][n - 1].is_zero() else sign
+
+
+def det_poly_grid(rows: list[list[MPoly]]) -> MPoly:
+    """Bareiss determinant of a square MPoly matrix."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DomainError("determinant requires a square matrix")
+    a = [list(r) for r in rows]
+    sign = _bareiss(a)
+    if sign == 0:
+        return MPoly.zero(a[0][0].vars)
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det
 
@@ -134,22 +153,7 @@ def solve_linear(m: FracMatrix, rhs) -> list[RatFunc]:
             raise DomainError("right-hand side lives over a different variable list")
     n = m.rows
     a, c, _ = _cleared_rows(m, rhs)
-    variables = m.vars
-    prev = MPoly.constant(variables, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if pivot_row is None:
-                raise SingularSystemError("coefficient matrix is singular")
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            c[k], c[pivot_row] = c[pivot_row], c[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-            c[i] = exact_div(c[i] * a[k][k] - a[i][k] * c[k], prev)
-            a[i][k] = MPoly.zero(variables)
-        prev = a[k][k]
-    if a[n - 1][n - 1].is_zero():
+    if _bareiss(a, c) == 0:
         raise SingularSystemError("coefficient matrix is singular")
     x: list[RatFunc | None] = [None] * n
     for i in range(n - 1, -1, -1):

@@ -44,6 +44,8 @@ def loads(text: str, where: str = "document"):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(where, f"not valid JSON ({exc.msg} at char {exc.pos})") from None
+    except RecursionError:
+        raise SchemaError(where, "nested too deeply to parse") from None
 
 
 def _is_int(value) -> bool:

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 from .algebra import MPoly, RatFunc, as_fraction
 from .currents import ResidualCurrent, ZeroCurrent
 from .errors import DomainError
-from .residues import fiber_coefficients, mod_monic, shift_mod_monic
+from .residues import trace_stream
 from .traces import TraceSequence
 
 __all__ = [
@@ -86,25 +86,22 @@ class RadonForm:
     components: dict[frozenset[int], RatFunc]
 
 
-def _substituted_reduction(current: ResidualCurrent, chart: LineChart):
-    """Monic fiber coefficients and reduced numerator in chart variables."""
-    fiber = current.fiber
-    chart_vars = chart.vars + (fiber,)
-    images = {}
-    for i, x in enumerate(current.base_vars):
-        a = MPoly.variable(chart_vars, chart.a_names[i])
-        b = MPoly.variable(chart_vars, chart.b_names[i])
-        images[x] = a * MPoly.variable(chart_vars, fiber) + b
-    p_sub = current.p.subs(chart_vars, images)
-    r_sub = current.r.subs(chart_vars, images)
-    d_sub = p_sub.degree(fiber)
-    if d_sub < 1:
-        raise DomainError("substituted denominator lost its fiber degree")
-    den = fiber_coefficients(p_sub, fiber)
-    lead = den[-1]
-    monic = [c / lead for c in den]
-    num = [c / lead for c in fiber_coefficients(r_sub, fiber)]
-    return mod_monic(num, monic), monic, d_sub
+def _line_traces(current: ResidualCurrent, offsets: Sequence[MPoly], count: int) -> list[RatFunc]:
+    """Traces u_0 .. u_{count-1} of a current along the lines x_i = a_i y + offsets[i].
+
+    The offsets share one variable tuple, which holds the slopes a_i of
+    `line_chart(n)` and ends with the current's fiber variable; the traces
+    live over that tuple without the fiber variable.  The substituted p keeps
+    a positive fiber degree: its top fiber coefficient is p's top-degree form
+    at (a, 1), which is nonzero.
+    """
+    variables = offsets[0].vars
+    y = MPoly.variable(variables, current.fiber)
+    slopes = line_chart(current.n).a_names
+    images = {x: MPoly.variable(variables, a) * y + b
+              for x, a, b in zip(current.base_vars, slopes, offsets)}
+    return trace_stream(current.r.subs(variables, images),
+                        current.p.subs(variables, images), current.fiber, count)
 
 
 def radon(current: ResidualCurrent, k_max: int) -> list[RatFunc]:
@@ -112,12 +109,9 @@ def radon(current: ResidualCurrent, k_max: int) -> list[RatFunc]:
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
     chart = line_chart(current.n)
-    rem, monic, d_sub = _substituted_reduction(current, chart)
-    out = []
-    for _ in range(k_max + 1):
-        out.append(rem[d_sub - 1])
-        rem = shift_mod_monic(rem, monic)
-    return out
+    variables = chart.vars + (current.fiber,)
+    offsets = [MPoly.variable(variables, b) for b in chart.b_names]
+    return _line_traces(current, offsets, k_max + 1)
 
 
 def _chart_shape(u: Sequence[RatFunc]) -> tuple[int, tuple[str, ...]]:
@@ -192,24 +186,9 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
 
     # direct route: substitute x_i = a_i y + (x_i0 - a_i y0) and reduce
     pencil_vars = chart.a_names + (current.fiber,)
-    yv = MPoly.variable(pencil_vars, current.fiber)
-    images = {}
-    for i, x in enumerate(current.base_vars):
-        a = MPoly.variable(pencil_vars, chart.a_names[i])
-        images[x] = a * yv + (MPoly.constant(pencil_vars, apex[i]) - a.scale(y0))
-    p_sub = current.p.subs(pencil_vars, images)
-    r_sub = current.r.subs(pencil_vars, images)
-    if p_sub.degree(current.fiber) < 1:
-        raise DomainError("pencil substitution lost the fiber degree")
-    den = fiber_coefficients(p_sub, current.fiber)
-    lead = den[-1]
-    monic = [c / lead for c in den]
-    rem = mod_monic([c / lead for c in fiber_coefficients(r_sub, current.fiber)], monic)
-    d_sub = len(monic) - 1
-    direct = []
-    for _ in range(count):
-        direct.append(rem[d_sub - 1])
-        rem = shift_mod_monic(rem, monic)
+    direct = _line_traces(current, [
+        MPoly.constant(pencil_vars, apex[i]) - MPoly.variable(pencil_vars, a).scale(y0)
+        for i, a in enumerate(chart.a_names)], count)
 
     # chart route: specialize b_i = x_i0 - a_i y0 in the chart traces
     u = radon(current, count - 1)

@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     SingularSystemError,
 )
-from .traces import TraceSequence, hankel, recurrence_check, traces
+from .traces import TraceSequence, hankel, recurrence_failures, traces
 
 __all__ = [
     "SeriesSample",
@@ -66,6 +66,9 @@ class ReconstructionReport:
     all-zero traces, and None when the recurrence or numerator coefficients
     fall outside the polynomial ring (then `meromorphic_coefficients` is
     set and the raw coefficients are kept for inspection).
+
+    `residual_violations` is 0 by construction: degree detection accepts a
+    recurrence only after it holds on every window of the traces.
     """
 
     degree: int
@@ -89,17 +92,8 @@ def _detect(t: TraceSequence, d_max: int):
         except SingularSystemError:
             continue
         # sol[j] = a_{d-j}, so the recurrence reads u_{k+d} + sum_j sol[j] u_{k+j} = 0
-        ok = True
-        for k in range(len(t) - d):
-            acc = t[k + d]
-            for j in range(d):
-                acc = acc + sol[j] * t[k + j]
-            if not acc.is_zero():
-                ok = False
-                break
-        if ok:
-            a = [sol[d - i] for i in range(1, d + 1)]
-            return d, a
+        if next(recurrence_failures(t, sol), None) is None:
+            return d, [sol[d - i] for i in range(1, d + 1)]
     raise DegreeDetectionError(
         f"no fiber degree up to {min(d_max, len(t) // 2)} is consistent with the traces")
 
@@ -129,16 +123,17 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
     num_coeffs = tuple(r_coeffs)
     meromorphic = any(not c.is_polynomial() for c in den_coeffs + num_coeffs)
     if meromorphic:
-        violations = _count_violations(t, d, a)
         return ReconstructionReport(
             degree=d,
             current=None,
-            residual_violations=violations,
+            residual_violations=0,
             meromorphic_coefficients=True,
             denominator_coefficients=den_coeffs,
             numerator_coefficients=num_coeffs,
         )
-    fiber = "y" if "y" not in t.vars else "y_"
+    fiber = "y"
+    while fiber in t.vars:
+        fiber += "_"
     variables = t.vars + (fiber,)
     p_pieces = {d: MPoly.constant(variables, 1)}
     for i, ai in enumerate(a, start=1):
@@ -153,27 +148,15 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
     current = validate(p, r)
     if current.degree != d:
         raise DomainError("reconstructed pair reduced below the detected degree")
-    violations = len(recurrence_check(t, current.p))
     if traces(current, len(t)).entries != t.entries:
         raise DomainError("reconstructed current does not reproduce the input traces")
     return ReconstructionReport(
         degree=d,
         current=current,
-        residual_violations=violations,
+        residual_violations=0,
         denominator_coefficients=den_coeffs,
         numerator_coefficients=num_coeffs,
     )
-
-
-def _count_violations(t: TraceSequence, d: int, a: list[RatFunc]) -> int:
-    bad = 0
-    for k in range(len(t) - d):
-        acc = t[k + d]
-        for i, ai in enumerate(a, start=1):
-            acc = acc + ai * t[k + d - i]
-        if not acc.is_zero():
-            bad += 1
-    return bad
 
 
 # ---- univariate series helpers (ascending Fraction lists) ----------------

@@ -5,19 +5,20 @@ y, the sum of the residues over all poles in y equals minus the residue at
 infinity.  Writing den = c * den_monic with c the leading fiber coefficient,
 that value is the coefficient of y^(d-1) in the remainder of (num/c) modulo
 den_monic, a rational function of the base variables.  This is the exact
-path; no root is ever computed.
+path; no root is ever computed.  `trace_stream` walks the whole sequence
+of such sums for num * y^k, k = 0, 1, ..., one multiply-by-y reduction per
+step; traces, chart traces and single residue sums all read from it.
 
 Two numeric paths act as oracles for it: residues at numerically computed
 poles (companion-matrix roots) and trapezoidal contour quadrature of
-(1/2 pi i) * integral of f dy over a circle enclosing every pole.
+(1/2 pi i) * integral of f dy over a circle enclosing every pole.  Only
+they use numpy, which is imported when they first run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .algebra import MPoly, RatFunc, exact_div, poly_gcd
 from .errors import DomainError
@@ -41,13 +42,6 @@ def fiber_coefficients(p: MPoly, var: str | None = None) -> list[RatFunc]:
         else:
             out.append(RatFunc(c.restrict(base)))
     return out
-
-
-def monic_fiber_coefficients(p: MPoly, var: str | None = None) -> list[RatFunc]:
-    """Ascending coefficients of p/lead, where lead is p's top fiber coefficient."""
-    coeffs = fiber_coefficients(p, var)
-    lead = coeffs[-1]
-    return [c / lead for c in coeffs]
 
 
 def mod_monic(num: list[RatFunc], monic: list[RatFunc]) -> list[RatFunc]:
@@ -75,6 +69,30 @@ def shift_mod_monic(rem: list[RatFunc], monic: list[RatFunc]) -> list[RatFunc]:
     out = [zero] + rem[:d - 1]
     if not top.is_zero():
         out = [out[j] - top * monic[j] for j in range(d)]
+    return out
+
+
+def trace_stream(num: MPoly, den: MPoly, fiber: str, count: int) -> list[RatFunc]:
+    """Residue sums of num * y^k / den over the fiber y, for k = 0 .. count - 1.
+
+    The numerator is reduced modulo den once, then each step multiplies the
+    remainder by y modulo den and reads off its top coefficient.  A
+    denominator without fiber poles gives zeros.
+    """
+    den_coeffs = fiber_coefficients(den, fiber)
+    d = len(den_coeffs) - 1
+    if d <= 0:
+        return [RatFunc.zero(tuple(v for v in den.vars if v != fiber))] * count
+    num_coeffs = fiber_coefficients(num, fiber)
+    lead = den_coeffs[-1]
+    if not (lead.num.is_one() and lead.den.is_one()):
+        den_coeffs = [c / lead for c in den_coeffs]
+        num_coeffs = [c / lead for c in num_coeffs]
+    rem = mod_monic(num_coeffs, den_coeffs)
+    out = [rem[d - 1]]
+    for _ in range(count - 1):
+        rem = shift_mod_monic(rem, den_coeffs)
+        out.append(rem[d - 1])
     return out
 
 
@@ -125,15 +143,7 @@ def residue_sum(form: RationalForm1D) -> RatFunc:
 
     A denominator of fiber degree 0 has no poles, so the sum is 0.
     """
-    d = form.den.degree(form.fiber)
-    if d <= 0:
-        return RatFunc.zero(form.base_vars)
-    den_coeffs = fiber_coefficients(form.den, form.fiber)
-    lead = den_coeffs[-1]
-    monic = [c / lead for c in den_coeffs]
-    num_coeffs = [c / lead for c in fiber_coefficients(form.num, form.fiber)]
-    rem = mod_monic(num_coeffs, monic)
-    return rem[d - 1]
+    return trace_stream(form.num, form.den, form.fiber, 1)[0]
 
 
 def _specialize(form: RationalForm1D, x_values: Sequence[complex]):
@@ -179,6 +189,7 @@ def pointwise_residues(form: RationalForm1D, x_values: Sequence[complex]):
     d = len(dcoeffs) - 1
     if d < 1:
         raise DomainError("specialized denominator dropped degree")
+    import numpy as np
     roots = np.roots(dcoeffs[::-1])
     dprime = [k * dcoeffs[k] for k in range(1, d + 1)]
     scale = max(1.0, max(abs(c) for c in dcoeffs))
@@ -229,6 +240,7 @@ def contour_oracle(form: RationalForm1D, x_values: Sequence[complex],
         raise DomainError("specialized denominator dropped degree")
     if spec is None:
         spec = default_contour(form, x_values)
+    import numpy as np
     roots = np.roots(dstripped[::-1])
     for z in roots:
         gap = abs(complex(z) - spec.center)

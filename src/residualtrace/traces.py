@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .algebra import FracMatrix, RatFunc
 from .currents import ResidualCurrent
 from .errors import DomainError
-from .residues import fiber_coefficients, mod_monic, shift_mod_monic
+from .residues import fiber_coefficients, trace_stream
 
-__all__ = ["TraceSequence", "traces", "recurrence_check", "hankel"]
+__all__ = ["TraceSequence", "traces", "recurrence_failures", "recurrence_check", "hankel"]
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,23 @@ def traces(current: ResidualCurrent, count: int) -> TraceSequence:
     """
     if count < 1:
         raise DomainError("count must be at least 1")
-    d = current.degree
-    monic = fiber_coefficients(current.p, current.fiber)
-    rem = mod_monic(fiber_coefficients(current.r, current.fiber), monic)
-    out = []
-    for _ in range(count):
-        out.append(rem[d - 1])
-        rem = shift_mod_monic(rem, monic)
-    return TraceSequence(entries=tuple(out), source_degree=d)
+    out = trace_stream(current.r, current.p, current.fiber, count)
+    return TraceSequence(entries=tuple(out), source_degree=current.degree)
+
+
+def recurrence_failures(t: TraceSequence, a):
+    """Lazily yield each window k where u_{k+d} + sum_i a[i] u_{k+i} != 0.
+
+    `a` holds the d = len(a) recurrence coefficients over the trace ring;
+    a[i] multiplies u_{k+i}.
+    """
+    d = len(a)
+    for k in range(len(t) - d):
+        acc = t[k + d]
+        for i in range(d):
+            acc = acc + a[i] * t[k + i]
+        if not acc.is_zero():
+            yield k
 
 
 def recurrence_check(t: TraceSequence, p) -> list[int]:
@@ -85,15 +94,8 @@ def recurrence_check(t: TraceSequence, p) -> list[int]:
     coeffs = fiber_coefficients(p, fiber)
     if not (coeffs[-1].is_polynomial() and coeffs[-1].as_poly().is_one()):
         raise DomainError("p is not monic in the fiber variable")
-    a = coeffs[:-1]  # a[i] multiplies u_{k+i}; a[i] = a_{d-i} in monic order
-    bad = []
-    for k in range(len(t) - d):
-        acc = t[k + d]
-        for i in range(d):
-            acc = acc + a[i] * t[k + i]
-        if not acc.is_zero():
-            bad.append(k)
-    return bad
+    # coeffs[i] multiplies u_{k+i}; coeffs[i] = a_{d-i} in monic order
+    return list(recurrence_failures(t, coeffs[:-1]))
 
 
 def hankel(t: TraceSequence, d: int) -> FracMatrix:

@@ -2,15 +2,14 @@
 
 Each suite draws its own deterministic family from one Random seed, so a
 report is a pure function of (seed, tolerance, counts).  The CLI exposes
-these through the `verify` subcommand; the acceptance tests run the same
-code with larger families.
+these through the `verify` subcommand.  The acceptance tests in
+`tests/test_acceptance.py` draw their own, larger families and do not call
+this module yet.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from random import Random
 
@@ -30,20 +29,6 @@ from .traces import hankel, recurrence_check, traces
 
 DEFAULT_SEED = 1729
 DEFAULT_TOLERANCE = 1e-8
-
-
-def thread_cap() -> int:
-    """Worker cap from RESIDUAL_TRACE_THREADS; 0 or unset picks one per CPU."""
-    raw = os.environ.get("RESIDUAL_TRACE_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"RESIDUAL_TRACE_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise DomainError("RESIDUAL_TRACE_THREADS must be nonnegative")
-    if cap == 0:
-        return min(8, os.cpu_count() or 1)
-    return cap
 
 
 def _mixed_family(rng: Random, count: int):
@@ -143,9 +128,8 @@ def check_closedness(seed: int, count: int = 25) -> dict:
             "pass": not failures}
 
 
-def _oracle_one(args) -> tuple[float | None, str | None]:
+def _oracle_one(form: RationalForm1D, point: dict) -> tuple[float | None, str | None]:
     """(absolute error, None), or (None, why) when no finite error exists."""
-    form, point = args
     values = [point[v] for v in form.base_vars]
     try:
         exact = residue_sum(form).eval_numeric(
@@ -190,12 +174,7 @@ def check_numeric_oracle(seed: int, tolerance: float = DEFAULT_TOLERANCE,
         form = RationalForm1D(yk, c.p)
         jobs.append((form, point))
         drawn += 1
-    cap = thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(_oracle_one, jobs))
-    else:
-        results = [_oracle_one(j) for j in jobs]
+    results = [_oracle_one(form, point) for form, point in jobs]
     reasons = [[i, why] for i, (_, why) in enumerate(results) if why is not None]
     errors = [e for e, _ in results if e is not None]
     failures = [i for i, (e, why) in enumerate(results)

@@ -70,6 +70,22 @@ def test_invalid_json_exits_2():
     assert out.returncode == 2
 
 
+def test_deeply_nested_json_exits_2():
+    deep = '{"u":' + "[" * 200_000 + "]" * 200_000 + "}"
+    out = run_cli(["reconstruct"], deep)
+    assert out.returncode == 2
+    assert "traces" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, residualtrace, residualtrace.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=180)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
 def test_domain_error_exits_1():
     nonmonic = json.dumps({
         "n": 1,

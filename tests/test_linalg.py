@@ -19,6 +19,11 @@ from residualtrace.errors import DomainError, SingularSystemError
 
 V = ("x",)
 X = MPoly.variable(V, "x")
+# a zero leading pivot: elimination must swap the two rows
+SWAP = FracMatrix([[RatFunc.zero(V), RatFunc.one(V)], [RatFunc.one(V), RatFunc.zero(V)]])
+# column 1 has no pivot left after the first elimination step
+STALLED = FracMatrix([[RatFunc.constant(V, v) for v in row]
+                      for row in ((1, 2, 3), (2, 4, 5), (3, 6, 7))])
 
 
 def cofactor_det(rows):
@@ -65,12 +70,14 @@ def test_determinant_against_cofactor_oracle():
             rows = [[rand_ratfunc(rng) for _ in range(n)] for _ in range(n)]
             m = FracMatrix(rows)
             assert determinant(m) == cofactor_det(rows), rows
+    assert determinant(SWAP) == RatFunc.constant(V, -1)
 
 
 def test_determinant_singular_is_zero():
     m = FracMatrix([[RatFunc(X), RatFunc(X * 2)],
                     [RatFunc(X * 3), RatFunc(X * 6)]])
     assert determinant(m).is_zero()
+    assert determinant(STALLED).is_zero()
 
 
 def test_solve_linear_solves():
@@ -93,6 +100,8 @@ def test_solve_linear_solves():
                 assert acc == rhs[i]
             solved += 1
     assert solved >= 15
+    # the right-hand side swaps with the rows
+    assert solve_linear(SWAP, [RatFunc(X), RatFunc.one(V)]) == [RatFunc.one(V), RatFunc(X)]
 
 
 def test_solve_singular_named_example():
@@ -102,6 +111,8 @@ def test_solve_singular_named_example():
     m = FracMatrix([[one, xx], [xx, RatFunc(X * X)]])
     with pytest.raises(SingularSystemError):
         solve_linear(m, [one, one])
+    with pytest.raises(SingularSystemError):
+        solve_linear(STALLED, [one, one, one])
 
 
 def test_solve_rejects_bad_shapes():

@@ -96,6 +96,16 @@ def test_reconstruct_reproduces_traces():
         assert traces(report.current, len(t)).entries == t.entries
 
 
+def test_reconstruct_picks_a_fresh_fiber_name():
+    # base variables y and y_ are taken, so the fiber variable is y__
+    W = ("y", "y_", "y__")
+    y0, y1, f = (MPoly.variable(W, v) for v in W)
+    c = validate(f * f - y0 * f + y1, f + 1)
+    t = traces(c, 6)
+    assert t.vars == ("y", "y_")
+    assert reconstruct(t, 2).current == c
+
+
 def test_reconstruct_minimality_on_squared_factor():
     # p = (y - x)^2 with gcd(r, p) = 1: the annihilator has degree exactly 2
     p = (Y - X) * (Y - X)

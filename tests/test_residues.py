@@ -16,6 +16,8 @@ from residualtrace.residues import (
     pointwise_residues,
     residue_sum,
 )
+from residualtrace.sampling import random_current
+from residualtrace.traces import traces
 
 V = ("x", "y")
 X = MPoly.variable(V, "x")
@@ -135,3 +137,17 @@ def test_oracle_agreement_random():
             continue
         want = exact.eval_numeric({"x": complex(xv)})
         assert abs(got - want) < 1e-8
+
+
+def test_residue_sum_matches_traces():
+    """u_k is the residue sum of r y^k / p, also with p scaled by a constant."""
+    rng = Random(31)
+    for _ in range(8):
+        c = random_current(rng, n=1, max_degree=3, coeff_degree=2)
+        count = c.degree + 2
+        u = traces(c, count)
+        for k in range(count):
+            yk = c.r * MPoly.variable(c.p.vars, c.fiber) ** k
+            assert residue_sum(RationalForm1D(yk, c.p)) == u[k]
+            scaled = RationalForm1D(yk, c.p.scale(Fraction(-3, 2)))
+            assert residue_sum(scaled) == u[k] * Fraction(-2, 3)
