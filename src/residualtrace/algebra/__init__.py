@@ -2,6 +2,7 @@
 
 from .linalg import (
     FracMatrix,
+    clear_denominators,
     det_poly_grid,
     determinant,
     kernel_vector,
@@ -25,6 +26,7 @@ __all__ = [
     "MPoly",
     "RatFunc",
     "as_fraction",
+    "clear_denominators",
     "det_poly_grid",
     "determinant",
     "exact_div",

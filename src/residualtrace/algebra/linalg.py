@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DomainError, SingularSystemError
-from .poly import MPoly, exact_div, poly_gcd, poly_lcm
+from .poly import MPoly, exact_div, poly_lcm
 from .ratfunc import RatFunc
 
 
@@ -64,6 +64,17 @@ class FracMatrix:
         return self.entries == other.entries
 
 
+def clear_denominators(fs: list[RatFunc]) -> tuple[list[MPoly], MPoly]:
+    """(polys, mult): mult is the lcm of the denominators, polys[i] = fs[i] * mult."""
+    mult = MPoly.constant(fs[0].vars, 1)
+    for f in fs:
+        if not f.den.is_one():
+            mult = poly_lcm(mult, f.den)
+    if mult.is_one():
+        return [f.num for f in fs], mult
+    return [f.num * exact_div(mult, f.den) for f in fs], mult
+
+
 def _cleared_rows(m: FracMatrix, rhs: list[RatFunc] | None = None):
     """Multiply each row by the lcm of its denominators.
 
@@ -73,12 +84,7 @@ def _cleared_rows(m: FracMatrix, rhs: list[RatFunc] | None = None):
     out_rhs = [] if rhs is not None else None
     multipliers = []
     for i, row in enumerate(m.entries):
-        cells = list(row) + ([rhs[i]] if rhs is not None else [])
-        mult = MPoly.constant(m.vars, 1)
-        for c in cells:
-            if not c.den.is_one():
-                mult = poly_lcm(mult, c.den)
-        cleared = [c.num * exact_div(mult, c.den) for c in cells]
+        cleared, mult = clear_denominators(list(row) + ([rhs[i]] if rhs is not None else []))
         if rhs is not None:
             out_rhs.append(cleared.pop())
         out_rows.append(cleared)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DomainError
-from .poly import MPoly, as_fraction, exact_div, poly_gcd
+from .poly import MPoly, exact_div, poly_gcd
 
 
 class RatFunc:

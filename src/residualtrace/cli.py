@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="rebuild a current from traces")
     add_io(p)
-    p.add_argument("--dmax", type=int, default=None,
+    p.add_argument("--dmax", type=_int_at_least(1), default=None,
                    help="fiber degree bound (default: half the trace count)")
     p.add_argument("--report", default=None,
                    help="also write a JSON reconstruction report to this file")
@@ -171,11 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("continue",
                        help="rebuild a current from series-sampled traces")
     add_io(p)
-    p.add_argument("--dmax", type=int, default=None,
+    p.add_argument("--dmax", type=_int_at_least(1), default=None,
                    help="fiber degree bound (default: half the series count)")
-    p.add_argument("--num-deg", type=int, required=True,
+    p.add_argument("--num-deg", type=_int_at_least(0), required=True,
                    help="numerator degree bound for the rationality test")
-    p.add_argument("--den-deg", type=int, required=True,
+    p.add_argument("--den-deg", type=_int_at_least(0), required=True,
                    help="denominator degree bound for the rationality test")
     p.set_defaults(func=cmd_continue)
 

@@ -21,7 +21,21 @@ class SingularSystemError(DomainError):
 
 
 class DegreeDetectionError(DomainError):
-    """No fiber degree within the allowed bound fits a trace sequence."""
+    """No fiber degree within the allowed bound fits a trace sequence.
+
+    ``outcomes[d - 1]`` says why each tried degree d = 1, 2, ... was
+    rejected: None when the d x d Hankel system is singular, otherwise a
+    window k at which the depth-d recurrence provably fails.
+    """
+
+    def __init__(self, outcomes: tuple[int | None, ...]):
+        reasons = ", ".join(
+            f"d={d} singular" if k is None else f"d={d} fails at window {k}"
+            for d, k in enumerate(outcomes, start=1))
+        super().__init__(
+            "no fiber degree is consistent with the traces: "
+            + (reasons or "too few traces to try any degree"))
+        self.outcomes = outcomes
 
 
 class ContinuationError(DomainError):

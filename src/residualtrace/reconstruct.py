@@ -9,6 +9,15 @@ coefficients and r from the triangular relation
 
 coefficient of y^{d-1-j} being sum_{i<=j} a_i u_{j-i} with a_0 = 1.
 
+Degree detection rejects most wrong d without exact work.  The traces are
+specialised once at an integer point x0 modulo the prime p = 2^61 - 1.  If
+the Hankel matrix H_d(x0) is invertible mod p, det H_d is nonzero and its
+exact solution is defined at x0, where it reduces to the mod-p solution;
+so a window of the recurrence that fails mod p fails exactly, and d is
+rejected.  When H_d(x0) is singular mod p nothing is known, and the exact
+solve and recurrence check decide as they would without the filter.  A
+degree is only ever accepted by the exact solve plus the exact check.
+
 Series-sampled traces go through a rationality test first: a kernel-based
 Pade candidate within prescribed numerator and denominator degree bounds,
 accepted only if its Taylor series reproduces every supplied coefficient.
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .algebra import MPoly, RatFunc, as_fraction, kernel_vector, solve_linear
 from .currents import ResidualCurrent, ZeroCurrent, validate
@@ -79,12 +89,88 @@ class ReconstructionReport:
     numerator_coefficients: tuple[RatFunc, ...] = ()
 
 
+# The modular filter of degree detection works modulo the prime 2^61 - 1 at
+# the first usable base point of a short fixed sequence: seed s stands for
+# the point (s, s + 1009, s + 2 * 1009, ...).
+_P = (1 << 61) - 1
+_POINT_SEEDS = (101, 211, 307)
+_POINT_STEP = 1009
+
+
+def _modular_failures(t: TraceSequence, top: int) -> list[int | None]:
+    """For d = 1..top, a window where the depth-d recurrence must fail, or None.
+
+    The traces are specialised once at an integer point x0 modulo p.  Each
+    u_k = num/den has num and den in Z_(p)[x] with den(x0) != 0 mod p, so
+    u_k lies in the local ring A of Z_(p)[x] at the ideal (p, x - x0), and
+    specialisation is a ring map A -> F_p.  If det H_d(x0) != 0 mod p, then
+    det H_d is a unit of A: the exact Hankel solution a lies in A^d and
+    specialises to the mod-p solution of H_d(x0) a = -(u_d .. u_{2d-1}).  A
+    window u_{k+d} + sum_i a_i u_{k+i} that is nonzero mod p is then nonzero
+    exactly, so entry d - 1 is such a window k and degree d is rejected with
+    no exact work.  The entry is None when H_d(x0) is singular mod p or
+    every window holds mod p; the exact solve and check decide then.  A
+    point where a trace denominator or a coefficient denominator vanishes
+    mod p is passed over; with no usable point every entry is None.
+    """
+    def at(f: MPoly, x0) -> tuple[int, int]:
+        # f(x0) mod p as (numerator, denominator)
+        num, den = 0, 1
+        for exps, c in f.terms.items():
+            mono = 1
+            for x, e in zip(x0, exps):
+                if e:
+                    mono = mono * pow(x, e, _P) % _P
+            num = (num * c.denominator + c.numerator * mono * den) % _P
+            den = den * c.denominator % _P
+        return num, den
+
+    for s in _POINT_SEEDS:
+        x0 = [s + _POINT_STEP * i for i in range(len(t.vars))]
+        u = []
+        for f in t.entries:
+            (nn, nd), (dn, dd) = at(f.num, x0), at(f.den, x0)
+            if nd * dn * dd % _P == 0:
+                break
+            u.append(nn * dd * pow(nd * dn, -1, _P) % _P)
+        else:
+            break
+    else:
+        return [None] * top
+    out: list[int | None] = []
+    for d in range(1, top + 1):
+        rows = [[u[i + j] for j in range(d)] + [-u[d + i] % _P] for i in range(d)]
+        for col in range(d):
+            pivot = next((i for i in range(col, d) if rows[i][col]), None)
+            if pivot is None:
+                out.append(None)
+                break
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            inv = pow(rows[col][col], -1, _P)
+            rows[col] = [v * inv % _P for v in rows[col]]
+            for i in range(d):
+                if i != col and rows[i][col]:
+                    g = rows[i][col]
+                    rows[i] = [(v - g * w) % _P for v, w in zip(rows[i], rows[col])]
+        else:
+            a = [row[d] for row in rows]
+            out.append(next(
+                (k for k in range(len(u) - d)
+                 if (u[k + d] + sum(map(mul, a, u[k:k + d]))) % _P), None))
+    return out
+
+
 def _detect(t: TraceSequence, d_max: int):
     if d_max < 1:
         raise DomainError("d_max must be at least 1")
     if t.is_zero():
         return 0, []
-    for d in range(1, min(d_max, len(t) // 2) + 1):
+    top = min(d_max, len(t) // 2)
+    # outcomes[d - 1]: a window where the depth-d recurrence fails, None if singular
+    outcomes = _modular_failures(t, top)
+    for d in range(1, top + 1):
+        if outcomes[d - 1] is not None:
+            continue
         h = hankel(t, d)
         rhs = [-t[d + i] for i in range(d)]
         try:
@@ -92,10 +178,11 @@ def _detect(t: TraceSequence, d_max: int):
         except SingularSystemError:
             continue
         # sol[j] = a_{d-j}, so the recurrence reads u_{k+d} + sum_j sol[j] u_{k+j} = 0
-        if next(recurrence_failures(t, sol), None) is None:
+        k = next(recurrence_failures(t, sol), None)
+        if k is None:
             return d, [sol[d - i] for i in range(1, d + 1)]
-    raise DegreeDetectionError(
-        f"no fiber degree up to {min(d_max, len(t) // 2)} is consistent with the traces")
+        outcomes[d - 1] = k
+    raise DegreeDetectionError(tuple(outcomes))
 
 
 def detect_degree(t: TraceSequence, d_max: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FracMatrix, RatFunc
+from .algebra import FracMatrix, RatFunc, clear_denominators
 from .currents import ResidualCurrent
 from .errors import DomainError
 from .residues import fiber_coefficients, trace_stream
@@ -64,13 +64,18 @@ def recurrence_failures(t: TraceSequence, a):
     """Lazily yield each window k where u_{k+d} + sum_i a[i] u_{k+i} != 0.
 
     `a` holds the d = len(a) recurrence coefficients over the trace ring;
-    a[i] multiplies u_{k+i}.
+    a[i] multiplies u_{k+i}.  Both are cleared to the polynomial ring
+    first, a by its common denominator m and t by its own, so each window
+    is checked as m u_{k+d} + sum_i (m a[i]) u_{k+i} in MPoly arithmetic,
+    with no gcd.
     """
     d = len(a)
+    coeffs, m = clear_denominators(list(a))
+    u, _ = clear_denominators(list(t.entries))
     for k in range(len(t) - d):
-        acc = t[k + d]
+        acc = u[k + d] if m.is_one() else m * u[k + d]
         for i in range(d):
-            acc = acc + a[i] * t[k + i]
+            acc = acc + coeffs[i] * u[k + i]
         if not acc.is_zero():
             yield k
 

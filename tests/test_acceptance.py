@@ -17,7 +17,6 @@ numbers (visible with -s, or in the failure report).  The criteria:
  9. CLI determinism and byte-identical trace -> reconstruct piping
 """
 
-import json
 import subprocess
 import sys
 import time

@@ -241,16 +241,23 @@ def test_boolean_coefficient_exits_2():
     assert "current.r.terms[0].coeff" in out.stderr
 
 
-def test_trace_count_below_one_exits_2():
-    out = run_cli(["trace", "--count", "0"], RUNNING_EXAMPLE)
+@pytest.mark.parametrize("args, flag", [
+    pytest.param(["trace", "--count", "0"], "--count", id="trace-count-0"),
+    pytest.param(["radon", "--kmax", "-1"], "--kmax", id="radon-kmax-neg1"),
+    pytest.param(["reconstruct", "--dmax", "0"], "--dmax", id="reconstruct-dmax-0"),
+    pytest.param(["reconstruct", "--dmax", "-3"], "--dmax", id="reconstruct-dmax-neg3"),
+    pytest.param(["continue", "--dmax", "0", "--num-deg", "2", "--den-deg", "0"], "--dmax",
+                 id="continue-dmax-0"),
+    pytest.param(["continue", "--num-deg", "-1", "--den-deg", "0"], "--num-deg",
+                 id="continue-num-deg-neg1"),
+    pytest.param(["continue", "--num-deg", "2", "--den-deg", "-1"], "--den-deg",
+                 id="continue-den-deg-neg1"),
+])
+def test_numeric_flag_below_its_floor_exits_2(args, flag):
+    out = run_cli(args, RUNNING_EXAMPLE)
     assert out.returncode == 2
-    assert "--count" in out.stderr
-
-
-def test_radon_negative_kmax_exits_2():
-    out = run_cli(["radon", "--kmax", "-1"], RUNNING_EXAMPLE)
-    assert out.returncode == 2
-    assert "--kmax" in out.stderr
+    assert out.stdout == ""
+    assert flag in out.stderr
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

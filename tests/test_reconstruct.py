@@ -1,15 +1,22 @@
 """Degree detection, trace inversion, and rationality of series samples."""
 
+import importlib
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from residualtrace.algebra import MPoly, RatFunc
+from residualtrace.algebra import MPoly, RatFunc, solve_linear
 from residualtrace.currents import ZeroCurrent, validate
-from residualtrace.errors import ContinuationError, DegreeDetectionError, DomainError
+from residualtrace.errors import (
+    ContinuationError,
+    DegreeDetectionError,
+    DomainError,
+    SingularSystemError,
+)
 from residualtrace.reconstruct import (
     SeriesSample,
+    _detect,
     continue_current,
     detect_degree,
     detect_rational,
@@ -17,7 +24,7 @@ from residualtrace.reconstruct import (
     sample_series,
 )
 from residualtrace.sampling import random_current
-from residualtrace.traces import TraceSequence, traces
+from residualtrace.traces import TraceSequence, hankel, traces
 
 V = ("x", "y")
 X = MPoly.variable(V, "x")
@@ -52,10 +59,117 @@ def test_detect_degree_rejects_accidental_minor():
 def test_detect_degree_failure_reported():
     # factorial growth satisfies no fixed-depth constant recurrence
     t = seq(1, 1, 2, 6, 24, 120)
-    with pytest.raises(DegreeDetectionError):
+    with pytest.raises(DegreeDetectionError) as exc:
         detect_degree(t, 2)
+    # u_2 - u_1 = 1 and u_4 - 4 u_3 + 2 u_2 = 4 are the first nonzero windows
+    assert exc.value.outcomes == (1, 2)
+    assert "d=1 fails at window 1, d=2 fails at window 2" in str(exc.value)
     with pytest.raises(DomainError):
         detect_degree(t, 0)
+
+
+def test_detect_degree_failure_names_singular_degrees():
+    # H_1 = [0] and H_3 are singular; u_{k+2} = 0 breaks at u_5 = 1
+    with pytest.raises(DegreeDetectionError) as exc:
+        detect_degree(seq(0, 1, 0, 0, 0, 1), 3)
+    assert exc.value.outcomes == (None, 3, None)
+    assert "d=1 singular, d=2 fails at window 3, d=3 singular" in str(exc.value)
+
+
+def exact_detect(t, d_max):
+    """Reference degree detection: exact solve and RatFunc recurrence for every d.
+
+    Returns (d, a, None) on success, else (None, None, outcomes) with
+    outcomes[d - 1] None for a singular H_d and otherwise the list of every
+    failing window.
+    """
+    outcomes = []
+    for d in range(1, min(d_max, len(t) // 2) + 1):
+        try:
+            sol = solve_linear(hankel(t, d), [-t[d + i] for i in range(d)])
+        except SingularSystemError:
+            outcomes.append(None)
+            continue
+        fails = [k for k in range(len(t) - d)
+                 if not sum((sol[i] * t[k + i] for i in range(d)), t[k + d]).is_zero()]
+        if not fails:
+            return d, [sol[d - i] for i in range(1, d + 1)], None
+        outcomes.append(fails)
+    return None, None, outcomes
+
+
+def assert_detect_matches_exact(t, d_max):
+    d, a, outcomes = exact_detect(t, d_max)
+    if d is not None:
+        assert _detect(t, d_max) == (d, a)
+        return
+    with pytest.raises(DegreeDetectionError) as exc:
+        _detect(t, d_max)
+    assert len(exc.value.outcomes) == len(outcomes)
+    for got, fails in zip(exc.value.outcomes, outcomes):
+        # the filter may name a later failing window than the first one
+        assert (got is None) if fails is None else (got in fails)
+
+
+def with_denominators(t, q):
+    """u_k / q^k, each entry recovered from its Taylor series by detect_rational."""
+    out = []
+    for k, u in enumerate(t.entries):
+        f = u / RatFunc(q) ** k
+        m, nn = max(0, f.num.degree()), f.den.degree()
+        g = detect_rational(sample_series(f, 0, m + nn + 2), m, nn)
+        assert g == f
+        out.append(g)
+    return TraceSequence(entries=tuple(out))
+
+
+def test_detect_matches_exact_reference():
+    rng = Random(31)
+    for i in range(24):
+        n = 1 if i % 3 else 2
+        c = random_current(rng, n=n, max_degree=3 if n == 1 else 2,
+                           coeff_degree=2 if n == 1 else 1)
+        d = c.degree
+        t = traces(c, 2 * d + 2)
+        for d_max in {max(1, d - 1), d, d + 1}:
+            assert_detect_matches_exact(t, d_max)
+        perturbed = list(t.entries)
+        perturbed[rng.randrange(len(t))] += 1
+        assert_detect_matches_exact(TraceSequence(entries=tuple(perturbed)), d + 1)
+        if n == 1:
+            q = XB + rng.choice([-3, -1, 2, 5])
+            rational = with_denominators(t, q)
+            assert_detect_matches_exact(rational, d)
+            perturbed = list(rational.entries)
+            perturbed[-1] += 1
+            assert_detect_matches_exact(TraceSequence(entries=tuple(perturbed)), d)
+
+
+@pytest.mark.parametrize("u0, solves", [
+    # H_1(x0) = x0 - 101 vanishes at the first point: the exact solve decides
+    (XR - 101, 1),
+    # a trace pole at the first point: the second point rejects d = 1
+    (1 / (XR - 101), 0),
+    # poles at every point of the sequence: no filter, the exact solve decides
+    (1 / ((XR - 101) * (XR - 211) * (XR - 307)), 1),
+    # control: the first point rejects d = 1 without an exact solve
+    (XR - 99, 0),
+])
+def test_detect_modular_fallback(monkeypatch, u0, solves):
+    module = importlib.import_module("residualtrace.reconstruct")
+    calls = []
+
+    def counting_solve(m, rhs):
+        calls.append(m.rows)
+        return solve_linear(m, rhs)
+
+    t = seq(u0, 1, 1, 2)
+    assert_detect_matches_exact(t, 1)
+    monkeypatch.setattr(module, "solve_linear", counting_solve)
+    with pytest.raises(DegreeDetectionError) as exc:
+        detect_degree(t, 1)
+    assert exc.value.outcomes == (1,)
+    assert len(calls) == solves
 
 
 def test_reconstruct_running_example():
