@@ -13,8 +13,9 @@ Kernel rule: ints inside the kernels, a reduced ``Fraction`` per term in
 storage.  Products and contents clear each operand's denominators by their
 lcm, run the inner loop on ints and build one reduced ``Fraction`` per output
 term, never one per partial product; an all-integer operand is the lcm = 1
-case of the same loop.  A sum keeps the stored ``Fraction`` of every term
-found on one side only and sums a shared term on ints.
+case of the same loop.  A sum or difference keeps the stored ``Fraction`` of
+every term found on one side only (negated for a subtrahend) and sums a
+shared term on ints.
 """
 
 from __future__ import annotations
@@ -66,6 +67,27 @@ def _trusted(variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "M
     return out
 
 
+def _accumulate(terms: dict[Exponents, Fraction], other: dict[Exponents, Fraction],
+                sign: int = 1):
+    """terms += sign * other in place, for sign = 1 or -1.
+
+    Terms of `other` not yet present are appended in their order; a shared
+    term is summed on ints, and dropped when it cancels.
+    """
+    for exps, c in other.items():
+        prev = terms.get(exps)
+        if prev is None:
+            terms[exps] = c if sign > 0 else -c
+            continue
+        n1, d1 = prev.as_integer_ratio()
+        n2, d2 = c.as_integer_ratio()
+        s = n1 * d2 + sign * n2 * d1
+        if s:
+            terms[exps] = Fraction(s, d1 * d2)
+        else:
+            del terms[exps]
+
+
 class MPoly:
     """Immutable multivariate polynomial with Fraction coefficients."""
 
@@ -101,7 +123,7 @@ class MPoly:
 
     @classmethod
     def zero(cls, variables) -> "MPoly":
-        return cls(variables, {})
+        return _trusted(tuple(map(str, variables)), {})
 
     @classmethod
     def constant(cls, variables, value) -> "MPoly":
@@ -111,19 +133,22 @@ class MPoly:
 
     @classmethod
     def variable(cls, variables, name: str) -> "MPoly":
-        variables = tuple(variables)
+        variables = tuple(map(str, variables))
         if name not in variables:
             raise DomainError(f"{name!r} is not among variables {variables}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: _ONE})
+        return _trusted(variables, {exps: _ONE})
 
     @classmethod
     def from_univariate(cls, variables, var: str, coeffs: dict[int, "MPoly"]) -> "MPoly":
         """Assemble sum_k coeffs[k] * var**k; coefficient polys share `variables`."""
-        variables = tuple(variables)
+        variables = tuple(map(str, variables))
         vi = variables.index(var)
         terms: dict[Exponents, Fraction] = {}
         for k, poly in coeffs.items():
+            if poly.vars != variables:
+                raise DomainError(
+                    f"coefficient of {var}^{k} lives over {poly.vars}, not {variables}")
             for exps, c in poly.terms.items():
                 if exps[vi] != 0:
                     raise DomainError(f"coefficient of {var}^{k} already contains {var}")
@@ -134,7 +159,7 @@ class MPoly:
                     terms[key] = s
                 elif key in terms:
                     del terms[key]
-        return cls(variables, terms)
+        return _trusted(variables, terms)
 
     # ---- basic queries ------------------------------------------------
 
@@ -199,18 +224,7 @@ class MPoly:
         if o is None:
             return NotImplemented
         terms = dict(self.terms)
-        for exps, c in o.terms.items():
-            prev = terms.get(exps)
-            if prev is None:
-                terms[exps] = c
-                continue
-            n1, d1 = prev.as_integer_ratio()
-            n2, d2 = c.as_integer_ratio()
-            s = n1 * d2 + n2 * d1
-            if s:
-                terms[exps] = Fraction(s, d1 * d2)
-            else:
-                del terms[exps]
+        _accumulate(terms, o.terms)
         return _trusted(self.vars, terms)
 
     __radd__ = __add__
@@ -222,13 +236,17 @@ class MPoly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        terms = dict(self.terms)
+        _accumulate(terms, o.terms, -1)
+        return _trusted(self.vars, terms)
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        terms = dict(o.terms)
+        _accumulate(terms, self.terms, -1)
+        return _trusted(self.vars, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -298,7 +316,7 @@ class MPoly:
         for exps, c in self.terms.items():
             if exps[vi] == k:
                 terms[exps[:vi] + (0,) + exps[vi + 1:]] = c
-        return MPoly(self.vars, terms)
+        return _trusted(self.vars, terms)
 
     def as_univariate(self, var: str) -> dict[int, "MPoly"]:
         """View as a polynomial in `var`: map exponent -> coefficient poly."""
@@ -325,11 +343,11 @@ class MPoly:
                     raise DomainError(
                         f"cannot drop variable {self.vars[i]!r}: it occurs in {self}")
             terms[tuple(exps[i] for i in positions)] = c
-        return MPoly(variables, terms)
+        return _trusted(variables, terms)
 
     def extend(self, variables) -> "MPoly":
         """Reinterpret over a larger variable tuple containing the current one."""
-        variables = tuple(variables)
+        variables = tuple(map(str, variables))
         index = []
         for v in self.vars:
             if v not in variables:
@@ -342,7 +360,7 @@ class MPoly:
             for pos, e in zip(index, exps):
                 key[pos] = e
             terms[tuple(key)] = c
-        return MPoly(variables, terms)
+        return _trusted(variables, terms)
 
     def subs(self, variables, images: dict) -> "MPoly":
         """Substitute variables by polynomials over a new variable tuple.
@@ -351,7 +369,7 @@ class MPoly:
         the target tuple.  Image values may be MPoly over `variables` or
         exact scalars.
         """
-        variables = tuple(variables)
+        variables = tuple(map(str, variables))
         table: dict[str, MPoly] = {}
         for name in self.vars:
             if name in images:
@@ -364,20 +382,24 @@ class MPoly:
                 table[name] = img
             else:
                 table[name] = MPoly.variable(variables, name)
-        powers: dict[str, list[MPoly]] = {
-            name: [MPoly.constant(variables, 1)] for name in self.vars}
-        result = MPoly.zero(variables)
+        one = MPoly.constant(variables, 1)
+        powers: dict[str, list[MPoly]] = {name: [one] for name in self.vars}
+        # Each term is the product of its powers, scaled by its coefficient at
+        # the end, and summed in place: the terms land where repeated `+` of
+        # constant * powers would put them.
+        result: dict[Exponents, Fraction] = {}
         for exps, c in self.terms.items():
-            term = MPoly.constant(variables, c)
+            term = None
             for name, e in zip(self.vars, exps):
                 if not e:
                     continue
                 cache = powers[name]
                 while len(cache) <= e:
                     cache.append(cache[-1] * table[name])
-                term = term * cache[e]
-            result = result + term
-        return result
+                term = cache[e] if term is None else term * cache[e]
+            term = MPoly.constant(variables, c) if term is None else term.scale(c)
+            _accumulate(result, term.terms)
+        return _trusted(variables, result)
 
     def eval_exact(self, values: dict[str, Fraction]) -> Fraction:
         point = [as_fraction(values[v]) for v in self.vars]
@@ -410,7 +432,7 @@ class MPoly:
             e = exps[vi]
             if e:
                 terms[exps[:vi] + (e - 1,) + exps[vi + 1:]] = c * e
-        return MPoly(self.vars, terms)
+        return _trusted(self.vars, terms)
 
     def antiderivative(self, var: str) -> "MPoly":
         vi = self.vars.index(var)
@@ -418,7 +440,7 @@ class MPoly:
         for exps, c in self.terms.items():
             e = exps[vi]
             terms[exps[:vi] + (e + 1,) + exps[vi + 1:]] = c / (e + 1)
-        return MPoly(self.vars, terms)
+        return _trusted(self.vars, terms)
 
     # ---- normal forms --------------------------------------------------
 
@@ -505,7 +527,7 @@ def try_div(f: MPoly, g: MPoly) -> MPoly | None:
                 rem[key] = s
             elif key in rem:
                 del rem[key]
-    return MPoly(f.vars, quot)
+    return _trusted(f.vars, quot)
 
 
 def exact_div(f: MPoly, g: MPoly) -> MPoly:
@@ -633,7 +655,7 @@ def _gcd_univariate(f: MPoly, g: MPoly, vi: int) -> MPoly:
         if c:
             key = tuple(k if i == vi else 0 for i in range(nv))
             terms[key] = Fraction(c)
-    return MPoly(f.vars, terms)
+    return _trusted(f.vars, terms)
 
 
 def _content_in(f: MPoly, vi: int) -> MPoly:
@@ -719,6 +741,8 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
         return g.primitive_int().sign_normalized()
     if g.is_zero():
         return f.primitive_int().sign_normalized()
+    if f.is_constant() or g.is_constant():
+        return MPoly.constant(f.vars, 1)
     h = _gcd_rec(f.primitive_int(), g.primitive_int())
     return h.primitive_int().sign_normalized()
 

@@ -142,8 +142,29 @@ def assemble_radon_form(u: Sequence[RatFunc]) -> RadonForm:
     return RadonForm(n=n, components=components)
 
 
+def _cross_equal(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly) -> bool:
+    """Whether n1 / d1 == n2 / d2, by cross-multiplication (no gcd)."""
+    if d1 == d2:
+        return n1 == n2
+    return n1 * d2 == n2 * d1
+
+
+def _derivative(f: RatFunc, var: str) -> tuple[MPoly, MPoly]:
+    """d/dvar of f = N / Q as the unreduced pair (N_var Q - N Q_var, Q^2).
+
+    When Q does not involve var the pair is (N_var, Q).
+    """
+    dq = f.den.derivative(var)
+    if dq.is_zero():
+        return f.num.derivative(var), f.den
+    return f.num.derivative(var) * f.den - f.num * dq, f.den * f.den
+
+
 def closedness_check(u: Sequence[RatFunc], k_range: Iterable[int]) -> list[tuple[int, int]]:
-    """Violations (i, k) of d/db_i u_{k+n} = d/da_i u_{k+n-1}; empty when closed."""
+    """Violations (i, k) of d/db_i u_{k+n} = d/da_i u_{k+n-1}; empty when closed.
+
+    Both sides are compared as unreduced quotients, by cross-multiplication.
+    """
     n, variables = _chart_shape(u)
     a_names, b_names = variables[:n], variables[n:]
     bad = []
@@ -152,9 +173,9 @@ def closedness_check(u: Sequence[RatFunc], k_range: Iterable[int]) -> list[tuple
             raise DomainError(
                 f"k = {k} needs chart traces up to u_{k + n}, have {len(u)}")
         for i in range(n):
-            lhs = u[k + n].diff(b_names[i])
-            rhs = u[k + n - 1].diff(a_names[i])
-            if lhs != rhs:
+            lhs = _derivative(u[k + n], b_names[i])
+            rhs = _derivative(u[k + n - 1], a_names[i])
+            if not _cross_equal(*lhs, *rhs):
                 bad.append((i + 1, k))
     return bad
 
@@ -197,8 +218,12 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
         - MPoly.variable(chart.a_names, chart.a_names[i]).scale(y0)
         for i in range(n)
     }
-    specialized = [f.subs(chart.a_names, offsets) for f in u]
-    if specialized != direct:
+    specialized = [(f.num.subs(chart.a_names, offsets), f.den.subs(chart.a_names, offsets))
+                   for f in u]
+    if any(den.is_zero() for _, den in specialized):
+        raise DomainError("substitution lands on the polar set")
+    if not all(_cross_equal(num, den, g.num, g.den)
+               for (num, den), g in zip(specialized, direct)):
         raise DomainError("pencil traces disagree with specialized chart traces")
     return TraceSequence(entries=tuple(direct), source_degree=d)
 

@@ -9,6 +9,13 @@ path; no root is ever computed.  `trace_stream` walks the whole sequence
 of such sums for num * y^k, k = 0, 1, ..., one multiply-by-y reduction per
 step; traces, chart traces and single residue sums all read from it.
 
+The stream is fraction-free.  It keeps the remainder as polynomials R_j
+over the base ring with one denominator, a power c^e of the leading fiber
+coefficient: the remainder of num / c is R / c^e.  A reduction step
+multiplies R by c instead of dividing den by it, so the loop is `MPoly`
+arithmetic with no gcd, and each sum is normalised once, as the
+`RatFunc` R_{d-1} / c^e.  When c = 1 (every monic p) the power stays 1.
+
 Two numeric paths act as oracles for it: residues at numerically computed
 poles (companion-matrix roots) and trapezoidal contour quadrature of
 (1/2 pi i) * integral of f dy over a circle enclosing every pole.  Only
@@ -26,50 +33,60 @@ from .errors import DomainError
 REPEATED_ROOT_RTOL = 1e-9
 
 
-def fiber_coefficients(p: MPoly, var: str | None = None) -> list[RatFunc]:
-    """Coefficients of p in the fiber variable, ascending, over the base ring."""
+def fiber_coefficients(p: MPoly, var: str | None = None) -> list[MPoly]:
+    """Coefficients of p in the fiber variable, ascending, as polynomials over the base."""
     var = var if var is not None else p.vars[-1]
     base = tuple(v for v in p.vars if v != var)
-    d = p.degree(var)
-    if d < 0:
-        return []
     by_exp = p.as_univariate(var)
-    out = []
-    for k in range(d + 1):
-        c = by_exp.get(k)
-        if c is None:
-            out.append(RatFunc.zero(base))
-        else:
-            out.append(RatFunc(c.restrict(base)))
-    return out
+    zero = MPoly.zero(base)
+    return [by_exp[k].restrict(base) if k in by_exp else zero
+            for k in range(p.degree(var) + 1)]
 
 
-def mod_monic(num: list[RatFunc], monic: list[RatFunc]) -> list[RatFunc]:
-    """Remainder of num modulo a monic coefficient list, padded to length d."""
-    d = len(monic) - 1
+def mod_monic(num: list[MPoly], power: MPoly,
+              den: list[MPoly]) -> tuple[list[MPoly], MPoly]:
+    """Reduce num / power modulo the monic den / lead, lead = den[-1].
+
+    Returns (rem, power') with rem / power' the remainder, rem padded to
+    length d = len(den) - 1.  Each step is the pseudo-reduction
+    R <- lead * R - R_k * y^(k-d) * den, which scales power by lead; with
+    lead = 1 that factor is skipped.
+    """
+    d = len(den) - 1
+    lead = den[d]
+    scaled = not lead.is_one()
     r = list(num)
     for k in range(len(r) - 1, d - 1, -1):
         c = r[k]
         if c.is_zero():
             continue
-        for j in range(d + 1):
-            r[k - d + j] = r[k - d + j] - c * monic[j]
+        if scaled:
+            r[:k] = [x * lead for x in r[:k]]
+            power = power * lead
+        for j in range(d):
+            r[k - d + j] = r[k - d + j] - c * den[j]
     r = r[:d]
     if len(r) < d:
-        pad = RatFunc.zero(monic[0].vars)
-        r = r + [pad] * (d - len(r))
-    return r
+        r = r + [MPoly.zero(lead.vars)] * (d - len(r))
+    return r, power
 
 
-def shift_mod_monic(rem: list[RatFunc], monic: list[RatFunc]) -> list[RatFunc]:
-    """Multiply a reduced coefficient list by the fiber variable, mod monic."""
-    d = len(monic) - 1
+def shift_mod_monic(rem: list[MPoly], power: MPoly,
+                    den: list[MPoly]) -> tuple[list[MPoly], MPoly]:
+    """Multiply rem / power by the fiber variable, modulo the monic den / lead.
+
+    R'_j = lead * R_{j-1} - R_{d-1} * den_j, with power scaled by lead;
+    a zero R_{d-1} is a plain shift, and lead = 1 skips the scaling.
+    """
+    d = len(den) - 1
     top = rem[d - 1]
-    zero = RatFunc.zero(monic[0].vars)
-    out = [zero] + rem[:d - 1]
-    if not top.is_zero():
-        out = [out[j] - top * monic[j] for j in range(d)]
-    return out
+    out = [MPoly.zero(top.vars)] + rem[:d - 1]
+    if top.is_zero():
+        return out, power
+    lead = den[d]
+    if lead.is_one():
+        return [out[j] - top * den[j] for j in range(d)], power
+    return [out[j] * lead - top * den[j] for j in range(d)], power * lead
 
 
 def trace_stream(num: MPoly, den: MPoly, fiber: str, count: int) -> list[RatFunc]:
@@ -83,16 +100,12 @@ def trace_stream(num: MPoly, den: MPoly, fiber: str, count: int) -> list[RatFunc
     d = len(den_coeffs) - 1
     if d <= 0:
         return [RatFunc.zero(tuple(v for v in den.vars if v != fiber))] * count
-    num_coeffs = fiber_coefficients(num, fiber)
-    lead = den_coeffs[-1]
-    if not (lead.num.is_one() and lead.den.is_one()):
-        den_coeffs = [c / lead for c in den_coeffs]
-        num_coeffs = [c / lead for c in num_coeffs]
-    rem = mod_monic(num_coeffs, den_coeffs)
-    out = [rem[d - 1]]
+    # the remainder of num / lead, kept as rem / power
+    rem, power = mod_monic(fiber_coefficients(num, fiber), den_coeffs[d], den_coeffs)
+    out = [RatFunc(rem[d - 1], power)]
     for _ in range(count - 1):
-        rem = shift_mod_monic(rem, den_coeffs)
-        out.append(rem[d - 1])
+        rem, power = shift_mod_monic(rem, power, den_coeffs)
+        out.append(RatFunc(rem[d - 1], power))
     return out
 
 

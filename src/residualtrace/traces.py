@@ -97,10 +97,10 @@ def recurrence_check(t: TraceSequence, p) -> list[int]:
         raise DomainError(
             f"need at least {d + 1} traces to check a depth-{d} recurrence, have {len(t)}")
     coeffs = fiber_coefficients(p, fiber)
-    if not (coeffs[-1].is_polynomial() and coeffs[-1].as_poly().is_one()):
+    if not coeffs[-1].is_one():
         raise DomainError("p is not monic in the fiber variable")
     # coeffs[i] multiplies u_{k+i}; coeffs[i] = a_{d-i} in monic order
-    return list(recurrence_failures(t, coeffs[:-1]))
+    return list(recurrence_failures(t, [RatFunc(c) for c in coeffs[:-1]]))
 
 
 def hankel(t: TraceSequence, d: int) -> FracMatrix:

@@ -83,6 +83,9 @@ def test_coefficient_views():
     uni = p.as_univariate("y")
     assert set(uni) == {0, 1, 2}
     assert MPoly.from_univariate(V, "y", uni) == p
+    # a coefficient over another variable list is refused, not re-keyed
+    with pytest.raises(DomainError, match="lives over"):
+        MPoly.from_univariate(V, "y", {1: MPoly.variable(("u", "v"), "u")})
 
 
 def test_restrict_and_extend():

@@ -107,6 +107,16 @@ def test_add_and_sub_match_sympy(p, q):
 
 
 @SETTINGS
+@given(polys, polys, coeffs)
+def test_sub_keeps_negated_sum_term_order(p, q, c):
+    # One-pass subtraction must leave terms where p + (-q) would.
+    assert list((p - q).terms.items()) == list((p + (-q)).terms.items())
+    k = MPoly.constant(V, c)
+    assert list((c - p).terms.items()) == list((k + (-p)).terms.items())
+    assert_canonical(p - q)
+
+
+@SETTINGS
 @given(polys, polys)
 def test_sums_that_cancel(p, q):
     # q - p shares every term of p, so p + (q - p) cancels them term by term.

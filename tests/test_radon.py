@@ -1,5 +1,6 @@
 """Chart traces in line coordinates, closedness, and pencil projections."""
 
+import importlib
 from fractions import Fraction
 from random import Random
 
@@ -120,6 +121,24 @@ def test_closedness_flags_corruption():
     assert (1, 0) in violations
 
 
+def test_closedness_flags_corruption_with_denominator():
+    # p = y^2 + x y - 1 lifts: after x = a y + b its fiber lead is 1 + a,
+    # so the chart traces carry powers of 1 + a in their denominators
+    c = validate(Y * Y + X * Y - 1, Y.scale(2) + X.scale(3))
+    u = radon(c, 4)
+    assert not u[1].is_polynomial() and not u[2].is_polynomial()
+    assert closedness_check(u, range(4)) == []
+    lift = RatFunc.one(C) + A
+    # b / (1 + a) changes d/db u_1 (window 0) and d/da u_1 (window 1)
+    bad = list(u)
+    bad[1] = u[1] + BV / lift
+    assert closedness_check(bad, range(4)) == [(1, 0), (1, 1)]
+    # a term in a alone leaves d/db u_2 alone and changes d/da u_2 only
+    bad = list(u)
+    bad[2] = u[2] + A / (lift * lift)
+    assert closedness_check(bad, range(4)) == [(1, 2)]
+
+
 def test_closedness_range_bounds():
     c = validate(Y * Y - X, MPoly.constant(V, 1))
     u = radon(c, 2)
@@ -159,6 +178,36 @@ def test_pencil_projection_single_point():
         RatFunc.one(P) / shift * (RatFunc.constant(P, 2) / shift) ** k
         for k in range(3))
     assert t.entries == expected
+
+
+def test_pencil_projection_fires_on_corrupted_chart_route(monkeypatch):
+    # `residualtrace.radon` is the function; the module is reached by name
+    module = importlib.import_module("residualtrace.radon")
+    c = validate(Y * Y + X * Y - 1, MPoly.constant(V, 1))
+    apex = (3, 1)
+    t = pencil_projection(c, apex)
+    assert not all(e.is_polynomial() for e in t.entries)
+    honest = module.radon
+    lift = RatFunc.one(C) + A
+
+    def corrupted(current, k_max):
+        u = honest(current, k_max)
+        u[2] = u[2] + BV / lift
+        return u
+
+    monkeypatch.setattr(module, "radon", corrupted)
+    with pytest.raises(DomainError, match="disagree"):
+        pencil_projection(c, apex)
+
+    def polar(current, k_max):
+        # b = x0 - a y0 on the pencil, so b + a - 3 vanishes there
+        u = honest(current, k_max)
+        u[1] = u[1] / (BV + A - 3)
+        return u
+
+    monkeypatch.setattr(module, "radon", polar)
+    with pytest.raises(DomainError, match="polar set"):
+        pencil_projection(c, apex)
 
 
 def test_pencil_projection_rejects_apex_on_support():
