@@ -31,7 +31,7 @@ WeightedPoints = Sequence[tuple[RatFunc, RatFunc]]
 
 @dataclass(frozen=True)
 class ResidualCurrent:
-    """Canonical pair (p, r); build instances through `validate`."""
+    """Canonical pair (p, r); built by `validate`, or directly by `reconstruct`."""
 
     p: MPoly
     r: MPoly

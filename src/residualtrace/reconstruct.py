@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import mul
 
 from .algebra import MPoly, RatFunc, as_fraction, kernel_vector, solve_linear
-from .currents import ResidualCurrent, ZeroCurrent, validate
+from .currents import ResidualCurrent, ZeroCurrent
 from .errors import (
     ContinuationError,
     DegreeDetectionError,
@@ -195,6 +195,13 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
     """Rebuild the current whose first len(t) traces are t.
 
     On success `traces(report.current, len(t))` equals t entry for entry.
+    The pair is canonical by construction, so it is not re-validated: p is
+    monic of degree d, deg_y r < d, and r != 0 (else u_0 .. u_{d-1} and so
+    all of t would vanish).  A common fiber factor of degree e >= 1 would
+    leave a pair of degree d - e with the same traces, whose recurrence
+    holds on every window with a nonsingular Hankel matrix (Kronecker);
+    `_detect` tries smaller degrees first and the modular filter never
+    rejects a true recurrence, so it would have accepted d - e or less.
     """
     d, a = _detect(t, d_max)
     n = len(t.vars)
@@ -218,6 +225,8 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
             denominator_coefficients=den_coeffs,
             numerator_coefficients=num_coeffs,
         )
+    if not t.vars:
+        raise DomainError("a current needs at least one base variable and one fiber variable")
     fiber = "y"
     while fiber in t.vars:
         fiber += "_"
@@ -232,9 +241,7 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
             r_pieces[d - 1 - j] = c.as_poly().extend(variables)
     p = MPoly.from_univariate(variables, fiber, p_pieces)
     r = MPoly.from_univariate(variables, fiber, r_pieces)
-    current = validate(p, r)
-    if current.degree != d:
-        raise DomainError("reconstructed pair reduced below the detected degree")
+    current = ResidualCurrent(p=p, r=r)
     if traces(current, len(t)).entries != t.entries:
         raise DomainError("reconstructed current does not reproduce the input traces")
     return ReconstructionReport(

@@ -187,6 +187,14 @@ def _strip_trailing(c: list[complex], tol: float = 0.0) -> list[complex]:
     return out
 
 
+def _horner(cs: list[complex], z: complex) -> complex:
+    """The polynomial with ascending coefficients cs, evaluated at z."""
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
+
+
 def pointwise_residues(form: RationalForm1D, x_values: Sequence[complex]):
     """Numeric residues at each pole for one specialization of the base variables.
 
@@ -207,20 +215,14 @@ def pointwise_residues(form: RationalForm1D, x_values: Sequence[complex]):
     dprime = [k * dcoeffs[k] for k in range(1, d + 1)]
     scale = max(1.0, max(abs(c) for c in dcoeffs))
 
-    def horner(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
     pairs = []
     for z in roots:
         z = complex(z)
-        dp = horner(dprime, z)
+        dp = _horner(dprime, z)
         if abs(dp) < REPEATED_ROOT_RTOL * scale:
             raise DomainError(
                 f"repeated pole near {z:.6g}; pointwise residues are undefined there")
-        pairs.append((z, horner(ncoeffs, z) / dp))
+        pairs.append((z, _horner(ncoeffs, z) / dp))
     pairs.sort(key=lambda p: (p[0].real, p[0].imag))
     return pairs
 
@@ -262,21 +264,15 @@ def contour_oracle(form: RationalForm1D, x_values: Sequence[complex],
         if abs(gap - spec.radius) < 1e-6 * spec.radius:
             raise DomainError(f"pole {complex(z):.6g} sits on the contour")
 
-    def horner(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
     n = spec.points
     total = 0j
     for j in range(n):
         theta = 2.0 * np.pi * j / n
         w = spec.center + spec.radius * complex(np.cos(theta), np.sin(theta))
-        denom = horner(dcoeffs, w)
+        denom = _horner(dcoeffs, w)
         if denom == 0:
             raise DomainError("quadrature node hit a pole")
-        total += horner(ncoeffs, w) / denom * complex(np.cos(theta), np.sin(theta))
+        total += _horner(ncoeffs, w) / denom * complex(np.cos(theta), np.sin(theta))
     value = total * spec.radius / n
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
         raise DomainError("contour quadrature diverged")

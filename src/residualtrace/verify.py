@@ -2,9 +2,9 @@
 
 Each suite draws its own deterministic family from one Random seed, so a
 report is a pure function of (seed, tolerance, counts).  The CLI exposes
-these through the `verify` subcommand.  The acceptance tests in
-`tests/test_acceptance.py` draw their own, larger families and do not call
-this module yet.
+these through the `verify` subcommand, and the acceptance gate
+(`tests/test_acceptance.py`, criteria 1-3 and 5) runs them with its own
+seeds and larger counts.
 """
 
 from __future__ import annotations
@@ -72,11 +72,12 @@ def check_recurrence(seed: int, count: int = 40) -> dict:
 
 
 def check_hankel_identity(seed: int, count: int = 30) -> dict:
-    """Hankel determinant of point-mass data, plus the anti-ordered sign twin.
+    """Hankel determinant of point-mass data, plus the anti-ordered sign twins.
 
     For a current with simple fiber roots y_i and weights f_i,
-    det H_d = prod_{i<j} (y_i - y_j)^2 * prod_i f_i, and reversing the rows
-    of H_d multiplies the determinant by (-1)^(d(d-1)/2).
+    det H_d = prod_{i<j} (y_i - y_j)^2 * prod_i f_i, and both reversing the
+    rows of H_d and the anti-ordered matrix (u_{d+i-j-1}) multiply the
+    determinant by (-1)^(d(d-1)/2).
     """
     rng = Random(seed)
     failures = []
@@ -98,10 +99,12 @@ def check_hankel_identity(seed: int, count: int = 30) -> dict:
                 expected = expected * diff * diff
         for _, weight in points:
             expected = expected * weight
+        reversed_rows = FracMatrix(list(reversed(h.entries)))
         anti = FracMatrix([[t[d + i - j - 1] for j in range(d)] for i in range(d)])
-        det_anti = determinant(anti)
         sign = Fraction(-1) ** ((d * (d - 1) // 2) % 2)
-        ok = det_h == expected and det_anti == det_h * sign
+        ok = (det_h == expected
+              and determinant(reversed_rows) == det_h * sign
+              and determinant(anti) == det_h * sign)
         if not ok:
             failures.append(idx)
     return {"name": "hankel-determinant", "instances": instances,

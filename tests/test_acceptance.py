@@ -15,6 +15,11 @@ numbers (visible with -s, or in the failure report).  The criteria:
     traces, nonzero currents show a nonzero trace by index 2d
  8. pencil projections equal the chart substitution b = x0 - a y0, exactly
  9. CLI determinism and byte-identical trace -> reconstruct piping
+
+Criteria 1, 2, 3 and 5 run the seeded suites of `residualtrace.verify`
+(the ones `residual-trace verify` runs) with their own seeds and counts;
+criterion 4 draws its own points and compares each through the same
+per-point check as the `verify` oracle suite.
 """
 
 import subprocess
@@ -23,29 +28,22 @@ import time
 from fractions import Fraction
 from random import Random
 
-from residualtrace.algebra import FracMatrix, MPoly, RatFunc, determinant
+from residualtrace.algebra import MPoly, RatFunc
 from residualtrace.currents import ZeroCurrent, support_discriminant
 from residualtrace.errors import ContinuationError, DomainError
 from residualtrace.jsonio import canonical_dumps, current_to_obj
-from residualtrace.radon import closedness_check, pencil_projection, radon
-from residualtrace.reconstruct import (
-    continue_current,
-    reconstruct,
-    sample_series,
+from residualtrace.radon import pencil_projection, radon
+from residualtrace.reconstruct import continue_current, reconstruct, sample_series
+from residualtrace.residues import RationalForm1D
+from residualtrace.sampling import base_vars, random_current, random_rational_point
+from residualtrace.traces import TraceSequence, traces
+from residualtrace.verify import (
+    _oracle_one,
+    check_closedness,
+    check_hankel_identity,
+    check_recurrence,
+    check_roundtrip,
 )
-from residualtrace.residues import (
-    RationalForm1D,
-    contour_oracle,
-    pointwise_residues,
-    residue_sum,
-)
-from residualtrace.sampling import (
-    base_vars,
-    random_current,
-    random_rational_point,
-    random_weighted_current,
-)
-from residualtrace.traces import TraceSequence, hankel, recurrence_check, traces
 
 SEED = 1729
 TOLERANCE = 1e-8
@@ -56,82 +54,39 @@ def report(ok: bool, label: str, detail: str):
     assert ok, f"{label}: {detail}"
 
 
-def mixed_family(seed: int, total: int):
-    """two thirds n=1 (d <= 5, coeff deg <= 3), one third n=2 (d <= 3)."""
-    rng = Random(seed)
-    split = total - total // 3
-    family = [random_current(rng, n=1, max_degree=5, coeff_degree=3)
-              for _ in range(split)]
-    family += [random_current(rng, n=2, max_degree=3, coeff_degree=2)
-               for _ in range(total - split)]
-    return family
-
-FAMILY = mixed_family(SEED, 200)
+def report_suite(suite: dict, instances: int, label: str, detail: str, ok=True):
+    """One criterion run through a `verify` suite: it must pass on all its instances."""
+    ok = ok and suite["pass"] and suite["instances"] == instances
+    report(ok, label, f"{suite['instances']}/{instances} {detail}, "
+                      f"{suite['failures']} failures")
 
 
 def test_criterion_1_roundtrip_inversion():
     start = time.monotonic()
-    bad = 0
-    for c in FAMILY:
-        t = traces(c, 2 * c.degree + 2)
-        out = reconstruct(t, c.degree)
-        if out.current != c or out.residual_violations != 0:
-            bad += 1
+    suite = check_roundtrip(SEED, 200)
     elapsed = time.monotonic() - start
-    report(bad == 0 and elapsed < 60.0, "criterion 1 (roundtrip inversion)",
-           f"{len(FAMILY)} currents, {bad} mismatches, {elapsed:.1f} s")
+    report_suite(suite, 200, "criterion 1 (roundtrip inversion)",
+                 f"currents reconstructed exactly, {elapsed:.1f} s < 60 s",
+                 ok=elapsed < 60.0)
 
 
 def test_criterion_2_recurrence_identity():
-    bad = 0
-    for c in FAMILY:
-        d = c.degree
-        # 3d + 1 entries give windows k = 0 .. 2d
-        if recurrence_check(traces(c, 3 * d + 1), c.p):
-            bad += 1
-    report(bad == 0, "criterion 2 (trace recurrence)",
-           f"{len(FAMILY)} currents, k <= 2d, {bad} violations")
+    # same family as criterion 1; 3d + 1 entries give windows k = 0 .. 2d
+    report_suite(check_recurrence(SEED, 200), 200, "criterion 2 (trace recurrence)",
+                 "currents annihilated for k <= 2d")
 
 
 def test_criterion_3_hankel_determinant():
-    rng = Random(SEED + 2)
-    instances = 0
-    bad = 0
-    while instances < 50:
-        d = rng.randint(1, 4)
-        n = 1 if instances % 3 else 2
-        current, points = random_weighted_current(rng, n=n, count=d)
-        d = current.degree
-        t = traces(current, 2 * d + 1)
-        h = hankel(t, d)
-        det_h = determinant(h)
-        expected = RatFunc.one(t.vars)
-        roots = [root for root, _ in points]
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                diff = roots[i] - roots[j]
-                expected = expected * diff * diff
-        for _, weight in points:
-            expected = expected * weight
-        reversed_rows = FracMatrix(list(reversed(list(h.entries))))
-        anti = FracMatrix([[t[d + i - j - 1] for j in range(d)] for i in range(d)])
-        sign = Fraction(-1) ** ((d * (d - 1) // 2) % 2)
-        ok = (det_h == expected
-              and determinant(reversed_rows) == det_h * sign
-              and determinant(anti) == det_h * sign)
-        if not ok:
-            bad += 1
-        instances += 1
-    report(bad == 0, "criterion 3 (Hankel determinant)",
-           f"{instances} point-mass currents, exact separation^2 * weights, "
-           f"anti-ordered sign checked, {bad} failures")
+    report_suite(check_hankel_identity(SEED + 2, 50), 50,
+                 "criterion 3 (Hankel determinant)",
+                 "point-mass currents with exact separation^2 * weights "
+                 "and both anti-ordered signs")
 
 
 def test_criterion_4_numeric_oracle():
     rng = Random(SEED + 3)
-    worst = 0.0
+    results = []
     instances = 0
-    comparisons = 0
     while instances < 6:
         n = 1 if instances % 3 else 2
         c = random_current(rng, n=n, max_degree=4 if n == 1 else 3,
@@ -148,34 +103,22 @@ def test_criterion_4_numeric_oracle():
             continue
         k = rng.randint(0, c.degree)
         form = RationalForm1D(c.r * MPoly.variable(c.p.vars, c.fiber) ** k, c.p)
-        exact = residue_sum(form)
-        for point in points:
-            values = [complex(point[v]) for v in form.base_vars]
-            target = exact.eval_numeric({v: complex(x) for v, x in point.items()})
-            quad = contour_oracle(form, values)
-            psum = sum(res for _, res in pointwise_residues(form, values))
-            worst = max(worst, abs(quad - target), abs(psum - target))
-            comparisons += 1
+        results += [_oracle_one(form, point) for point in points]
         instances += 1
-    report(worst <= TOLERANCE, "criterion 4 (numeric oracle)",
-           f"{instances} instances x 20 points ({comparisons} comparisons), "
-           f"max abs error {worst:.3g} <= {TOLERANCE}")
+    # _oracle_one reports an oracle exception or a non-finite error as a reason
+    failed = [why or f"error {e:.3g}" for e, why in results
+              if why is not None or not e <= TOLERANCE]
+    worst = max((e for e, _ in results if e is not None), default=0.0)
+    report(not failed, "criterion 4 (numeric oracle)",
+           f"{instances} instances x 20 points ({len(results)} comparisons), "
+           f"max abs error {worst:.3g} <= {TOLERANCE}, {len(failed)} failures"
+           + (f" (first: {failed[0]})" if failed else ""))
 
 
 def test_criterion_5_closedness():
-    rng = Random(SEED + 4)
-    family = [random_current(rng, n=1, max_degree=4, coeff_degree=2)
-              for _ in range(10)]
-    family += [random_current(rng, n=2, max_degree=2, coeff_degree=1)
-               for _ in range(5)]
-    bad = 0
-    for c in family:
-        k_top = 2 * c.degree
-        u = radon(c, k_top + c.n)
-        if closedness_check(u, range(k_top + 1)):
-            bad += 1
-    report(bad == 0, "criterion 5 (chart closedness)",
-           f"{len(family)} currents, all i <= n and k <= 2d, {bad} violations")
+    # 10 currents with n = 1 (d <= 4), then 5 with n = 2 (d <= 2)
+    report_suite(check_closedness(SEED + 4, 15), 15, "criterion 5 (chart closedness)",
+                 "currents closed for all i <= n and k <= 2d")
 
 
 def test_criterion_6_continuation():

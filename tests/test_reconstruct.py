@@ -23,6 +23,7 @@ from residualtrace.reconstruct import (
     reconstruct,
     sample_series,
 )
+from residualtrace.residues import trace_stream
 from residualtrace.sampling import random_current
 from residualtrace.traces import TraceSequence, hankel, traces
 
@@ -228,6 +229,20 @@ def test_reconstruct_minimality_on_squared_factor():
     report = reconstruct(t, 3)
     assert report.degree == 2
     assert report.current == c
+
+
+def test_reconstruct_reduces_a_non_coprime_pair():
+    # (p g, r g) has the traces of (p, r); the reduced current comes back
+    rng = Random(31)
+    for _ in range(12):
+        c = random_current(rng, n=1, max_degree=3, coeff_degree=2)
+        g = Y - X.scale(rng.randint(-3, 3)) - rng.randint(-3, 3)
+        d = c.degree + 1
+        t = TraceSequence(entries=tuple(trace_stream(c.r * g, c.p * g, "y", 2 * d + 2)))
+        for d_max in (d - 1, d, d + 2):
+            report = reconstruct(t, d_max)
+            assert report.degree == c.degree
+            assert report.current == c
 
 
 def test_reconstruct_flags_meromorphic_coefficients():
