@@ -9,13 +9,22 @@ canonical serialization order and a canonical leading term.
 Floating point coefficients are rejected outright: every operation in this
 module is exact.
 
-Kernel rule: ints inside the kernels, a reduced ``Fraction`` per term in
-storage.  Products and contents clear each operand's denominators by their
-lcm, run the inner loop on ints and build one reduced ``Fraction`` per output
-term, never one per partial product; an all-integer operand is the lcm = 1
-case of the same loop.  A sum or difference keeps the stored ``Fraction`` of
-every term found on one side only (negated for a subtrahend) and sums a
-shared term on ints.
+Storage rule: a coefficient is stored as an ``int`` when it is integral and
+as a reduced ``Fraction`` only when it is not, so the integer-coefficient
+polynomials of the hot paths never build a ``Fraction``.  ``3 == Fraction(3)``,
+``hash(3) == hash(Fraction(3))`` and ``str(3) == str(Fraction(3))``, so
+equality, hashing and output do not see the difference.  The scalar views
+``constant_value``, ``leading_term`` and ``leading_coefficient`` return a
+``Fraction``, so a caller computing ``1 / lc`` never meets int division; a
+reader of raw ``terms`` values that divides must convert first.
+
+Kernel rule: products and contents clear each operand's denominators by
+their lcm and run the inner loop on ints; an all-integer operand is the
+lcm = 1 case, and an all-integer product keeps its int accumulator as the
+result.  Only an output term with a denominator that does not cancel becomes
+a ``Fraction``, never a partial product.  A sum or difference keeps the
+stored value of every term found on one side only (negated for a
+subtrahend) and sums a shared term, on ints when both values are ints.
 """
 
 from __future__ import annotations
@@ -28,9 +37,9 @@ from operator import add as _add
 from ..errors import DomainError
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction  # stored form: see the storage rule above
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_fraction(value) -> Fraction:
@@ -46,57 +55,83 @@ def as_fraction(value) -> Fraction:
     raise DomainError(f"cannot interpret {value!r} as a rational number")
 
 
+def _canon(c: Coefficient) -> Coefficient:
+    """Stored form of an int or Fraction value."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _coefficient(value) -> Coefficient:
+    """Stored form of an int, string or Fraction. Floats are refused."""
+    if type(value) is int:
+        return value
+    return _canon(as_fraction(value))
+
+
+def _div(a: Coefficient, b: Coefficient) -> Coefficient:
+    """a / b in stored form, for stored values a and b != 0."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canon(a / b)
+
+
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
-def _common_denominator(terms: dict[Exponents, Fraction]) -> tuple[int, list[int]]:
+def _common_denominator(terms: dict[Exponents, Coefficient]) -> tuple[int, list[int]]:
     """(den, nums) with den the lcm of the denominators and terms[e] = num / den.
 
-    `nums` follows the iteration order of `terms`.
+    `nums` follows the iteration order of `terms`; with all-int terms they
+    are the stored values themselves.
     """
-    ratios = [c.as_integer_ratio() for c in terms.values()]
-    den = _int_lcm(*[d for _, d in ratios])
-    return den, [n * (den // d) for n, d in ratios]
+    values = list(terms.values())
+    for c in values:
+        if type(c) is not int:
+            break
+    else:
+        return 1, values
+    den = _int_lcm(*[c.denominator for c in values])
+    return den, [c.numerator * (den // c.denominator) for c in values]
 
 
-def _trusted(variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "MPoly":
-    """Wrap terms that are already canonical: no zero coefficients, right arity."""
+def _trusted(variables: tuple[str, ...], terms: dict[Exponents, Coefficient]) -> "MPoly":
+    """Wrap terms that are already canonical: stored form, no zeros, right arity."""
     out = MPoly.__new__(MPoly)
     out.vars, out.terms, out._hash = variables, terms, None
     return out
 
 
-def _accumulate(terms: dict[Exponents, Fraction], other: dict[Exponents, Fraction],
+def _accumulate(terms: dict[Exponents, Coefficient], other: dict[Exponents, Coefficient],
                 sign: int = 1):
     """terms += sign * other in place, for sign = 1 or -1.
 
     Terms of `other` not yet present are appended in their order; a shared
-    term is summed on ints, and dropped when it cancels.
+    term is summed, and dropped when it cancels.
     """
     for exps, c in other.items():
         prev = terms.get(exps)
         if prev is None:
             terms[exps] = c if sign > 0 else -c
             continue
-        n1, d1 = prev.as_integer_ratio()
-        n2, d2 = c.as_integer_ratio()
-        s = n1 * d2 + sign * n2 * d1
+        s = prev + c if sign > 0 else prev - c
         if s:
-            terms[exps] = Fraction(s, d1 * d2)
+            terms[exps] = _canon(s)
         else:
             del terms[exps]
 
 
 class MPoly:
-    """Immutable multivariate polynomial with Fraction coefficients."""
+    """Immutable multivariate polynomial with rational coefficients."""
 
     __slots__ = ("vars", "terms", "_hash")
 
     def __init__(self, variables, terms):
         self.vars = tuple(str(v) for v in variables)
         nv = len(self.vars)
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Coefficient] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for exps, coeff in items:
             exps = tuple(int(e) for e in exps)
@@ -105,7 +140,7 @@ class MPoly:
                     f"exponent vector {exps} does not match variables {self.vars}")
             if any(e < 0 for e in exps):
                 raise DomainError(f"negative exponent in {exps}")
-            c = as_fraction(coeff)
+            c = _coefficient(coeff)
             if c:
                 prev = clean.get(exps)
                 if prev is None:
@@ -113,7 +148,7 @@ class MPoly:
                 else:
                     s = prev + c
                     if s:
-                        clean[exps] = s
+                        clean[exps] = _canon(s)
                     else:
                         del clean[exps]
         self.terms = clean
@@ -128,7 +163,7 @@ class MPoly:
     @classmethod
     def constant(cls, variables, value) -> "MPoly":
         variables = tuple(map(str, variables))
-        c = as_fraction(value)
+        c = _coefficient(value)
         return _trusted(variables, {(0,) * len(variables): c} if c else {})
 
     @classmethod
@@ -137,14 +172,15 @@ class MPoly:
         if name not in variables:
             raise DomainError(f"{name!r} is not among variables {variables}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return _trusted(variables, {exps: _ONE})
+        return _trusted(variables, {exps: 1})
 
     @classmethod
     def from_univariate(cls, variables, var: str, coeffs: dict[int, "MPoly"]) -> "MPoly":
         """Assemble sum_k coeffs[k] * var**k; coefficient polys share `variables`."""
         variables = tuple(map(str, variables))
         vi = variables.index(var)
-        terms: dict[Exponents, Fraction] = {}
+        # No two (k, term) pairs share a key: the coefficients lack `var`.
+        terms: dict[Exponents, Coefficient] = {}
         for k, poly in coeffs.items():
             if poly.vars != variables:
                 raise DomainError(
@@ -152,13 +188,7 @@ class MPoly:
             for exps, c in poly.terms.items():
                 if exps[vi] != 0:
                     raise DomainError(f"coefficient of {var}^{k} already contains {var}")
-                key = exps[:vi] + (exps[vi] + k,) + exps[vi + 1:]
-                prev = terms.get(key, _ZERO)
-                s = prev + c
-                if s:
-                    terms[key] = s
-                elif key in terms:
-                    del terms[key]
+                terms[exps[:vi] + (k,) + exps[vi + 1:]] = c
         return _trusted(variables, terms)
 
     # ---- basic queries ------------------------------------------------
@@ -180,7 +210,7 @@ class MPoly:
             return _ZERO
         if not self.is_constant():
             raise DomainError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return as_fraction(next(iter(self.terms.values())))
 
     def degree(self, var: str | None = None) -> int:
         """Total degree, or degree in one variable. The zero poly has degree -1."""
@@ -195,12 +225,12 @@ class MPoly:
         if not self.terms:
             raise DomainError("the zero polynomial has no leading term")
         exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
+        return exps, as_fraction(self.terms[exps])
 
     def leading_coefficient(self) -> Fraction:
         return self.leading_term()[1]
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
         """Terms in descending graded-lex order (canonical output order)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
@@ -277,13 +307,15 @@ class MPoly:
                     else:
                         del acc[key]
         den = da * db
-        return _trusted(self.vars, {e: Fraction(v, den) for e, v in acc.items()})
+        if den == 1:
+            return _trusted(self.vars, acc)
+        return _trusted(self.vars, {e: _div(v, den) for e, v in acc.items()})
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MPoly":
-        c = as_fraction(c)
-        return _trusted(self.vars, {e: v * c for e, v in self.terms.items()} if c else {})
+        c = _coefficient(c)
+        return _trusted(self.vars, {e: _canon(v * c) for e, v in self.terms.items()} if c else {})
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -321,7 +353,7 @@ class MPoly:
     def as_univariate(self, var: str) -> dict[int, "MPoly"]:
         """View as a polynomial in `var`: map exponent -> coefficient poly."""
         vi = self.vars.index(var)
-        out: dict[int, dict[Exponents, Fraction]] = {}
+        out: dict[int, dict[Exponents, Coefficient]] = {}
         for exps, c in self.terms.items():
             k = exps[vi]
             out.setdefault(k, {})[exps[:vi] + (0,) + exps[vi + 1:]] = c
@@ -387,7 +419,7 @@ class MPoly:
         # Each term is the product of its powers, scaled by its coefficient at
         # the end, and summed in place: the terms land where repeated `+` of
         # constant * powers would put them.
-        result: dict[Exponents, Fraction] = {}
+        result: dict[Exponents, Coefficient] = {}
         for exps, c in self.terms.items():
             term = None
             for name, e in zip(self.vars, exps):
@@ -431,7 +463,7 @@ class MPoly:
         for exps, c in self.terms.items():
             e = exps[vi]
             if e:
-                terms[exps[:vi] + (e - 1,) + exps[vi + 1:]] = c * e
+                terms[exps[:vi] + (e - 1,) + exps[vi + 1:]] = _canon(c * e)
         return _trusted(self.vars, terms)
 
     def antiderivative(self, var: str) -> "MPoly":
@@ -439,7 +471,7 @@ class MPoly:
         terms = {}
         for exps, c in self.terms.items():
             e = exps[vi]
-            terms[exps[:vi] + (e + 1,) + exps[vi + 1:]] = c / (e + 1)
+            terms[exps[:vi] + (e + 1,) + exps[vi + 1:]] = _div(c, e + 1)
         return _trusted(self.vars, terms)
 
     # ---- normal forms --------------------------------------------------
@@ -455,7 +487,7 @@ class MPoly:
         g = _int_gcd(*nums)
         if den == 1 and g <= 1:  # already primitive, or zero (g = 0)
             return self
-        return _trusted(self.vars, {e: Fraction(n // g) for e, n in zip(self.terms, nums)})
+        return _trusted(self.vars, {e: n // g for e, n in zip(self.terms, nums)})
 
     def sign_normalized(self) -> "MPoly":
         """Flip sign so the graded-lex leading coefficient is positive."""
@@ -509,22 +541,23 @@ def try_div(f: MPoly, g: MPoly) -> MPoly | None:
         return f
     if g.is_constant():
         return f.scale(1 / g.constant_value())
-    ge, gc = g.leading_term()
-    rem = dict(f.terms)
-    quot: dict[Exponents, Fraction] = {}
     gterms = g.terms
+    ge = max(gterms, key=grlex_key)
+    gc = gterms[ge]
+    rem = dict(f.terms)
+    quot: dict[Exponents, Coefficient] = {}
     while rem:
         exps = max(rem, key=grlex_key)
         diff = tuple(a - b for a, b in zip(exps, ge))
         if any(d < 0 for d in diff):
             return None
-        c = rem[exps] / gc
+        c = _div(rem[exps], gc)
         quot[diff] = c
         for e2, c2 in gterms.items():
             key = tuple(a + b for a, b in zip(diff, e2))
-            s = rem.get(key, _ZERO) - c * c2
+            s = rem.get(key, 0) - c * c2
             if s:
-                rem[key] = s
+                rem[key] = _canon(s)
             elif key in rem:
                 del rem[key]
     return _trusted(f.vars, quot)
@@ -654,7 +687,7 @@ def _gcd_univariate(f: MPoly, g: MPoly, vi: int) -> MPoly:
     for k, c in enumerate(coeffs):
         if c:
             key = tuple(k if i == vi else 0 for i in range(nv))
-            terms[key] = Fraction(c)
+            terms[key] = c
     return _trusted(f.vars, terms)
 
 

@@ -172,7 +172,8 @@ def support_discriminant(current: ResidualCurrent) -> MPoly:
     """Resultant of p and its fiber derivative, over the base variables.
 
     Vanishes exactly where fiber poles collide; away from its zero set the
-    pointwise residue oracle is well defined.
+    pointwise residue oracle is well defined.  With p monic of fiber degree
+    d this is (-1)^(d(d-1)/2) times the discriminant of p.
     """
     p = current.p
     fiber = current.fiber

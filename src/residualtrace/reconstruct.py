@@ -202,7 +202,11 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
     holds on every window with a nonsingular Hankel matrix (Kronecker);
     `_detect` tries smaller degrees first and the modular filter never
     rejects a true recurrence, so it would have accepted d - e or less.
+    Traces over no base variable are refused, zero traces included: neither
+    a current nor the zero current exists without one.
     """
+    if not t.vars:
+        raise DomainError("a current needs at least one base variable and one fiber variable")
     d, a = _detect(t, d_max)
     n = len(t.vars)
     if d == 0:
@@ -225,8 +229,6 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
             denominator_coefficients=den_coeffs,
             numerator_coefficients=num_coeffs,
         )
-    if not t.vars:
-        raise DomainError("a current needs at least one base variable and one fiber variable")
     fiber = "y"
     while fiber in t.vars:
         fiber += "_"
@@ -385,7 +387,7 @@ def sample_series(f: RatFunc, x0, count: int) -> SeriesSample:
     def coeff_list(poly: MPoly) -> list[Fraction]:
         out = [Fraction(0)] * (poly.degree(var) + 1) if not poly.is_zero() else []
         for exps, cv in poly.terms.items():
-            out[exps[0]] = cv
+            out[exps[0]] = as_fraction(cv)  # an int here would make the divisions below floats
         return out
 
     p = _taylor_shift(coeff_list(f.num), x0)

@@ -129,15 +129,18 @@ def test_reconstruct_meromorphic_exits_1():
 
 
 def test_reconstruct_without_base_variables_exits_1():
-    # u_k = 2^k fits p = y - 2, r = 1, but a current needs a base variable
-    payload = {"u": [
-        {"num": {"vars": [], "terms": [{"coeff": str(2 ** k), "exps": []}]},
-         "den": {"vars": [], "terms": [{"coeff": "1", "exps": []}]}}
+    # u_k = 2^k fits p = y - 2, r = 1, but a current needs a base variable;
+    # all-zero traces would give the zero current, which needs one too
+    one = {"vars": [], "terms": [{"coeff": "1", "exps": []}]}
+    nonzero = {"u": [
+        {"num": {"vars": [], "terms": [{"coeff": str(2 ** k), "exps": []}]}, "den": one}
         for k in range(4)]}
-    out = run_cli(["reconstruct"], json.dumps(payload))
-    assert out.returncode == 1
-    assert "at least one base variable" in out.stderr
-    assert out.stdout == ""
+    zero = {"u": [{"num": {"vars": [], "terms": []}, "den": one} for _ in range(4)]}
+    for payload in (nonzero, zero):
+        out = run_cli(["reconstruct"], json.dumps(payload))
+        assert out.returncode == 1
+        assert "at least one base variable" in out.stderr
+        assert out.stdout == ""
 
 
 def test_reconstruct_degree_detection_failure_exits_1():

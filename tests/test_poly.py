@@ -7,6 +7,7 @@ import pytest
 
 from residualtrace.algebra import (
     MPoly,
+    RatFunc,
     exact_div,
     poly_divmod_y,
     poly_gcd,
@@ -14,7 +15,9 @@ from residualtrace.algebra import (
     poly_lcm,
     try_div,
 )
+from residualtrace.currents import validate
 from residualtrace.errors import DomainError
+from residualtrace.reconstruct import detect_rational, sample_series
 
 V = ("x", "y")
 X = MPoly.variable(V, "x")
@@ -120,6 +123,47 @@ def test_derivative_and_antiderivative():
     p = X ** 3 * Y + 2 * Y
     assert p.derivative("x") == 3 * X ** 2 * Y
     assert p.antiderivative("x").derivative("x") == p
+
+
+def exact_terms(p: MPoly) -> dict:
+    """The stored terms, after checking each value is an int or a Fraction."""
+    assert all(type(c) in (int, Fraction) for c in p.terms.values()), p.terms
+    return p.terms
+
+
+def test_dividing_operations_on_integer_inputs_store_no_floats():
+    # Integral coefficients are stored as ints; every division below must
+    # give exact values, never int / int floats.
+    half = Fraction(1, 2)
+    assert exact_terms((3 * X ** 2 * Y + X).antiderivative("x")) == {
+        (3, 1): 1, (2, 0): half}
+    assert exact_terms(exact_div(X ** 2 + 2 * X + 1, 2 * X + 2)) == {
+        (1, 0): half, (0, 0): half}
+    assert exact_terms(exact_div(4 * X ** 2 + 4 * X, 2 * X + 2)) == {(1, 0): 2}
+    assert exact_terms((2 * X + 3).scale(half)) == {(1, 0): 1, (0, 0): Fraction(3, 2)}
+    f = RatFunc(X + 1, 2 * X + 3)
+    assert exact_terms(f.num) == {(1, 0): half, (0, 0): half}
+    assert exact_terms(f.den) == {(1, 0): 1, (0, 0): Fraction(3, 2)}
+    # gcd 2y + 1 has the constant fiber lead 2, so the result is made monic
+    g = poly_gcd_fiber((2 * Y + 1) * (Y + X), (2 * Y + 1) * (Y - X))
+    assert exact_terms(g) == {(0, 1): 1, (0, 0): half}
+    # p = (y - 1/2)(y + x) and r = 2y - 1 share 2y - 1; the rescaled pair is (y + x, 2)
+    c = validate((2 * Y - 1) * (Y + X) * half, 2 * Y - 1)
+    assert exact_terms(c.p) == {(0, 1): 1, (1, 0): 1}
+    assert exact_terms(c.r) == {(0, 0): 2}
+    # (function, degree bounds, leading Taylor coefficients at x0 = 1)
+    u = MPoly.variable(("x",), "x")
+    for h, bounds, head in (
+            (RatFunc(3 * u ** 2 + 1, 2 * u + 4), (2, 1), (Fraction(2, 3), Fraction(7, 9))),
+            (RatFunc(u ** 2 + 2 * u), (2, 0), (3, 4, 1)),
+            (RatFunc(u ** 0 * 3), (0, 0), (3, 0))):
+        sample = sample_series(h, 1, 6)
+        assert all(type(c) is Fraction for c in sample.coefficients)
+        assert sample.coefficients[:len(head)] == head
+        back = detect_rational(sample, *bounds)
+        assert back == h
+        exact_terms(back.num)
+        exact_terms(back.den)
 
 
 def test_divmod_fiber_invariant():

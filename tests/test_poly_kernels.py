@@ -1,8 +1,8 @@
 """MPoly integer kernels against sympy as an independent oracle.
 
 Products, sums, contents and gcds run on ints over a common denominator and
-store one reduced Fraction per term; sympy's `Poly` over QQ computes the same
-results by its own code.
+store each coefficient as an int when it is integral, else as a reduced
+Fraction; sympy's `Poly` over QQ computes the same results by its own code.
 """
 
 from fractions import Fraction
@@ -53,10 +53,15 @@ def from_sympy(sp) -> dict:
 
 
 def assert_canonical(p: MPoly):
-    """Stored form: nonzero reduced Fractions, equal and hash-equal to a rebuild."""
+    """Stored form: nonzero, an int exactly when integral, else a reduced
+    Fraction; equal and hash-equal to a rebuild."""
     for c in p.terms.values():
-        assert type(c) is Fraction and c != 0
-        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        assert c != 0
+        if c.denominator == 1:
+            assert type(c) is int
+        else:
+            assert type(c) is Fraction
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
     rebuilt = MPoly(p.vars, [(e, Fraction(c.numerator, c.denominator))
                              for e, c in p.terms.items()])
     assert rebuilt == p

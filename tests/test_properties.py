@@ -10,7 +10,20 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from residualtrace.algebra import MPoly, RatFunc  # noqa: E402
+from residualtrace.algebra import MPoly, RatFunc, poly_gcd, try_div  # noqa: E402
+from residualtrace.currents import ZeroCurrent, validate  # noqa: E402
+from residualtrace.jsonio import (  # noqa: E402
+    canonical_dumps,
+    current_from_obj,
+    current_to_obj,
+    loads,
+    poly_from_obj,
+    poly_to_obj,
+    ratfunc_from_obj,
+    ratfunc_to_obj,
+    traces_from_obj,
+    traces_to_obj,
+)
 from residualtrace.reconstruct import (  # noqa: E402
     detect_rational,
     reconstruct,
@@ -62,3 +75,61 @@ def test_detect_rational_inverts_sample_series(m, n, extra, data):
     hypothesis.assume(f.den.eval_exact({"x": x0}) != 0)
     sample = sample_series(f, x0, m + n + 2 + extra)
     assert detect_rational(sample, m, n) == f
+
+
+# Integral and fractional values in one poly: ints, and Fractions that may
+# reduce to an integer.
+mixed = st.one_of(st.integers(-5, 5),
+                  st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+def polys_over(variables, max_exp, **size):
+    keys = st.tuples(*[st.integers(0, max_exp)] * len(variables))
+    return st.dictionaries(keys, mixed, **size).map(lambda t: MPoly(variables, t))
+
+
+B = ("x", "y")  # one base variable, then the fiber variable
+
+
+@st.composite
+def currents(draw):
+    d = draw(st.integers(1, 2))
+    lower = st.tuples(st.integers(0, 2), st.integers(0, d - 1))
+    p = MPoly(B, draw(st.dictionaries(lower, mixed, max_size=3))) + MPoly.variable(B, "y") ** d
+    r = MPoly(B, draw(st.dictionaries(lower, mixed, min_size=1, max_size=3)))
+    hypothesis.assume(not r.is_zero())
+    return validate(p, r)
+
+
+documents = st.one_of(
+    polys_over(B, 3, max_size=5).map(lambda p: (poly_to_obj, poly_from_obj, p)),
+    st.builds(RatFunc, polys_over(B, 2, max_size=3),
+              polys_over(B, 2, min_size=1, max_size=3).filter(lambda p: not p.is_zero()))
+    .map(lambda f: (ratfunc_to_obj, ratfunc_from_obj, f)),
+    currents().map(lambda c: (current_to_obj, current_from_obj, c)),
+    st.builds(ZeroCurrent, st.integers(1, 3)).map(lambda c: (current_to_obj, current_from_obj, c)),
+    currents().map(lambda c: (traces_to_obj, traces_from_obj, traces(c, 2 * c.degree + 1))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents)
+def test_jsonio_round_trips_bytes(document):
+    to_obj, from_obj, value = document
+    s = canonical_dumps(to_obj(value))
+    assert canonical_dumps(to_obj(from_obj(loads(s)))) == s
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=polys_over(V, 2, max_size=3), g=polys_over(V, 2, max_size=3),
+       h=polys_over(V, 2, min_size=1, max_size=3), shared=st.booleans())
+def test_gcd_divides_both_inputs(f, g, h, shared):
+    # `shared` builds both inputs over a common factor h, which then divides the gcd
+    if shared:
+        f, g = f * h, g * h
+    hypothesis.assume(not (f.is_zero() and g.is_zero()))
+    d = poly_gcd(f, g)
+    assert try_div(f, d) is not None
+    assert try_div(g, d) is not None
+    if shared and not h.is_zero():
+        assert try_div(d, h) is not None
