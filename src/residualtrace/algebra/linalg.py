@@ -9,6 +9,7 @@ the only place rational function division appears.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from ..errors import DomainError, SingularSystemError
 from .poly import MPoly, exact_div, poly_lcm
@@ -173,26 +174,35 @@ def solve_linear(m: FracMatrix, rhs) -> list[RatFunc]:
 def kernel_vector(rows: list[list[Fraction]], ncols: int) -> list[Fraction] | None:
     """A deterministic nonzero rational kernel vector, or None if full rank.
 
-    Gauss-Jordan over Fraction; the first free column is set to 1 and the
-    remaining free columns to 0, so the output depends only on the input.
+    Gauss-Jordan over Z: each row is cleared of denominators, and each
+    updated row is divided by its content.  Every row stays a nonzero
+    multiple of the row Gauss-Jordan over Q would hold, so the pivots and
+    the reduced row echelon form, which is unique, come out the same.  The
+    first free column is set to 1 and the remaining free columns to 0, so
+    the output depends only on the input.
     """
-    a = [list(map(Fraction, r)) for r in rows]
-    for r in a:
+    a = []
+    for r in rows:
         if len(r) != ncols:
             raise DomainError("ragged rows in kernel computation")
+        r = [v if type(v) is int else Fraction(v) for v in r]
+        den = lcm(*[v.denominator for v in r])
+        a.append([v.numerator * (den // v.denominator) for v in r])
     pivots: list[tuple[int, int]] = []
     row = 0
     for col in range(ncols):
-        pivot = next((i for i in range(row, len(a)) if a[i][col] != 0), None)
+        pivot = next((i for i in range(row, len(a)) if a[i][col]), None)
         if pivot is None:
             continue
         a[row], a[pivot] = a[pivot], a[row]
-        pv = a[row][col]
-        a[row] = [v / pv for v in a[row]]
+        top = a[row]
+        pv = top[col]
         for i in range(len(a)):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[row])]
+            f = a[i][col]
+            if i != row and f:
+                r = [pv * v - f * w for v, w in zip(a[i], top)]
+                g = gcd(*r) or 1
+                a[i] = [v // g for v in r]
         pivots.append((row, col))
         row += 1
         if row == len(a):
@@ -204,7 +214,7 @@ def kernel_vector(rows: list[list[Fraction]], ncols: int) -> list[Fraction] | No
     v = [Fraction(0)] * ncols
     v[free] = Fraction(1)
     for r, c in pivots:
-        v[c] = -a[r][free]
+        v[c] = Fraction(-a[r][free], a[r][c])
     return v
 
 

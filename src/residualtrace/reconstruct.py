@@ -19,19 +19,26 @@ solve and recurrence check decide as they would without the filter.  A
 degree is only ever accepted by the exact solve plus the exact check.
 
 Series-sampled traces go through a rationality test first: a kernel-based
-Pade candidate within prescribed numerator and denominator degree bounds,
-accepted only if its Taylor series reproduces every supplied coefficient.
-If any valid candidate exists, every nonzero kernel vector reduces to the
-same one, so a failed verification really means no candidate exists.
+Pade candidate p / q within prescribed numerator and denominator degree
+bounds, accepted only if q c == p (mod t^L) for the L supplied
+coefficients c, that is, if its Taylor series reproduces every one of
+them.  If any valid candidate exists, every nonzero kernel vector reduces
+to the same one, so a failed certificate really means no candidate exists.
+The series layer runs on integer coefficient lists over one denominator:
+shifts to and from the base point, the series division of sample_series
+and the certificate are fraction-free, and a Fraction is built only for
+an output coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .algebra import MPoly, RatFunc, as_fraction, kernel_vector, solve_linear
+from .algebra.poly import _common_denominator, _div, _gcd_int_lists, _trusted
 from .currents import ResidualCurrent, ZeroCurrent
 from .errors import (
     ContinuationError,
@@ -255,62 +262,48 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
     )
 
 
-# ---- univariate series helpers (ascending Fraction lists) ----------------
+# ---- univariate series helpers (ascending integer lists) -----------------
 
 
-def _strip(c: list[Fraction]) -> list[Fraction]:
-    out = list(c)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _strip(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
 
 
-def _udivmod(a: list[Fraction], b: list[Fraction]):
-    b = _strip(b)
-    if not b:
-        raise DomainError("univariate division by zero")
-    r = _strip(a)
-    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
-    while len(r) >= len(b):
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for j, y in enumerate(b):
-            r[k + j] -= c * y
-        r = _strip(r)
-    return q, r
+def _cleared(poly: MPoly) -> tuple[list[int], int]:
+    """(coefficients of den * poly, den): den clears every denominator of poly."""
+    den, nums = _common_denominator(poly.terms)
+    out = [0] * (poly.degree() + 1)
+    for (k,), v in zip(poly.terms, nums):
+        out[k] = v
+    return out, den
 
 
-def _ugcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _strip(a), _strip(b)
-    while b:
-        _, rem = _udivmod(a, b)
-        a, b = b, rem
-    if not a:
+def _shift(f: list[int], a: int, b: int, e: int) -> list[int]:
+    """Coefficients of b^e f(a/b + t) in t, for e >= deg f: Horner on a + b t."""
+    if not f:
         return []
-    lead = a[-1]
-    return [c / lead for c in a]
+    n = len(f) - 1
+    scale = b ** (e - n)
+    h = [f[n] * scale]
+    for i in range(n - 1, -1, -1):
+        # h <- h (a + b t) + f_i b^(e - i)
+        h = [a * u + b * w for u, w in zip(h + [0], [0] + h)]
+        scale *= b
+        h[0] += f[i] * scale
+    return h
 
 
-def _series_div(p: list[Fraction], q: list[Fraction], length: int) -> list[Fraction]:
-    q0 = q[0]
-    out = []
-    for k in range(length):
-        s = p[k] if k < len(p) else Fraction(0)
-        for j in range(1, min(k, len(q) - 1) + 1):
-            s -= q[j] * out[k - j]
-        out.append(s / q0)
-    return out
-
-
-def _taylor_shift(coeffs: list[Fraction], x0: Fraction) -> list[Fraction]:
-    """Coefficients of p(x0 + t) from those of p(x), by synthetic division."""
-    a = list(coeffs)
-    n = len(a)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            a[j] += x0 * a[j + 1]
-    return a
+def _exact_quo(f: list[int], g: list[int]) -> list[int]:
+    """f / g for a primitive g dividing f over Q; the quotient is integral (Gauss)."""
+    r = list(f)
+    q = [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = r[k + len(g) - 1] // g[-1]
+        for j, y in enumerate(g):
+            r[k + j] -= c * y
+    return q
 
 
 def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
@@ -322,6 +315,12 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
     no rational function within the bounds has this Taylor expansion at the
     base point (in particular when the only algebraic candidates would have
     a pole there).
+
+    The sample c is cleared to integers C = D c.  The Pade kernel gives q,
+    p = q C is truncated to degree max_num_deg, and both are divided by
+    their gcd, all over Z.  The certificate is q C == p (mod t^L) for the
+    L = len(sample) coefficients: with q(0) != 0 that says the series of
+    p / (D q) reproduces every supplied coefficient, without a division.
     """
     big_l = len(sample)
     m, nn = max_num_deg, max_den_deg
@@ -330,73 +329,74 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
     if big_l < m + nn + 2:
         raise DomainError(
             f"need at least {m + nn + 2} coefficients for bounds ({m}, {nn}), have {big_l}")
-    c = list(sample.coefficients)
-    rows = []
-    for k in range(m + 1, m + nn + 1):
-        rows.append([c[k - j] if 0 <= k - j < big_l else Fraction(0) for j in range(nn + 1)])
+    c = sample.coefficients
+    den = lcm(*[v.denominator for v in c])
+    c = [v.numerator * (den // v.denominator) for v in c]
+    rows = [[c[k - j] if k >= j else 0 for j in range(nn + 1)]
+            for k in range(m + 1, m + nn + 1)]
     q = kernel_vector(rows, nn + 1)
     if q is None:
         # nn rows in nn + 1 unknowns always leave a kernel vector
         raise DomainError("degenerate linearization in the rationality test")
-    p = []
-    for i in range(m + 1):
-        s = Fraction(0)
-        for j in range(min(i, nn) + 1):
-            s += q[j] * c[i - j]
-        p.append(s)
-    p = _strip(p)
-    q = _strip(q)
+    qd = lcm(*[v.denominator for v in q])
+    q = _strip([v.numerator * (qd // v.denominator) for v in q])
+    p = _strip([sum(map(mul, q, c[i::-1])) for i in range(m + 1)])
     if not p:
         if any(c):
             return None
         return RatFunc.zero((var,))
-    g = _ugcd(p, q)
+    g = _gcd_int_lists(p, q)
     if len(g) > 1:
-        p, _ = _udivmod(p, g)
-        q, _ = _udivmod(q, g)
+        p, q = _exact_quo(p, g), _exact_quo(q, g)
     if q[0] == 0:
         # pole at the base point: no bounded rational function matches
         return None
-    scale = q[0]
-    p = [x / scale for x in p]
-    q = [x / scale for x in q]
-    if _series_div(p, q, big_l) != c:
+    if any(sum(map(mul, q, c[k::-1])) != (p[k] if k < len(p) else 0)
+           for k in range(big_l)):
         return None
-    x0 = sample.base_point
-    shifted_p = _taylor_shift_inverse(p, x0)
-    shifted_q = _taylor_shift_inverse(q, x0)
-    num = MPoly((var,), {(k,): v for k, v in enumerate(shifted_p) if v})
-    den = MPoly((var,), {(k,): v for k, v in enumerate(shifted_q) if v})
-    return RatFunc(num, den)
+    # f(x) = p(x - x0) / (D q(x - x0)), normalised to den(x0) = 1
+    a, b = -sample.base_point.numerator, sample.base_point.denominator
 
+    def poly(f: list[int], scale: int) -> MPoly:
+        e = len(f) - 1
+        scale *= b ** e
+        return _trusted((var,), {(k,): _div(v, scale)
+                                 for k, v in enumerate(_shift(f, a, b, e)) if v})
 
-def _taylor_shift_inverse(coeffs: list[Fraction], x0: Fraction) -> list[Fraction]:
-    """Coefficients of p(x - x0) from those of p(t)."""
-    return _taylor_shift(coeffs, -x0)
+    return RatFunc(poly(p, den * q[0]), poly(q, q[0]))
 
 
 def sample_series(f: RatFunc, x0, count: int) -> SeriesSample:
-    """Exact Taylor coefficients of a univariate rational function at x0."""
+    """Exact Taylor coefficients of a univariate rational function at x0.
+
+    With f = (N / dn) / (M / dd) for integer N, M, both are shifted to
+    x0 + t over a common power of the denominator of x0, giving f(x0 + t) =
+    (dd P) / (dn Q).  The division P / Q runs fraction-free: S_k = Q_0^k P_k
+    - sum_{j>=1} Q_j Q_0^(j-1) S_{k-j} makes coefficient k equal to
+    dd S_k / (dn Q_0^(k+1)), one Fraction per output coefficient.
+    """
     if len(f.vars) != 1:
         raise DomainError("series sampling needs a univariate rational function")
     if count < 1:
         raise DomainError("count must be at least 1")
     x0 = as_fraction(x0)
-    var = f.vars[0]
-
-    def coeff_list(poly: MPoly) -> list[Fraction]:
-        out = [Fraction(0)] * (poly.degree(var) + 1) if not poly.is_zero() else []
-        for exps, cv in poly.terms.items():
-            out[exps[0]] = as_fraction(cv)  # an int here would make the divisions below floats
-        return out
-
-    p = _taylor_shift(coeff_list(f.num), x0)
-    q = _taylor_shift(coeff_list(f.den), x0)
-    q = q if q else [Fraction(0)]
-    if q[0] == 0:
+    (num, dn), (den, dd) = _cleared(f.num), _cleared(f.den)
+    e = max(len(num), len(den)) - 1
+    p = _shift(num, x0.numerator, x0.denominator, e)
+    q = _shift(den, x0.numerator, x0.denominator, e)
+    q0 = q[0]
+    if q0 == 0:
         raise DomainError(f"base point {x0} lies on the polar set")
-    return SeriesSample(base_point=x0,
-                        coefficients=tuple(_series_div(p, q, count)))
+    weights = [q[j] * q0 ** (j - 1) for j in range(1, len(q))]
+    s: list[int] = []
+    out = []
+    power = 1  # q0^k
+    for k in range(count):
+        sk = (power * p[k] if k < len(p) else 0) - sum(map(mul, weights, s[::-1]))
+        s.append(sk)
+        power *= q0
+        out.append(Fraction(dd * sk, dn * power))
+    return SeriesSample(base_point=x0, coefficients=tuple(out))
 
 
 def continue_current(series: list[SeriesSample], d_max: int,
@@ -408,6 +408,8 @@ def continue_current(series: list[SeriesSample], d_max: int,
     bounds; a failure raises ContinuationError naming the trace index.  The
     recovered rational traces then go through the usual reconstruction.
     """
+    if d_max < 1:
+        raise DomainError("d_max must be at least 1")
     if len(series) < 2 * d_max:
         raise DomainError(
             f"need at least {2 * d_max} trace series for d_max = {d_max}, have {len(series)}")

@@ -136,6 +136,84 @@ def test_kernel_vector_full_rank_returns_none():
     assert kernel_vector(rows, 2) is None
 
 
+def reference_kernel_vector(rows, ncols):
+    """Independent oracle: Gauss-Jordan over Fraction, pivot rows scaled to 1."""
+    a = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(row, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        pv = a[row][col]
+        a[row] = [v / pv for v in a[row]]
+        for i in range(len(a)):
+            if i != row and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [v - f * w for v, w in zip(a[i], a[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == len(a):
+            break
+    pivot_cols = {c for _, c in pivots}
+    free = next((c for c in range(ncols) if c not in pivot_cols), None)
+    if free is None:
+        return None
+    v = [Fraction(0)] * ncols
+    v[free] = Fraction(1)
+    for r, c in pivots:
+        v[c] = -a[r][free]
+    return v
+
+
+def test_kernel_vector_matches_fraction_reference():
+    rng = Random(2024)
+
+    def entry():
+        # ints and Fractions with mixed denominators, a third of them zero
+        if rng.random() < 0.33:
+            return 0
+        if rng.random() < 0.5:
+            return rng.randint(-5, 5)
+        return Fraction(rng.randint(-9, 9), rng.choice([2, 3, 4, 6, 7]))
+
+    cases = [([], 3)]
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        kind = rng.randrange(3)
+        if kind == 0 and nrows > 1:
+            # rank-deficient: the last row combines the first two
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows[-1] = [u + k * w for u, w in zip(rows[0], rows[1 % nrows])]
+        elif kind == 1:
+            z = rng.randrange(ncols)
+            for r in rows:
+                r[z] = 0
+        cases.append((rows, ncols))
+    outcomes = set()
+    for rows, ncols in cases:
+        got = kernel_vector(rows, ncols)
+        assert got == reference_kernel_vector(rows, ncols), rows
+        outcomes.add(got is None)
+        if got is not None:
+            assert all(type(v) is Fraction for v in got)
+            for r in rows:
+                assert sum(a * b for a, b in zip(r, got)) == 0
+    assert outcomes == {True, False}
+    # the empty row list leaves every column free
+    assert kernel_vector([], 3) == [1, 0, 0]
+
+
+def test_kernel_vector_hand_case():
+    # rref [[1, 0, -1], [0, 1, 2]] up to row scaling and a zero row
+    rows = [[Fraction(1, 2), 1, Fraction(3, 2)],
+            [2, Fraction(2, 3), Fraction(-2, 3)],
+            [Fraction(5, 2), Fraction(5, 3), Fraction(5, 6)]]
+    assert kernel_vector(rows, 3) == [Fraction(1), Fraction(-2), Fraction(1)]
+
+
 def test_sylvester_resultant_discriminant_example():
     W = ("x", "y")
     x = MPoly.variable(W, "x")

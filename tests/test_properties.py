@@ -25,6 +25,7 @@ from residualtrace.jsonio import (  # noqa: E402
     traces_to_obj,
 )
 from residualtrace.reconstruct import (  # noqa: E402
+    SeriesSample,
     detect_rational,
     reconstruct,
     sample_series,
@@ -57,24 +58,43 @@ def test_ratfunc_equality_is_cross_multiplication(n1, d1, n2, d2, k, same):
     assert (RatFunc(n1, d1) == RatFunc(n2, d2)) == (n1 * d2 == n2 * d1)
 
 
-coeffs = st.integers(-4, 4).map(Fraction)
+# integers, and non-integral Fractions so that denominator clearing is exercised
+coeffs = st.one_of(st.integers(-4, 4).map(Fraction),
+                   st.builds(Fraction, st.integers(-9, 9), st.integers(2, 6)))
 
 
 def univariate(values):
     return MPoly(("x",), {(k,): c for k, c in enumerate(values) if c})
 
 
+@st.composite
+def sampled(draw, m, n, extra):
+    """(f, sample): any f with deg num <= m and deg den <= n, sampled off its poles."""
+    num = draw(st.lists(coeffs, max_size=m + 1))
+    den = draw(st.lists(coeffs, min_size=1, max_size=n + 1).filter(any))
+    f = RatFunc(univariate(num), univariate(den))
+    x0 = draw(st.fractions(-3, 3, max_denominator=3))
+    hypothesis.assume(f.den.eval_exact({"x": x0}) != 0)
+    return f, sample_series(f, x0, m + n + 2 + extra)
+
+
 @settings(max_examples=100, deadline=None)
 @given(m=st.integers(0, 3), n=st.integers(0, 3), extra=st.integers(0, 2), data=st.data())
 def test_detect_rational_inverts_sample_series(m, n, extra, data):
-    # any f with deg num <= m and deg den <= n, sampled off its poles
-    num = data.draw(st.lists(coeffs, max_size=m + 1))
-    den = data.draw(st.lists(coeffs, min_size=1, max_size=n + 1).filter(any))
-    f = RatFunc(univariate(num), univariate(den))
-    x0 = data.draw(st.fractions(-3, 3, max_denominator=3))
-    hypothesis.assume(f.den.eval_exact({"x": x0}) != 0)
-    sample = sample_series(f, x0, m + n + 2 + extra)
+    f, sample = data.draw(sampled(m, n, extra))
     assert detect_rational(sample, m, n) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(0, 3), n=st.integers(0, 3), extra=st.integers(0, 2), data=st.data())
+def test_detect_rational_certificate_reads_every_coefficient(m, n, extra, data):
+    # entries m + n + 1 .. L - 1 fix neither the Pade candidate nor its
+    # numerator; only the certificate q c == p (mod t^L) reads them
+    _, sample = data.draw(sampled(m, n, extra))
+    i = data.draw(st.integers(m + n + 1, len(sample) - 1))
+    c = list(sample.coefficients)
+    c[i] += data.draw(coeffs.filter(bool))
+    assert detect_rational(SeriesSample(sample.base_point, tuple(c)), m, n) is None
 
 
 # Integral and fractional values in one poly: ints, and Fractions that may

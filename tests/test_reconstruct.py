@@ -352,3 +352,7 @@ def test_continue_current_input_checks():
     other = sample_series(RatFunc.one(B), 1, 6)
     with pytest.raises(DomainError, match="base point"):
         continue_current([s, s, s, other], 2, 2, 2)
+    # an empty batch with d_max <= 0 is refused before any sample is read
+    for d_max in (0, -1):
+        with pytest.raises(DomainError, match="d_max must be at least 1"):
+            continue_current([], d_max, 1, 1)

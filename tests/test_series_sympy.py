@@ -1,0 +1,52 @@
+"""sample_series against sympy's Taylor expansion as an independent oracle.
+
+The fraction-free sampler clears denominators, shifts over a power of the
+denominator of x0 and divides over powers of the shifted constant term;
+sympy.series expands the same rational function by its own code.  The
+cases have non-integral coefficients, non-integral base points and
+constant, linear and quadratic denominators.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from residualtrace.algebra import MPoly, RatFunc  # noqa: E402
+from residualtrace.reconstruct import sample_series  # noqa: E402
+
+X = sympy.Symbol("x")
+
+
+def rational(rng: Random) -> Fraction:
+    return Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 5]))
+
+
+def to_sympy(p: MPoly):
+    return sum((sympy.Rational(c.numerator, c.denominator) * X ** e
+                for (e,), c in p.terms.items()), sympy.Integer(0))
+
+
+def test_sample_series_matches_sympy():
+    rng = Random(8)
+    for i in range(18):
+        num = MPoly(("x",), {(k,): rational(rng) for k in range(rng.randint(0, 3) + 1)})
+        den_deg = i % 3
+        den = MPoly(("x",), {(k,): rational(rng) for k in range(den_deg + 1)})
+        while den.degree() != den_deg:
+            den = den + MPoly(("x",), {(den_deg,): rational(rng)})
+        f = RatFunc(num, den)
+        x0 = Fraction(rng.randint(-5, 5), rng.choice([2, 3, 4]))
+        if f.den.eval_exact({"x": x0}) == 0:
+            continue
+        count = 7
+        ours = sample_series(f, x0, count).coefficients
+        expansion = sympy.series(to_sympy(f.num) / to_sympy(f.den), X,
+                                 sympy.Rational(x0.numerator, x0.denominator), count)
+        poly = expansion.removeO().subs(X, X + sympy.Rational(x0.numerator, x0.denominator))
+        poly = sympy.Poly(sympy.expand(poly), X)
+        expected = [Fraction(int(c.p), int(c.q))
+                    for c in (poly.coeff_monomial(X ** k) for k in range(count))]
+        assert list(ours) == expected, (f, x0)
