@@ -6,6 +6,10 @@ and recurrence reconstruction from traces, a rationality test for
 series-sampled traces, and the transform to line coordinates with its
 closedness identities.  Numeric code appears only in oracles that
 cross-check the exact paths.
+
+`residualtrace.radon`, `residualtrace.reconstruct` and `residualtrace.traces`
+name the functions exported below, which shadow the submodules of the same
+name; `importlib.import_module("residualtrace.traces")` reaches a module.
 """
 
 from .algebra import (

@@ -2,8 +2,10 @@
 
 Determinants use Bareiss fraction-free elimination after clearing row
 denominators, so all intermediate work stays in the polynomial ring.  The
-same elimination, `_bareiss`, drives `solve_linear`; back substitution is
-the only place rational function division appears.
+same elimination, `_bareiss`, drives `solve_linear`.  Back substitution
+is the only place rational function division appears: each quotient
+acc / a_ii is exact, with no gcd, whenever the pivot divides the
+polynomial acc, and a gcd reduces it only otherwise.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import DomainError, SingularSystemError
-from .poly import MPoly, exact_div, poly_lcm
+from .poly import MPoly, as_fraction, exact_div, poly_lcm
 from .ratfunc import RatFunc
 
 
@@ -179,13 +181,14 @@ def kernel_vector(rows: list[list[Fraction]], ncols: int) -> list[Fraction] | No
     multiple of the row Gauss-Jordan over Q would hold, so the pivots and
     the reduced row echelon form, which is unique, come out the same.  The
     first free column is set to 1 and the remaining free columns to 0, so
-    the output depends only on the input.
+    the output depends only on the input.  Entries are ints, Fractions or
+    strings; a float raises DomainError, as it does in MPoly.
     """
     a = []
     for r in rows:
         if len(r) != ncols:
             raise DomainError("ragged rows in kernel computation")
-        r = [v if type(v) is int else Fraction(v) for v in r]
+        r = [v if type(v) is int else as_fraction(v) for v in r]
         den = lcm(*[v.denominator for v in r])
         a.append([v.numerator * (den // v.denominator) for v in r])
     pivots: list[tuple[int, int]] = []

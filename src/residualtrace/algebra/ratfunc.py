@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DomainError
-from .poly import MPoly, exact_div, poly_gcd
+from .poly import MPoly, exact_div, poly_gcd, try_div
 
 
 class RatFunc:
@@ -134,11 +134,23 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """self / other; a quotient of two polynomials is tried exactly first.
+
+        When g divides f with quotient q, the reduced form of f/g is (q, 1):
+        the canonical form (coprime parts, denominator lead 1) is unique, so
+        returning RatFunc(q) skips the gcd and gives the same result.  The
+        gcd path would also end in a `try_div` quotient, only scaled, so the
+        term order agrees as well.
+        """
         o = self._lift(other)
         if o is None:
             return NotImplemented
         if o.is_zero():
             raise DomainError("division by the zero rational function")
+        if self.den.is_one() and o.den.is_one():
+            q = try_div(self.num, o.num)
+            if q is not None:
+                return RatFunc(q)
         return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):

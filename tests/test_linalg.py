@@ -1,5 +1,6 @@
 """Exact determinants, linear solving, kernels, and resultants."""
 
+import importlib
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -15,7 +16,10 @@ from residualtrace.algebra import (
     solve_linear,
     sylvester_resultant,
 )
+from residualtrace.algebra.linalg import _bareiss, _cleared_rows
 from residualtrace.errors import DomainError, SingularSystemError
+from residualtrace.sampling import random_current
+from residualtrace.traces import hankel, traces
 
 V = ("x",)
 X = MPoly.variable(V, "x")
@@ -121,6 +125,101 @@ def test_solve_rejects_bad_shapes():
         solve_linear(m, [RatFunc(X)])
 
 
+def reference_solve(m, rhs):
+    """Bareiss, then back substitution all in RatFunc, every quotient reduced by a gcd."""
+    a, c, _ = _cleared_rows(m, rhs)
+    assert _bareiss(a, c) != 0
+    n = m.rows
+    one = MPoly.constant(m.vars, 1)
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = RatFunc(c[i])
+        for j in range(i + 1, n):
+            acc = acc - RatFunc(a[i][j]) * x[j]
+        x[i] = RatFunc(acc.num * one, acc.den * a[i][i])
+    return x
+
+
+def shape(f):
+    """num, den and their term dicts in order, with each stored value's type."""
+    return [[(e, type(c), c) for e, c in p.terms.items()] for p in (f.num, f.den)]
+
+
+def hankel_systems(seed, count):
+    """(H_d, rhs) of the depth-d recurrence for the traces of monic currents."""
+    rng = Random(seed)
+    out = []
+    for i in range(count):
+        n = 1 + i % 2
+        c = random_current(rng, n=n, max_degree=3 if n == 1 else 2,
+                           coeff_degree=2 if n == 1 else 1)
+        d = c.degree
+        t = traces(c, 2 * d + 1)
+        out.append((hankel(t, d), [-t[d + i] for i in range(d)]))
+    return out
+
+
+def mixed_system(rng):
+    """A 2 x 2 system whose last unknown is a polynomial and whose first is not."""
+    W = ("x", "y")
+    x, y = MPoly.variable(W, "x"), MPoly.variable(W, "y")
+    sol = [RatFunc(x + rng.randint(1, 3), y * y + rng.randint(1, 3)),
+           RatFunc(x * y - rng.randint(-3, 3))]
+    rows = [[RatFunc(x + 1), RatFunc(y - rng.randint(1, 3))],
+            [RatFunc(x - y), RatFunc(y * y + x * rng.randint(1, 3))]]
+    rhs = [rows[i][0] * sol[0] + rows[i][1] * sol[1] for i in range(2)]
+    return FracMatrix(rows), rhs, sol
+
+
+def test_solve_linear_matches_gcd_reference():
+    rng = Random(404)
+    systems = hankel_systems(405, 30)
+    assert all(v.is_polynomial() for m, rhs in systems for v in solve_linear(m, rhs))
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        m = FracMatrix([[rand_ratfunc(rng) for _ in range(n)] for _ in range(n)])
+        if not determinant(m).is_zero():
+            systems.append((m, [rand_ratfunc(rng) for _ in range(n)]))
+    for _ in range(10):
+        m, rhs, sol = mixed_system(rng)
+        assert solve_linear(m, rhs) == sol
+        systems.append((m, rhs))
+    rational = 0
+    for m, rhs in systems:
+        got = solve_linear(m, rhs)
+        assert [shape(v) for v in got] == [shape(v) for v in reference_solve(m, rhs)]
+        rational += not all(v.is_polynomial() for v in got)
+    assert rational >= 20
+
+
+def test_solving_monic_hankel_systems_needs_no_gcd(monkeypatch):
+    calls = []
+
+    def counting(gcd):
+        def wrapped(f, g):
+            calls.append((f, g))
+            return gcd(f, g)
+        return wrapped
+
+    # some package attributes named after submodules are functions, so the
+    # modules are reached through importlib
+    for name in ("residualtrace.algebra.ratfunc", "residualtrace.algebra.poly"):
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "poly_gcd", counting(module.poly_gcd))
+    systems = hankel_systems(406, 20)
+    calls.clear()
+    for m, rhs in systems:
+        solve_linear(m, rhs)
+    assert calls == []
+    # some pivots are not constants, so a quotient through the gcd would call it
+    nonunit = 0
+    for m, rhs in systems:
+        a, c, _ = _cleared_rows(m, rhs)
+        _bareiss(a, c)
+        nonunit += sum(not a[i][i].is_constant() for i in range(m.rows))
+    assert nonunit > 0
+
+
 def test_kernel_vector_annihilates_and_is_deterministic():
     rows = [[Fraction(1), Fraction(2), Fraction(3)],
             [Fraction(2), Fraction(4), Fraction(6)]]
@@ -204,6 +303,12 @@ def test_kernel_vector_matches_fraction_reference():
     assert outcomes == {True, False}
     # the empty row list leaves every column free
     assert kernel_vector([], 3) == [1, 0, 0]
+
+
+def test_kernel_vector_refuses_floats():
+    with pytest.raises(DomainError):
+        kernel_vector([[0.1, 1]], 2)
+    assert kernel_vector([["1/2", 1]], 2) == [Fraction(-2), Fraction(1)]
 
 
 def test_kernel_vector_hand_case():

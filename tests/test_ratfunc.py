@@ -131,3 +131,48 @@ def test_field_axioms_random():
         assert f * (g + h) == f * g + f * h
         if not g.is_zero():
             assert (f / g) * g == f
+
+
+def shape(f):
+    """num, den and their term dicts in order, with each stored value's type."""
+    return [[(e, type(c), c) for e, c in p.terms.items()] for p in (f.num, f.den)]
+
+
+def test_polynomial_division_matches_gcd_reduction():
+    W = ("x", "y")
+    x, y = MPoly.variable(W, "x"), MPoly.variable(W, "y")
+    rng = Random(31)
+
+    def coeff():
+        if rng.random() < 0.5:
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-7, 7), rng.choice([2, 3, 5]))
+
+    def rand_poly(size):
+        return MPoly(W, {(rng.randint(0, 2), rng.randint(0, 2)): coeff()
+                         for _ in range(size)})
+
+    divisors = [x.scale(2) + 2, MPoly.constant(W, Fraction(3, 2)),
+                MPoly.constant(W, 1), y * y - x]
+    divisors += [rand_poly(rng.randint(1, 3)) for _ in range(40)]
+    exact = inexact = 0
+    for g in divisors:
+        if g.is_zero():
+            continue
+        for _ in range(3):
+            h = rand_poly(rng.randint(0, 3))
+            k = rand_poly(rng.randint(1, 3))
+            for f in (g * h, g * h + k):
+                got = RatFunc(f) / RatFunc(g)
+                # RatFunc(f, g) is the reduction through the gcd
+                assert shape(got) == shape(rf(f, g)), (f, g)
+                assert got * RatFunc(g) == RatFunc(f)
+                if got.is_polynomial():
+                    exact += 1
+                else:
+                    inexact += 1
+    assert exact > 50 and inexact > 50
+    zero = MPoly.zero(W)
+    assert shape(RatFunc(zero) / RatFunc(x.scale(2) + 2)) == shape(rf(zero, x.scale(2) + 2))
+    with pytest.raises(DomainError):
+        RatFunc(x) / RatFunc(zero)
