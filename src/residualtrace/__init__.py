@@ -18,7 +18,6 @@ from .algebra import (
     RatFunc,
     determinant,
     exact_div,
-    poly_divmod_y,
     poly_gcd,
     poly_gcd_fiber,
     solve_linear,
@@ -105,7 +104,6 @@ __all__ = [
     "oracle_report",
     "pencil_projection",
     "pointwise_residues",
-    "poly_divmod_y",
     "poly_gcd",
     "poly_gcd_fiber",
     "radon",

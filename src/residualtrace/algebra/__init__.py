@@ -13,7 +13,6 @@ from .poly import (
     MPoly,
     as_fraction,
     exact_div,
-    poly_divmod_y,
     poly_gcd,
     poly_gcd_fiber,
     poly_lcm,
@@ -31,7 +30,6 @@ __all__ = [
     "determinant",
     "exact_div",
     "kernel_vector",
-    "poly_divmod_y",
     "poly_gcd",
     "poly_gcd_fiber",
     "poly_lcm",

@@ -1,8 +1,8 @@
 """Exact multivariate polynomials over the rationals.
 
-Coefficients are ``fractions.Fraction``, terms are keyed by exponent tuples
-against a fixed ordered variable tuple.  By convention the fiber variable,
-when present, is the last one.  Term order everywhere is graded
+Coefficients are exact rationals, stored as the storage rule below says;
+terms are keyed by exponent tuples against a fixed ordered variable tuple.
+By convention the fiber variable, when present, is the last one.  Term order everywhere is graded
 lexicographic (total degree first, then left-to-right lex), which fixes a
 canonical serialization order and a canonical leading term.
 
@@ -25,6 +25,12 @@ result.  Only an output term with a denominator that does not cancel becomes
 a ``Fraction``, never a partial product.  A sum or difference keeps the
 stored value of every term found on one side only (negated for a
 subtrahend) and sums a shared term, on ints when both values are ints.
+
+Pseudo-division by a polynomial in one variable has one implementation,
+`mod_monic`, on ascending coefficient lists.  The trace stream of
+`residues` reduces by the fiber polynomial with it; `currents.validate`
+(r modulo the monic P) and the primitive PRS of the gcd reach it through
+`pseudo_rem`, which takes and returns an `MPoly`.
 """
 
 from __future__ import annotations
@@ -570,40 +576,63 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
     return q
 
 
-def poly_divmod_y(a: MPoly, b: MPoly, var: str | None = None) -> tuple[MPoly, MPoly]:
-    """Division with remainder by a polynomial monic in the fiber variable.
+# ---- pseudo-division in one variable --------------------------------------
 
-    `var` defaults to the last variable.  Returns (q, rem) with
-    a = q*b + rem and deg_var(rem) < deg_var(b).
+
+def _coefficients_in(p: MPoly, var: str) -> list[MPoly]:
+    """Coefficients of p in var, ascending, in the ring of p."""
+    by_exp = p.as_univariate(var)
+    zero = MPoly.zero(p.vars)
+    return [by_exp.get(k, zero) for k in range(p.degree(var) + 1)]
+
+
+def fiber_coefficients(p: MPoly, var: str | None = None) -> list[MPoly]:
+    """Coefficients of p in the fiber variable, ascending, as polynomials over the base."""
+    var = var if var is not None else p.vars[-1]
+    base = tuple(v for v in p.vars if v != var)
+    by_exp = p.as_univariate(var)
+    zero = MPoly.zero(base)
+    return [by_exp[k].restrict(base) if k in by_exp else zero
+            for k in range(p.degree(var) + 1)]
+
+
+def mod_monic(num: list[MPoly], power: MPoly,
+              den: list[MPoly]) -> tuple[list[MPoly], MPoly]:
+    """Reduce num / power modulo the monic den / lead, lead = den[-1].
+
+    Returns (rem, power') with rem / power' the remainder, rem padded to
+    length d = len(den) - 1.  Each step is the pseudo-reduction
+    R <- lead * R - R_k * y^(k-d) * den, which scales power by lead; with
+    lead = 1 that factor is skipped.
     """
-    a._check_same_ring(b)
-    var = var if var is not None else a.vars[-1]
-    d = b.degree(var)
-    if d < 1:
-        raise DomainError(f"divisor must have positive degree in {var!r}")
-    if not b.coefficient_in(var, d).is_one():
-        raise DomainError(f"divisor is not monic in {var!r}: {b}")
-    bmap = b.as_univariate(var)
-    rmap = a.as_univariate(var)
-    qmap: dict[int, MPoly] = {}
-    while rmap:
-        k = max(rmap)
-        if k < d:
-            break
-        c = rmap.pop(k)
-        qmap[k - d] = qmap.get(k - d, MPoly.zero(a.vars)) + c
-        for j, bj in bmap.items():
-            if j == d:
-                continue
-            key = k - d + j
-            s = rmap.get(key, MPoly.zero(a.vars)) - c * bj
-            if s.is_zero():
-                rmap.pop(key, None)
-            else:
-                rmap[key] = s
-    q = MPoly.from_univariate(a.vars, var, qmap)
-    rem = MPoly.from_univariate(a.vars, var, rmap)
-    return q, rem
+    d = len(den) - 1
+    lead = den[d]
+    scaled = not lead.is_one()
+    r = list(num)
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r[k]
+        if c.is_zero():
+            continue
+        if scaled:
+            r[:k] = [x * lead for x in r[:k]]
+            power = power * lead
+        for j in range(d):
+            r[k - d + j] = r[k - d + j] - c * den[j]
+    r = r[:d]
+    if len(r) < d:
+        r = r + [MPoly.zero(lead.vars)] * (d - len(r))
+    return r, power
+
+
+def pseudo_rem(a: MPoly, b: MPoly, var: str) -> MPoly:
+    """lead^e * a modulo b in var, lead the leading coefficient of b in var.
+
+    e >= 0 counts the reduction steps; it is 0 when b is monic in var, so
+    the result is then the remainder itself.
+    """
+    rem, _ = mod_monic(_coefficients_in(a, var), MPoly.constant(a.vars, 1),
+                       _coefficients_in(b, var))
+    return MPoly.from_univariate(a.vars, var, dict(enumerate(rem)))
 
 
 # ---- gcd ----------------------------------------------------------------
@@ -704,21 +733,6 @@ def _content_in(f: MPoly, vi: int) -> MPoly:
     return g.primitive_int().sign_normalized()
 
 
-def _pseudo_rem_in(a: MPoly, b: MPoly, vi: int) -> MPoly:
-    var = a.vars[vi]
-    db = b.degree(var)
-    lb = b.coefficient_in(var, db)
-    r = a
-    while not r.is_zero():
-        dr = r.degree(var)
-        if dr < db:
-            break
-        lr = r.coefficient_in(var, dr)
-        shifted = b * lr * MPoly.variable(a.vars, var) ** (dr - db)
-        r = r * lb - shifted
-    return r
-
-
 def _gcd_rec(f: MPoly, g: MPoly) -> MPoly:
     """gcd of nonzero integer-primitive polynomials, up to sign."""
     active = _active_vars(f, g)
@@ -744,7 +758,8 @@ def _gcd_rec(f: MPoly, g: MPoly) -> MPoly:
         pf, pg = pg, pf
     a, b = pf, pg
     while True:
-        r = _pseudo_rem_in(a, b, vi)
+        # the PRS needs each remainder only up to a unit such as lead^e
+        r = pseudo_rem(a, b, var)
         if r.is_zero():
             tail = b
             break
@@ -754,10 +769,6 @@ def _gcd_rec(f: MPoly, g: MPoly) -> MPoly:
         cr = _content_in(r, vi)
         r = exact_div(r, cr) if not cr.is_one() else r
         a, b = b, r.primitive_int()
-    if not tail.is_constant():
-        ct = _content_in(tail, vi)
-        if not ct.is_one():
-            tail = exact_div(tail, ct)
     return (c * tail).primitive_int()
 
 

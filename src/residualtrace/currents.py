@@ -18,10 +18,10 @@ from .algebra import (
     MPoly,
     RatFunc,
     exact_div,
-    poly_divmod_y,
     poly_gcd,
     sylvester_resultant,
 )
+from .algebra.poly import pseudo_rem
 from .errors import DomainError
 
 logger = logging.getLogger(__name__)
@@ -80,7 +80,7 @@ def validate(p: MPoly, r: MPoly) -> ResidualCurrent:
     if r.is_zero():
         raise DomainError("r is identically zero; the zero current has no (p, r) representative")
     if r.degree(fiber) >= d:
-        _, r = poly_divmod_y(r, p, fiber)
+        r = pseudo_rem(r, p, fiber)
         logger.info("reduced r modulo p in %s", fiber)
         if r.is_zero():
             raise DomainError("r is a multiple of p; the pair represents the zero current")

@@ -10,6 +10,10 @@ Rational function: {"num": <poly>, "den": <poly>}
 Current: {"n": 1, "P": <poly>, "r": <poly>}  or  {"n": 1, "zero": true}
 Traces: {"u": [<ratfunc>, ...]}
 Series batch: {"series": [{"x0": "1/2", "coeffs": ["1", "0", ...]}, ...]}
+
+Parsing rejects a key that its object does not define, naming it.  An
+output coefficient with more digits than Python converts between int and
+str raises DomainError naming its term, before anything is written.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import MPoly, RatFunc
 from .currents import ResidualCurrent, ZeroCurrent, validate
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 from .reconstruct import SeriesSample
 from .traces import TraceSequence
 
@@ -46,6 +50,14 @@ def loads(text: str, where: str = "document"):
         raise SchemaError(where, f"not valid JSON ({exc.msg} at char {exc.pos})") from None
     except RecursionError:
         raise SchemaError(where, "nested too deeply to parse") from None
+    except ValueError:  # an integer with more digits than int() accepts
+        raise SchemaError(where, "holds an integer with too many digits to parse") from None
+
+
+def _check_keys(obj: dict, allowed: set, field: str):
+    extra = set(obj) - allowed
+    if extra:
+        raise SchemaError(field, f"unknown keys {sorted(extra)}")
 
 
 def _is_int(value) -> bool:
@@ -64,21 +76,20 @@ def parse_fraction(value, field: str) -> Fraction:
     raise SchemaError(field, f"expected a fraction string, got {type(value).__name__}")
 
 
-def _format_fraction(c: Fraction) -> str:
-    return str(c)
-
-
 # ---- polynomials ----------------------------------------------------------
 
 
 def poly_to_obj(p: MPoly) -> dict:
-    return {
-        "vars": list(p.vars),
-        "terms": [
-            {"coeff": _format_fraction(c), "exps": list(exps)}
-            for exps, c in p.sorted_terms()
-        ],
-    }
+    terms = []
+    for exps, c in p.sorted_terms():
+        try:
+            coeff = str(c)
+        except ValueError:  # more digits than int -> str converts
+            raise DomainError(
+                f"output polynomial over {list(p.vars)}: the coefficient with exps "
+                f"{list(exps)} has too many digits to print") from None
+        terms.append({"coeff": coeff, "exps": list(exps)})
+    return {"vars": list(p.vars), "terms": terms}
 
 
 def poly_from_obj(obj, field: str = "poly") -> MPoly:
@@ -88,6 +99,7 @@ def poly_from_obj(obj, field: str = "poly") -> MPoly:
         raise SchemaError(f"{field}.vars", "missing")
     if "terms" not in obj:
         raise SchemaError(f"{field}.terms", "missing")
+    _check_keys(obj, {"vars", "terms"}, field)
     variables = obj["vars"]
     if (not isinstance(variables, list) or not all(isinstance(v, str) for v in variables)
             or len(set(variables)) != len(variables)):
@@ -101,9 +113,7 @@ def poly_from_obj(obj, field: str = "poly") -> MPoly:
         here = f"{field}.terms[{i}]"
         if not isinstance(t, dict) or "coeff" not in t or "exps" not in t:
             raise SchemaError(here, "expected an object with 'coeff' and 'exps'")
-        extra = set(t) - {"coeff", "exps"}
-        if extra:
-            raise SchemaError(here, f"unknown keys {sorted(extra)}")
+        _check_keys(t, {"coeff", "exps"}, here)
         c = parse_fraction(t["coeff"], f"{here}.coeff")
         if c == 0:
             raise SchemaError(f"{here}.coeff", "zero terms are not stored")
@@ -131,6 +141,7 @@ def ratfunc_to_obj(f: RatFunc) -> dict:
 def ratfunc_from_obj(obj, field: str = "ratfunc") -> RatFunc:
     if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
         raise SchemaError(field, "expected an object with 'num' and 'den'")
+    _check_keys(obj, {"num", "den"}, field)
     num = poly_from_obj(obj["num"], f"{field}.num")
     den = poly_from_obj(obj["den"], f"{field}.den")
     if den.is_zero():
@@ -155,13 +166,14 @@ def current_from_obj(obj, field: str = "current") -> ResidualCurrent | ZeroCurre
     n = obj["n"]
     if not _is_int(n) or n < 1:
         raise SchemaError(f"{field}.n", "must be a positive integer")
-    if obj.get("zero") is True:
-        extra = set(obj) - {"n", "zero"}
-        if extra:
-            raise SchemaError(field, f"unknown keys {sorted(extra)} on a zero current")
+    if "zero" in obj:
+        if obj["zero"] is not True:
+            raise SchemaError(f"{field}.zero", "must be true when present")
+        _check_keys(obj, {"n", "zero"}, field)
         return ZeroCurrent(n)
     if "P" not in obj or "r" not in obj:
         raise SchemaError(field, "expected keys 'P' and 'r' (or 'zero': true)")
+    _check_keys(obj, {"n", "P", "r"}, field)
     p = poly_from_obj(obj["P"], f"{field}.P")
     r = poly_from_obj(obj["r"], f"{field}.r")
     if p.vars != r.vars:
@@ -182,6 +194,7 @@ def traces_to_obj(t: TraceSequence) -> dict:
 def traces_from_obj(obj, field: str = "traces") -> TraceSequence:
     if not isinstance(obj, dict) or "u" not in obj:
         raise SchemaError(field, "expected an object with key 'u'")
+    _check_keys(obj, {"u"}, field)
     u = obj["u"]
     if not isinstance(u, list) or not u:
         raise SchemaError(f"{field}.u", "must be a nonempty list")
@@ -194,6 +207,7 @@ def traces_from_obj(obj, field: str = "traces") -> TraceSequence:
 def series_from_obj(obj, field: str = "series") -> list[SeriesSample]:
     if not isinstance(obj, dict) or "series" not in obj:
         raise SchemaError(field, "expected an object with key 'series'")
+    _check_keys(obj, {"series"}, field)
     batch = obj["series"]
     if not isinstance(batch, list) or not batch:
         raise SchemaError(f"{field}.series", "must be a nonempty list")
@@ -202,6 +216,7 @@ def series_from_obj(obj, field: str = "series") -> list[SeriesSample]:
         here = f"{field}.series[{i}]"
         if not isinstance(s, dict) or "x0" not in s or "coeffs" not in s:
             raise SchemaError(here, "expected an object with 'x0' and 'coeffs'")
+        _check_keys(s, {"x0", "coeffs"}, here)
         x0 = parse_fraction(s["x0"], f"{here}.x0")
         coeffs = s["coeffs"]
         if not isinstance(coeffs, list) or not coeffs:

@@ -15,6 +15,10 @@ coefficient: the remainder of num / c is R / c^e.  A reduction step
 multiplies R by c instead of dividing den by it, so the loop is `MPoly`
 arithmetic with no gcd, and each sum is normalised once, as the
 `RatFunc` R_{d-1} / c^e.  When c = 1 (every monic p) the power stays 1.
+The first reduction is `mod_monic` and the coefficient lists come from
+`fiber_coefficients`; both live in `algebra.poly`, where the gcd and
+`currents.validate` use the same pseudo-division, and are re-exported
+here.  Each later step is `shift_mod_monic`.
 
 Two numeric paths act as oracles for it: residues at numerically computed
 poles (companion-matrix roots) and trapezoidal contour quadrature of
@@ -28,47 +32,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import MPoly, RatFunc, exact_div, poly_gcd
+from .algebra.poly import fiber_coefficients, mod_monic
 from .errors import DomainError
 
 REPEATED_ROOT_RTOL = 1e-9
-
-
-def fiber_coefficients(p: MPoly, var: str | None = None) -> list[MPoly]:
-    """Coefficients of p in the fiber variable, ascending, as polynomials over the base."""
-    var = var if var is not None else p.vars[-1]
-    base = tuple(v for v in p.vars if v != var)
-    by_exp = p.as_univariate(var)
-    zero = MPoly.zero(base)
-    return [by_exp[k].restrict(base) if k in by_exp else zero
-            for k in range(p.degree(var) + 1)]
-
-
-def mod_monic(num: list[MPoly], power: MPoly,
-              den: list[MPoly]) -> tuple[list[MPoly], MPoly]:
-    """Reduce num / power modulo the monic den / lead, lead = den[-1].
-
-    Returns (rem, power') with rem / power' the remainder, rem padded to
-    length d = len(den) - 1.  Each step is the pseudo-reduction
-    R <- lead * R - R_k * y^(k-d) * den, which scales power by lead; with
-    lead = 1 that factor is skipped.
-    """
-    d = len(den) - 1
-    lead = den[d]
-    scaled = not lead.is_one()
-    r = list(num)
-    for k in range(len(r) - 1, d - 1, -1):
-        c = r[k]
-        if c.is_zero():
-            continue
-        if scaled:
-            r[:k] = [x * lead for x in r[:k]]
-            power = power * lead
-        for j in range(d):
-            r[k - d + j] = r[k - d + j] - c * den[j]
-    r = r[:d]
-    if len(r) < d:
-        r = r + [MPoly.zero(lead.vars)] * (d - len(r))
-    return r, power
 
 
 def shift_mod_monic(rem: list[MPoly], power: MPoly,

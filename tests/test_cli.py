@@ -298,3 +298,29 @@ def test_oracle_domain_error_is_a_named_failure(monkeypatch):
         [1, "oracle raised: no residue sum here"]]
     assert suite["max_abs_error"] == 0.0
     canonical_dumps(suite)  # finite numbers only: valid canonical JSON
+
+
+def test_unknown_keys_exit_2():
+    doc = json.loads(RUNNING_EXAMPLE)
+    doc["typo"] = 3
+    doc["P"]["junk"] = 1
+    out = run_cli(["trace"], json.dumps(doc))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "current" in out.stderr and "typo" in out.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts ints of any length to str")
+@pytest.mark.parametrize("args, exps", [
+    (["trace", "--count", "4400"], "exps [0]"),
+    (["radon", "--kmax", "4399"], "exps [0, 0]"),
+])
+def test_coefficients_too_long_to_print_exit_1(args, exps):
+    # u_k = 10^k for P = y - 10, r = 1 (in line coordinates too); u_4399 has 4400 digits
+    current = canonical_dumps(current_to_obj(validate(Y - 10, MPoly.constant(V, 1))))
+    out = run_cli(args, current)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("error: ") and exps in out.stderr

@@ -1,5 +1,6 @@
 """Canonical JSON encoding: bit-exact roundtrips and named schema errors."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,3 +175,46 @@ def test_series_schema_checks():
     with pytest.raises(SchemaError) as exc:
         series_from_obj({"series": [{"x0": "1", "coeffs": ["bad"]}]})
     assert exc.value.field == "series.series[0].coeffs[0]"
+
+
+@pytest.mark.parametrize("parse, obj, field, key", [
+    (poly_from_obj, {"vars": ["x"], "terms": [], "junk": 1}, "poly", "junk"),
+    (ratfunc_from_obj, {"num": poly_to_obj(X), "den": poly_to_obj(Y), "extra": 0},
+     "ratfunc", "extra"),
+    (ratfunc_from_obj, {"num": {**poly_to_obj(X), "junk": 1}, "den": poly_to_obj(Y)},
+     "ratfunc.num", "junk"),
+    (current_from_obj, {"n": 1, "typo": 3, "P": poly_to_obj(Y - X),
+                        "r": poly_to_obj(MPoly.constant(V, 1))}, "current", "typo"),
+    (current_from_obj, {"n": 1, "P": {**poly_to_obj(Y - X), "junk": 1},
+                        "r": poly_to_obj(MPoly.constant(V, 1))}, "current.P", "junk"),
+    (current_from_obj, {"n": 1, "zero": True, "typo": 3}, "current", "typo"),
+    (traces_from_obj, {"u": [ratfunc_to_obj(RatFunc(X))], "v": []}, "traces", "v"),
+    (series_from_obj, {"series": [{"x0": "1", "coeffs": ["1"], "x1": "2"}]},
+     "series.series[0]", "x1"),
+    (series_from_obj, {"series": [{"x0": "1", "coeffs": ["1"]}], "n": 1}, "series", "n"),
+])
+def test_unknown_keys_are_named(parse, obj, field, key):
+    with pytest.raises(SchemaError, match=key) as exc:
+        parse(obj)
+    assert exc.value.field == field
+
+
+def test_zero_flag_must_be_true():
+    with pytest.raises(SchemaError) as exc:
+        current_from_obj({"n": 1, "zero": False, "P": poly_to_obj(Y - X),
+                          "r": poly_to_obj(MPoly.constant(V, 1))})
+    assert exc.value.field == "current.zero"
+
+
+def test_loads_refuses_integers_too_long_to_convert():
+    with pytest.raises(SchemaError) as exc:
+        loads('{"n": ' + "7" * 5000 + "}", "current")
+    assert exc.value.field == "current"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts ints of any length to str")
+def test_poly_to_obj_names_a_coefficient_too_long_to_print():
+    big = MPoly(V, {(0, 1): 1, (1, 0): Fraction(10 ** 4400, 3)})
+    with pytest.raises(DomainError, match=r"exps \[1, 0\]"):
+        poly_to_obj(big)

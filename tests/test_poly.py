@@ -9,7 +9,6 @@ from residualtrace.algebra import (
     MPoly,
     RatFunc,
     exact_div,
-    poly_divmod_y,
     poly_gcd,
     poly_gcd_fiber,
     poly_lcm,
@@ -164,21 +163,6 @@ def test_dividing_operations_on_integer_inputs_store_no_floats():
         assert back == h
         exact_terms(back.num)
         exact_terms(back.den)
-
-
-def test_divmod_fiber_invariant():
-    a = Y ** 5 + X * Y ** 2 - 3
-    b = Y ** 2 - X
-    q, rem = poly_divmod_y(a, b)
-    assert q * b + rem == a
-    assert rem.degree("y") < 2
-
-
-def test_divmod_fiber_requires_monic():
-    with pytest.raises(DomainError):
-        poly_divmod_y(Y, X * Y - 1)
-    with pytest.raises(DomainError):
-        poly_divmod_y(Y, X)
 
 
 def test_try_div_and_exact_div():
