@@ -31,6 +31,15 @@ Pseudo-division by a polynomial in one variable has one implementation,
 `residues` reduces by the fiber polynomial with it; `currents.validate`
 (r modulo the monic P) and the primitive PRS of the gcd reach it through
 `pseudo_rem`, which takes and returns an `MPoly`.
+
+Substitution has one implementation, `MPoly.subs`.  An image that is a bare
+target variable (one term, coefficient 1, total degree 1) is a rename: it
+moves exponents and multiplies nothing.  The other terms are grouped by
+their exponent vector in the remaining substituted variables, and each
+distinct vector costs one product of cached powers of the images, however
+many terms share it.  Each term then adds its coefficient times that
+product, shifted by the renames, so the result is the per-term sum, term
+order included.
 """
 
 from __future__ import annotations
@@ -127,6 +136,16 @@ def _accumulate(terms: dict[Exponents, Coefficient], other: dict[Exponents, Coef
             terms[exps] = _canon(s)
         else:
             del terms[exps]
+
+
+def _bare_variable(p: "MPoly") -> int | None:
+    """Position of the variable p is, when p is one term 1 * v; else None."""
+    if len(p.terms) != 1:
+        return None
+    (exps, c), = p.terms.items()
+    if c != 1 or sum(exps) != 1:
+        return None
+    return exps.index(1)
 
 
 class MPoly:
@@ -405,38 +424,57 @@ class MPoly:
 
         Variables not in `images` are carried over by name and must exist in
         the target tuple.  Image values may be MPoly over `variables` or
-        exact scalars.
+        exact scalars.  A rename (an image that is one target variable, as
+        is a carried-over one) moves exponents; see the module docstring.
         """
         variables = tuple(map(str, variables))
-        table: dict[str, MPoly] = {}
-        for name in self.vars:
-            if name in images:
-                img = images[name]
-                if not isinstance(img, MPoly):
-                    img = MPoly.constant(variables, img)
-                elif img.vars != variables:
-                    raise DomainError(
-                        f"image of {name!r} lives over {img.vars}, not {variables}")
-                table[name] = img
+        moves: list[tuple[int, int]] = []  # (source, target) positions of a rename
+        positions: list[int] = []  # source positions of the other variables
+        powers: list[list[MPoly]] = []  # powers[j][e - 1] = (image j) ** e
+        for i, name in enumerate(self.vars):
+            if name not in images:
+                if name not in variables:
+                    raise DomainError(f"{name!r} is not among variables {variables}")
+                moves.append((i, variables.index(name)))
+                continue
+            img = images[name]
+            if not isinstance(img, MPoly):
+                img = MPoly.constant(variables, img)
+            elif img.vars != variables:
+                raise DomainError(
+                    f"image of {name!r} lives over {img.vars}, not {variables}")
+            target = _bare_variable(img)
+            if target is None:
+                positions.append(i)
+                powers.append([img])
             else:
-                table[name] = MPoly.variable(variables, name)
-        one = MPoly.constant(variables, 1)
-        powers: dict[str, list[MPoly]] = {name: [one] for name in self.vars}
-        # Each term is the product of its powers, scaled by its coefficient at
-        # the end, and summed in place: the terms land where repeated `+` of
+                moves.append((i, target))
+        unit = {(0,) * len(variables): 1}
+        # products[key] is built once per exponent vector `key` at `positions`,
+        # multiplying in variable order; each term adds c times it, shifted
+        # by the renames, in place, so the terms land where repeated `+` of
         # constant * powers would put them.
+        products: dict[Exponents, dict[Exponents, Coefficient]] = {}
         result: dict[Exponents, Coefficient] = {}
         for exps, c in self.terms.items():
-            term = None
-            for name, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                cache = powers[name]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * table[name])
-                term = cache[e] if term is None else term * cache[e]
-            term = MPoly.constant(variables, c) if term is None else term.scale(c)
-            _accumulate(result, term.terms)
+            key = tuple([exps[i] for i in positions])
+            prod = products.get(key)
+            if prod is None:
+                term = None
+                for cache, e in zip(powers, key):
+                    if e:
+                        while len(cache) < e:
+                            cache.append(cache[-1] * cache[0])
+                        term = cache[e - 1] if term is None else term * cache[e - 1]
+                prod = products[key] = unit if term is None else term.terms
+            if moves:
+                shift = [0] * len(variables)
+                for i, t in moves:
+                    shift[t] += exps[i]
+                scaled = {tuple(map(_add, e, shift)): _canon(v * c) for e, v in prod.items()}
+            else:
+                scaled = {e: _canon(v * c) for e, v in prod.items()}
+            _accumulate(result, scaled)
         return _trusted(variables, result)
 
     def eval_exact(self, values: dict[str, Fraction]) -> Fraction:
@@ -776,7 +814,8 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Full multivariate gcd, normalized integer-primitive with positive lead.
 
     gcd with the zero polynomial returns the other argument normalized;
-    gcd(0, 0) is undefined and raises.
+    gcd(0, 0) is undefined and raises.  When either argument is one term
+    the gcd is the monomial of the least exponents, with no PRS.
     """
     f._check_same_ring(g)
     if f.is_zero() and g.is_zero():
@@ -787,6 +826,11 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
         return f.primitive_int().sign_normalized()
     if f.is_constant() or g.is_constant():
         return MPoly.constant(f.vars, 1)
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # a monomial's divisors are monomials: take the least exponent of
+        # each variable over the terms of both
+        low = [min(e) for e in zip(*f.terms, *g.terms)]
+        return _trusted(f.vars, {tuple(low): 1})
     h = _gcd_rec(f.primitive_int(), g.primitive_int())
     return h.primitive_int().sign_normalized()
 

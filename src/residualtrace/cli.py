@@ -23,6 +23,10 @@ from .verify import DEFAULT_SEED, DEFAULT_TOLERANCE, human_summary, verify_repor
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
 
+# Upper limit of every count and degree flag, so no flag can ask for
+# unbounded work; far above what the acceptance and benchmark runs use.
+FLAG_LIMIT = 10_000
+
 
 def _read(path: str) -> str:
     if path == "-":
@@ -110,7 +114,7 @@ def cmd_verify(args) -> int:
 
 
 def _int_at_least(low: int):
-    """argparse type: an integer >= low; anything else is a usage error."""
+    """argparse type: an integer in low .. FLAG_LIMIT; anything else is a usage error."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -118,6 +122,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > FLAG_LIMIT:
+            raise argparse.ArgumentTypeError(f"must be at most {FLAG_LIMIT}, got {value}")
         return value
     return parse
 

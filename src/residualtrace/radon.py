@@ -21,11 +21,20 @@ x_i = a_i y + b_i raises the y-degree, and the chart traces sum over more
 poles than the fiber traces do.  Specializing every a_i to 0 then need not
 reproduce the plain traces; it does as soon as total degree and fiber
 degree agree (products of affine roots, for instance).
+
+Chart traces are memoised: `radon` keeps the traces of its last 8
+(current, k_max) keys, equal currents sharing a key, in a
+`functools.lru_cache`.  A caller that transforms a current and then
+projects it to a pencil therefore pays for the chart traces once.  The
+bound is far below the size of any batch of currents, so nothing else is
+reused.  The memo holds tuples, and `radon` returns a fresh list on every
+call: mutating a returned list cannot change a later result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -34,6 +43,10 @@ from .currents import ResidualCurrent, ZeroCurrent
 from .errors import DomainError
 from .residues import trace_stream
 from .traces import TraceSequence
+
+# Entries of the chart-trace memo: far fewer than the currents of any batch,
+# so only a `radon` followed by `pencil_projection` on one current shares work.
+_MEMO_SIZE = 8
 
 __all__ = [
     "LineChart",
@@ -105,13 +118,23 @@ def _line_traces(current: ResidualCurrent, offsets: Sequence[MPoly], count: int)
 
 
 def radon(current: ResidualCurrent, k_max: int) -> list[RatFunc]:
-    """Chart traces u_0 .. u_{k_max} of a current in line coordinates."""
+    """Chart traces u_0 .. u_{k_max} of a current in line coordinates.
+
+    The traces come from the chart-trace memo (see the module docstring),
+    and each call returns a fresh list, so a caller may mutate it without
+    changing what a later call returns.
+    """
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
+    return list(_chart_traces(current, k_max))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _chart_traces(current: ResidualCurrent, k_max: int) -> tuple[RatFunc, ...]:
     chart = line_chart(current.n)
     variables = chart.vars + (current.fiber,)
     offsets = [MPoly.variable(variables, b) for b in chart.b_names]
-    return _line_traces(current, offsets, k_max + 1)
+    return tuple(_line_traces(current, offsets, k_max + 1))
 
 
 def _chart_shape(u: Sequence[RatFunc]) -> tuple[int, tuple[str, ...]]:
@@ -186,8 +209,11 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
     `apex` is (x_1 .. x_n, y); lines through it satisfy b_i = x_i - a_i y,
     which pins the offsets and leaves the slopes free.  The result is
     computed directly from the pinned substitution and cross-checked against
-    specializing the chart traces; the apex must avoid the support of the
-    current.
+    specializing the chart traces `radon(current, count - 1)`, compared by
+    cross-multiplication; the apex must avoid the support of the current.
+    Those chart traces come from the memo of `radon`, so after a
+    `radon(current, count - 1)` call on an equal current they cost nothing
+    here; the list is fresh, and the check sees exactly what `radon` returns.
     """
     apex = [as_fraction(v) for v in apex]
     n = current.n

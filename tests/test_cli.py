@@ -324,3 +324,26 @@ def test_coefficients_too_long_to_print_exit_1(args, exps):
     assert out.stdout == ""
     assert out.stderr.count("\n") == 1
     assert out.stderr.startswith("error: ") and exps in out.stderr
+
+
+@pytest.mark.parametrize("args, flag", [
+    pytest.param(["trace", "--count"], "--count", id="trace-count"),
+    pytest.param(["radon", "--kmax"], "--kmax", id="radon-kmax"),
+    pytest.param(["reconstruct", "--dmax"], "--dmax", id="reconstruct-dmax"),
+    pytest.param(["continue", "--num-deg", "0", "--den-deg", "0", "--dmax"], "--dmax",
+                 id="continue-dmax"),
+    pytest.param(["continue", "--den-deg", "0", "--num-deg"], "--num-deg",
+                 id="continue-num-deg"),
+    pytest.param(["continue", "--num-deg", "0", "--den-deg"], "--den-deg",
+                 id="continue-den-deg"),
+])
+def test_numeric_flag_above_the_work_limit_exits_2(args, flag, capsys):
+    # in-process and refused by argument parsing, so no input is read and
+    # no work starts; the limit itself still parses
+    from residualtrace.cli import FLAG_LIMIT, build_parser, main
+    assert main([*args, str(FLAG_LIMIT + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at most {FLAG_LIMIT}" in captured.err
+    parsed = build_parser().parse_args([*args, str(FLAG_LIMIT)])
+    assert getattr(parsed, flag[2:].replace("-", "_")) == FLAG_LIMIT

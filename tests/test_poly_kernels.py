@@ -7,6 +7,7 @@ Fraction; sympy's `Poly` over QQ computes the same results by its own code.
 
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from residualtrace.algebra import MPoly, poly_gcd  # noqa: E402
-from residualtrace.algebra.poly import grlex_key  # noqa: E402
+from residualtrace.algebra.poly import _gcd_rec, grlex_key  # noqa: E402
 
 V = ("x", "y", "z")
 SYMS = sympy.symbols(V)
@@ -157,6 +158,44 @@ def test_gcd_matches_sympy(g, a, b):
     assert ours.rational_content() == 1
     assert max(ours.terms.items(), key=lambda t: grlex_key(t[0]))[1] > 0
     assert_canonical(ours)
+
+
+monomials = st.tuples(exps, coeffs.filter(bool)).map(lambda t: MPoly(V, {t[0]: t[1]}))
+
+
+@SETTINGS
+@given(factors, monomials)
+def test_gcd_with_a_monomial_matches_sympy_and_the_prs(f, m):
+    # the monomial fast path returns what the primitive PRS returns
+    for a, b in ((f, m), (m, f), (m, m)):
+        ours = poly_gcd(a, b)
+        assert to_sympy(ours).monic() == sympy.gcd(to_sympy(a), to_sympy(b)).monic()
+        assert_canonical(ours)
+        assert len(ours.terms) == 1 and next(iter(ours.terms.values())) == 1
+        if not (a.is_constant() or b.is_constant()):
+            prs = _gcd_rec(a.primitive_int(), b.primitive_int()).primitive_int()
+            assert ours.terms == prs.sign_normalized().terms
+
+
+def test_gcd_of_many_terms_and_a_monomial_power_matches_sympy():
+    # chart normalisation shape: R with dozens of terms against c^e = 243 a1^10
+    # or -243 a1^5 a2^5, where the PRS swelled
+    chart = ("a1", "a2", "b1", "b2")
+    syms = sympy.symbols(chart)
+    rng = Random(12)
+    for lead in ({(10, 0, 0, 0): 243}, {(5, 5, 0, 0): -243}):
+        for shift in ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 0)):
+            r = MPoly(chart, [
+                (tuple(rng.randint(0, 3) + s for s in shift), rng.randint(-9, 9))
+                for _ in range(60)])
+            c = MPoly(chart, lead)
+            assert len(r.terms) >= 40
+            ours = poly_gcd(r, c)
+            theirs = sympy.gcd(
+                sympy.Poly.from_dict({e: int(v) for e, v in r.terms.items()}, *syms),
+                sympy.Poly.from_dict({e: int(v) for e, v in c.terms.items()}, *syms))
+            assert ours.terms == {tuple(theirs.monic().monoms()[0]): 1}
+            assert ours == poly_gcd(c, r)
 
 
 @SETTINGS

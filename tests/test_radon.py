@@ -210,6 +210,51 @@ def test_pencil_projection_fires_on_corrupted_chart_route(monkeypatch):
         pencil_projection(c, apex)
 
 
+def test_radon_returns_a_fresh_list_on_every_call():
+    module = importlib.import_module("residualtrace.radon")
+    module._chart_traces.cache_clear()
+    c = validate(Y * Y + X * Y - 1, MPoly.constant(V, 1))
+    apex = (3, 1)
+    count = 2 * c.degree + 2
+    expected = radon(c, count - 1)
+    projected = pencil_projection(c, apex)
+    u = radon(c, count - 1)
+    assert u == expected and u is not expected
+    u[2] = u[2] + BV / (RatFunc.one(C) + A)
+    u.append(RatFunc.one(C))
+    assert radon(c, count - 1) == expected
+    # a poisoned memo would make the pencil cross-check fire
+    assert pencil_projection(c, apex) == projected
+    radon(c, count - 1).clear()
+    assert radon(c, count - 1) == expected
+
+
+def test_pencil_after_radon_traces_the_chart_once(monkeypatch):
+    module = importlib.import_module("residualtrace.radon")
+    module._chart_traces.cache_clear()
+    honest = module._line_traces
+    seen = []
+
+    def counting(current, offsets, count):
+        seen.append(offsets[0].vars)
+        return honest(current, offsets, count)
+
+    monkeypatch.setattr(module, "_line_traces", counting)
+    c = validate(Y * Y + X * Y - 1, Y.scale(2) + X.scale(3))
+    radon(c, 2 * c.degree + 1)
+    # an equal current built anew shares the memo entry
+    pencil_projection(validate(Y * Y + X * Y - 1, Y.scale(2) + X.scale(3)), (3, 1))
+    chart_route = line_chart(1).vars + ("y",)
+    pencil_route = ("a", "y")
+    assert seen == [chart_route, pencil_route]
+
+
+def test_chart_memo_is_small():
+    module = importlib.import_module("residualtrace.radon")
+    maxsize = module._chart_traces.cache_info().maxsize
+    assert maxsize is not None and 1 <= maxsize <= 16
+
+
 def test_pencil_projection_rejects_apex_on_support():
     c = validate(Y - X, MPoly.constant(V, 1))
     with pytest.raises(DomainError, match="support"):
