@@ -4,6 +4,9 @@ Subcommands read JSON from a file or stdin ("-") and write canonical JSON
 to stdout or a file, so they compose by piping.  Exit codes: 0 on success,
 1 when the mathematics rejects the input (domain errors, failed detection),
 2 for malformed documents or bad usage.
+
+A child loads only what its subcommand runs: the seeded self-check suites
+(`verify`, with `sampling`) are imported by `cmd_verify` alone.
 """
 
 from __future__ import annotations
@@ -14,18 +17,13 @@ import sys
 
 from . import jsonio
 from .currents import ZeroCurrent
-from .errors import DomainError, SchemaError
+from .errors import FLAG_LIMIT, DomainError, SchemaError
 from .radon import closedness_check, radon
 from .reconstruct import continue_current, reconstruct
 from .traces import traces
-from .verify import DEFAULT_SEED, DEFAULT_TOLERANCE, human_summary, verify_report
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
-
-# Upper limit of every count and degree flag, so no flag can ask for
-# unbounded work; far above what the acceptance and benchmark runs use.
-FLAG_LIMIT = 10_000
 
 
 def _read(path: str) -> str:
@@ -107,7 +105,10 @@ def cmd_continue(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify_report(seed=args.seed, tolerance=args.tolerance)
+    from .verify import DEFAULT_SEED, DEFAULT_TOLERANCE, human_summary, verify_report
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
+    report = verify_report(seed=seed, tolerance=tolerance)
     _write(args.output, jsonio.canonical_dumps(report))
     print(human_summary(report), file=sys.stderr)
     return 0 if report["pass"] else DOMAIN_EXIT
@@ -188,8 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded self-check suites")
     p.add_argument("-o", "--output", default=None,
                    help="output file for the JSON report (default: stdout)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
+    # None stands for verify.DEFAULT_SEED and verify.DEFAULT_TOLERANCE
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tolerance", type=_tolerance, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -10,8 +10,6 @@ form and logs what it changed.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (
@@ -23,18 +21,27 @@ from .algebra import (
 )
 from .algebra.poly import pseudo_rem
 from .errors import DomainError
-
-logger = logging.getLogger(__name__)
+from .record import Record, _set
 
 WeightedPoints = Sequence[tuple[RatFunc, RatFunc]]
 
 
-@dataclass(frozen=True)
-class ResidualCurrent:
+class ResidualCurrent(Record):
     """Canonical pair (p, r); built by `validate`, or directly by `reconstruct`."""
 
-    p: MPoly
-    r: MPoly
+    __slots__ = ("p", "r")
+
+    def __init__(self, p: MPoly, r: MPoly):
+        _set(self, "p", p)
+        _set(self, "r", r)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.r == other.r
+
+    def __hash__(self):
+        return hash((self.p, self.r))
 
     @property
     def fiber(self) -> str:
@@ -53,11 +60,27 @@ class ResidualCurrent:
         return self.p.degree(self.fiber)
 
 
-@dataclass(frozen=True)
-class ZeroCurrent:
+class ZeroCurrent(Record):
     """Sentinel for the zero current in n base variables."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        _set(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash((self.n,))
+
+
+def _log(message: str, arg):
+    """Log what `validate` changed; `logging` loads only when there is something to say."""
+    import logging
+    logging.getLogger(__name__).info(message, arg)
 
 
 def validate(p: MPoly, r: MPoly) -> ResidualCurrent:
@@ -81,7 +104,7 @@ def validate(p: MPoly, r: MPoly) -> ResidualCurrent:
         raise DomainError("r is identically zero; the zero current has no (p, r) representative")
     if r.degree(fiber) >= d:
         r = pseudo_rem(r, p, fiber)
-        logger.info("reduced r modulo p in %s", fiber)
+        _log("reduced r modulo p in %s", fiber)
         if r.is_zero():
             raise DomainError("r is a multiple of p; the pair represents the zero current")
     g = poly_gcd(p, r)
@@ -96,7 +119,7 @@ def validate(p: MPoly, r: MPoly) -> ResidualCurrent:
             raise DomainError(f"common factor {g} breaks fiber monicity")
         c = lead.constant_value()
         p, r = p1.scale(1 / c), r1.scale(1 / c)
-        logger.info("divided out common factor %s", g)
+        _log("divided out common factor %s", g)
     return ResidualCurrent(p=p, r=r)
 
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input work limit."""
+
+# Upper limit of every count and degree flag of the CLI and of every
+# exponent in an input document, so no input can ask for unbounded work;
+# far above what the acceptance and benchmark runs use.
+FLAG_LIMIT = 10_000
 
 
 class DomainError(ValueError):

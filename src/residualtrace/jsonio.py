@@ -11,8 +11,10 @@ Current: {"n": 1, "P": <poly>, "r": <poly>}  or  {"n": 1, "zero": true}
 Traces: {"u": [<ratfunc>, ...]}
 Series batch: {"series": [{"x0": "1/2", "coeffs": ["1", "0", ...]}, ...]}
 
-Parsing rejects a key that its object does not define, naming it.  An
-output coefficient with more digits than Python converts between int and
+Parsing rejects a key that its object does not define, naming it, a
+fraction string in exponent notation ("1e9"), whose value can take
+unbounded work to build, and an exponent above `FLAG_LIMIT`.  An output
+coefficient with more digits than Python converts between int and
 str raises DomainError naming its term, before anything is written.
 """
 
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from .algebra import MPoly, RatFunc
 from .currents import ResidualCurrent, ZeroCurrent, validate
-from .errors import DomainError, SchemaError
+from .errors import FLAG_LIMIT, DomainError, SchemaError
 from .reconstruct import SeriesSample
 from .traces import TraceSequence
 
@@ -67,6 +69,8 @@ def _is_int(value) -> bool:
 
 def parse_fraction(value, field: str) -> Fraction:
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise SchemaError(field, f"exponent notation is not accepted: {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -119,10 +123,10 @@ def poly_from_obj(obj, field: str = "poly") -> MPoly:
             raise SchemaError(f"{here}.coeff", "zero terms are not stored")
         exps = t["exps"]
         if (not isinstance(exps, list) or len(exps) != len(variables)
-                or not all(_is_int(e) and e >= 0 for e in exps)):
+                or not all(_is_int(e) and 0 <= e <= FLAG_LIMIT for e in exps)):
             raise SchemaError(
                 f"{here}.exps",
-                f"must be a list of {len(variables)} nonnegative integers")
+                f"must be a list of {len(variables)} integers from 0 to {FLAG_LIMIT}")
         key = tuple(exps)
         if key in seen:
             raise SchemaError(f"{here}.exps", f"duplicate exponent vector {exps}")

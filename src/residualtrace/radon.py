@@ -33,7 +33,6 @@ call: mutating a returned list cannot change a later result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -41,6 +40,7 @@ from typing import Iterable, Sequence
 from .algebra import MPoly, RatFunc, as_fraction
 from .currents import ResidualCurrent, ZeroCurrent
 from .errors import DomainError
+from .record import Record, _set
 from .residues import trace_stream
 from .traces import TraceSequence
 
@@ -61,13 +61,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LineChart:
+class LineChart(Record):
     """Names for the line coordinates of an n-dimensional base."""
 
-    n: int
-    a_names: tuple[str, ...]
-    b_names: tuple[str, ...]
+    __slots__ = ("n", "a_names", "b_names")
+
+    def __init__(self, n: int, a_names: tuple[str, ...], b_names: tuple[str, ...]):
+        _set(self, "n", n)
+        _set(self, "a_names", a_names)
+        _set(self, "b_names", b_names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n == other.n and self.a_names == other.a_names
+                and self.b_names == other.b_names)
+
+    def __hash__(self):
+        return hash((self.n, self.a_names, self.b_names))
 
     @property
     def vars(self) -> tuple[str, ...]:
@@ -86,17 +97,26 @@ def line_chart(n: int) -> LineChart:
     )
 
 
-@dataclass(frozen=True)
-class RadonForm:
+class RadonForm(Record):
     """Components of the transform, keyed by subset of line-slope indices.
 
     components[I] is the coefficient of da^I wedge db^(complement of I),
     with I a frozenset of indices in 1..n; its value is u_|I| in the chart
-    variables.
+    variables.  A RadonForm holds a dict, so it is unhashable.
     """
 
-    n: int
-    components: dict[frozenset[int], RatFunc]
+    __slots__ = ("n", "components")
+
+    def __init__(self, n: int, components: dict[frozenset[int], RatFunc]):
+        _set(self, "n", n)
+        _set(self, "components", components)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.components == other.components
+
+    __hash__ = None
 
 
 def _line_traces(current: ResidualCurrent, offsets: Sequence[MPoly], count: int) -> list[RatFunc]:

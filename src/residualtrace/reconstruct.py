@@ -32,7 +32,6 @@ an output coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -46,6 +45,7 @@ from .errors import (
     DomainError,
     SingularSystemError,
 )
+from .record import Record, _set
 from .traces import TraceSequence, hankel, recurrence_failures, traces
 
 __all__ = [
@@ -59,24 +59,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesSample:
+class SeriesSample(Record):
     """Taylor coefficients of one trace at a rational base point."""
 
-    base_point: Fraction
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("base_point", "coefficients")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base_point", as_fraction(self.base_point))
-        object.__setattr__(
-            self, "coefficients", tuple(as_fraction(c) for c in self.coefficients))
+    def __init__(self, base_point: Fraction, coefficients: tuple[Fraction, ...]):
+        _set(self, "base_point", as_fraction(base_point))
+        _set(self, "coefficients", tuple(map(as_fraction, coefficients)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base_point == other.base_point and self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.base_point, self.coefficients))
 
     def __len__(self):
         return len(self.coefficients)
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
+class ReconstructionReport(Record):
     """Outcome of a reconstruction.
 
     `current` is a ResidualCurrent on success, the ZeroCurrent sentinel for
@@ -88,12 +92,33 @@ class ReconstructionReport:
     recurrence only after it holds on every window of the traces.
     """
 
-    degree: int
-    current: ResidualCurrent | ZeroCurrent | None
-    residual_violations: int
-    meromorphic_coefficients: bool = False
-    denominator_coefficients: tuple[RatFunc, ...] = ()
-    numerator_coefficients: tuple[RatFunc, ...] = ()
+    __slots__ = ("degree", "current", "residual_violations", "meromorphic_coefficients",
+                 "denominator_coefficients", "numerator_coefficients")
+
+    def __init__(self, degree: int, current: ResidualCurrent | ZeroCurrent | None,
+                 residual_violations: int, meromorphic_coefficients: bool = False,
+                 denominator_coefficients: tuple[RatFunc, ...] = (),
+                 numerator_coefficients: tuple[RatFunc, ...] = ()):
+        _set(self, "degree", degree)
+        _set(self, "current", current)
+        _set(self, "residual_violations", residual_violations)
+        _set(self, "meromorphic_coefficients", meromorphic_coefficients)
+        _set(self, "denominator_coefficients", denominator_coefficients)
+        _set(self, "numerator_coefficients", numerator_coefficients)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree == other.degree and self.current == other.current
+                and self.residual_violations == other.residual_violations
+                and self.meromorphic_coefficients == other.meromorphic_coefficients
+                and self.denominator_coefficients == other.denominator_coefficients
+                and self.numerator_coefficients == other.numerator_coefficients)
+
+    def __hash__(self):
+        return hash((self.degree, self.current, self.residual_violations,
+                     self.meromorphic_coefficients, self.denominator_coefficients,
+                     self.numerator_coefficients))
 
 
 # The modular filter of degree detection works modulo the prime 2^61 - 1 at

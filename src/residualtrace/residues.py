@@ -28,12 +28,12 @@ they use numpy, which is imported when they first run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import MPoly, RatFunc, exact_div, poly_gcd
 from .algebra.poly import fiber_coefficients, mod_monic
 from .errors import DomainError
+from .record import Record, _set
 
 REPEATED_ROOT_RTOL = 1e-9
 
@@ -103,19 +103,28 @@ class RationalForm1D:
         return f"RationalForm1D(({self.num}) / ({self.den}) d{self.fiber})"
 
 
-@dataclass(frozen=True)
-class ContourSpec:
+class ContourSpec(Record):
     """Circle contour for the quadrature oracle."""
 
-    center: complex = 0j
-    radius: float = 0.0
-    points: int = 256
+    __slots__ = ("center", "radius", "points")
 
-    def __post_init__(self):
-        if self.radius <= 0:
+    def __init__(self, center: complex = 0j, radius: float = 0.0, points: int = 256):
+        if radius <= 0:
             raise DomainError("contour radius must be positive")
-        if self.points < 16:
+        if points < 16:
             raise DomainError("contour needs at least 16 quadrature points")
+        _set(self, "center", center)
+        _set(self, "radius", radius)
+        _set(self, "points", points)
+
+    def __eq__(self, other):
+        # field tuples, whose identity check lets a spec holding a NaN equal itself
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.center, self.radius, self.points) == (other.center, other.radius, other.points)
+
+    def __hash__(self):
+        return hash((self.center, self.radius, self.points))
 
 
 def residue_sum(form: RationalForm1D) -> RatFunc:

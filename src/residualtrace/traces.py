@@ -10,29 +10,36 @@ whose coefficients are p's own fiber coefficients:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import FracMatrix, RatFunc, clear_denominators
 from .currents import ResidualCurrent
 from .errors import DomainError
+from .record import Record, _set
 from .residues import fiber_coefficients, trace_stream
 
 __all__ = ["TraceSequence", "traces", "recurrence_failures", "recurrence_check", "hankel"]
 
 
-@dataclass(frozen=True)
-class TraceSequence:
+class TraceSequence(Record):
     """Consecutive traces u_0 .. u_m over a shared base-variable tuple."""
 
-    entries: tuple[RatFunc, ...]
-    source_degree: int | None = None
+    __slots__ = ("entries", "source_degree")
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[RatFunc, ...], source_degree: int | None = None):
+        if not entries:
             raise DomainError("a trace sequence needs at least one entry")
-        variables = self.entries[0].vars
-        if any(e.vars != variables for e in self.entries):
+        variables = entries[0].vars
+        if any(e.vars != variables for e in entries):
             raise DomainError("trace entries live over different variable lists")
+        _set(self, "entries", entries)
+        _set(self, "source_degree", source_degree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries and self.source_degree == other.source_degree
+
+    def __hash__(self):
+        return hash((self.entries, self.source_degree))
 
     @property
     def vars(self) -> tuple[str, ...]:

@@ -1,6 +1,8 @@
 """End-to-end command line behavior: exit codes, determinism, pipe identity."""
 
+import io
 import json
+import logging
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import pytest
 
 from residualtrace.algebra import MPoly
 from residualtrace.currents import validate
-from residualtrace.errors import DomainError
+from residualtrace.errors import FLAG_LIMIT, DomainError
 from residualtrace.jsonio import canonical_dumps, current_to_obj
 
 V = ("x", "y")
@@ -79,11 +81,43 @@ def test_deeply_nested_json_exits_2():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    code = "import sys, residualtrace, residualtrace.cli; print('numpy' in sys.modules)"
+    # start-up loads no module that trace/reconstruct/radon/continue never run
+    unused = ["numpy", "dataclasses", "inspect", "logging",
+              "residualtrace.verify", "residualtrace.sampling"]
+    code = ("import sys, residualtrace, residualtrace.cli; "
+            f"print([m for m in {unused!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, timeout=180)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
+
+
+def test_validate_still_logs_what_it_changed(caplog):
+    with caplog.at_level(logging.INFO, logger="residualtrace.currents"):
+        c = validate(Y * Y - X, Y ** 3)
+    assert c.r == X * Y
+    assert [r.getMessage() for r in caplog.records] == ["reduced r modulo p in y"]
+    assert caplog.records[0].levelno == logging.INFO
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"n": 1, "P": {"vars": ["x", "y"], "terms": [{"coeff": "1", "exps": [0, 2]},
+                                                  {"coeff": "-1", "exps": [1, 0]}]},
+      "r": {"vars": ["x", "y"], "terms": [{"coeff": "1e3000000", "exps": [0, 0]}]}},
+     "current.r.terms[0].coeff"),
+    ({"n": 1, "P": {"vars": ["x", "y"], "terms": [{"coeff": "1", "exps": [0, FLAG_LIMIT + 1]},
+                                                  {"coeff": "-1", "exps": [1, 0]}]},
+      "r": {"vars": ["x", "y"], "terms": [{"coeff": "1", "exps": [0, 0]}]}},
+     "current.P.terms[0].exps"),
+])
+def test_hostile_numbers_exit_2_naming_the_field(doc, field, capsys, monkeypatch):
+    # in-process: the document is refused while parsing, before any work starts
+    from residualtrace.cli import main
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["trace"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
 
 
 def test_domain_error_exits_1():
@@ -340,7 +374,8 @@ def test_coefficients_too_long_to_print_exit_1(args, exps):
 def test_numeric_flag_above_the_work_limit_exits_2(args, flag, capsys):
     # in-process and refused by argument parsing, so no input is read and
     # no work starts; the limit itself still parses
-    from residualtrace.cli import FLAG_LIMIT, build_parser, main
+    from residualtrace.cli import FLAG_LIMIT as CLI_LIMIT, build_parser, main
+    assert CLI_LIMIT is FLAG_LIMIT  # one limit, defined in errors, for flags and exponents
     assert main([*args, str(FLAG_LIMIT + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,9 +4,11 @@ The corpus holds n=1 and n=2 roundtrip draws (traces, then reconstruct),
 n=1 chart draws (radon, closedness_check, pencil_projection), series
 draws (continue_current), non-coprime (P, r) pairs and pairs with
 deg_y r >= d (validate and poly_gcd).  Every result, or the type and
-message of the error raised, is written as canonical JSON; poly_gcd
-results also carry their term dict order.  A refactor that must keep the
-outputs byte-identical keeps the digest.
+message of the error raised, is written as canonical JSON.  Canonical JSON
+sorts terms, so every output polynomial (traces, chart and pencil entries,
+reconstructed, continued and validated currents, gcds) also carries its raw
+term dict order, which `MPoly.eval_numeric` sums in.  A refactor that must
+keep the outputs byte-identical keeps the digest.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ from fractions import Fraction
 from random import Random
 
 from residualtrace.algebra import MPoly, poly_gcd
-from residualtrace.currents import validate
+from residualtrace.currents import ResidualCurrent, validate
 from residualtrace.errors import DomainError
 from residualtrace.jsonio import canonical_dumps, current_to_obj, poly_to_obj, ratfunc_to_obj
 from residualtrace.radon import closedness_check, pencil_projection, radon
@@ -23,11 +25,22 @@ from residualtrace.sampling import base_vars, current_vars, random_base_poly, ra
 from residualtrace.traces import traces
 
 SEED = 20240611
-GOLDEN = "78609fabb0c578926ff7cd8ac3c4b9b1ca19c97e14ba91da4209ea49483f424b"
+GOLDEN = "f2e856cc5423fc7b76aca593fbbecd34170fd14762c3a4dfa07c82843f6c31f2"
+
+
+def _order(*polys):
+    return [[list(e) for e in p.terms] for p in polys]
 
 
 def _entries(fs):
-    return [ratfunc_to_obj(f) for f in fs]
+    return [{**ratfunc_to_obj(f), "order": _order(f.num, f.den)} for f in fs]
+
+
+def _current(c):
+    obj = current_to_obj(c)
+    if isinstance(c, ResidualCurrent):
+        obj["order"] = _order(c.p, c.r)
+    return obj
 
 
 def _error(exc):
@@ -36,7 +49,7 @@ def _error(exc):
 
 def _gcd(f, g):
     h = poly_gcd(f, g)
-    return {"gcd": poly_to_obj(h), "order": [list(e) for e in h.terms]}
+    return {"gcd": poly_to_obj(h), "order": _order(h)}
 
 
 def _roundtrip(c):
@@ -45,7 +58,7 @@ def _roundtrip(c):
         report = reconstruct(t, c.degree)
     except DomainError as exc:
         return {"u": _entries(t.entries), "reconstruct": _error(exc)}
-    return {"u": _entries(t.entries), "current": current_to_obj(report.current),
+    return {"u": _entries(t.entries), "current": _current(report.current),
             "degree": report.degree, "violations": report.residual_violations,
             "meromorphic": report.meromorphic_coefficients}
 
@@ -69,7 +82,7 @@ def _series(rng):
     x0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     batch = [sample_series(e, x0, 2 * (num_bound + 1) + 2) for e in t.entries]
     try:
-        return current_to_obj(continue_current(batch, c.degree, num_bound, 1).current)
+        return _current(continue_current(batch, c.degree, num_bound, 1).current)
     except DomainError as exc:
         return _error(exc)
 
@@ -90,7 +103,7 @@ def _fiber_poly(rng, n, degree, monic, coeff_degree=2):
 def _pair(p, r):
     out = {"P": poly_to_obj(p), "r": poly_to_obj(r), **_gcd(p, r)}
     try:
-        out["validate"] = current_to_obj(validate(p, r))
+        out["validate"] = _current(validate(p, r))
     except DomainError as exc:
         out["validate"] = _error(exc)
     return out

@@ -218,3 +218,35 @@ def test_poly_to_obj_names_a_coefficient_too_long_to_print():
     big = MPoly(V, {(0, 1): 1, (1, 0): Fraction(10 ** 4400, 3)})
     with pytest.raises(DomainError, match=r"exps \[1, 0\]"):
         poly_to_obj(big)
+
+
+HUGE = "1e1000000000"  # Fraction(HUGE) would build a billion-digit integer
+
+
+@pytest.mark.parametrize("parse, obj, field", [
+    (current_from_obj,
+     {"n": 1, "P": poly_to_obj(Y - X),
+      "r": {"vars": ["x", "y"], "terms": [{"coeff": HUGE, "exps": [0, 0]}]}},
+     "current.r.terms[0].coeff"),
+    (series_from_obj, {"series": [{"x0": HUGE, "coeffs": ["1"]}]}, "series.series[0].x0"),
+    (series_from_obj, {"series": [{"x0": "1", "coeffs": ["1", "2E-3"]}]},
+     "series.series[0].coeffs[1]"),
+])
+def test_exponent_notation_is_refused_before_any_work(parse, obj, field):
+    with pytest.raises(SchemaError, match="exponent notation") as exc:
+        parse(obj)
+    assert exc.value.field == field
+    with pytest.raises(SchemaError, match="exponent notation"):
+        parse_fraction("-3e2", "f")
+
+
+def test_exponents_above_the_work_limit_are_refused():
+    from residualtrace.errors import FLAG_LIMIT
+    P = {"vars": ["x", "y"], "terms": [{"coeff": "1", "exps": [0, FLAG_LIMIT]},
+                                       {"coeff": "-1", "exps": [1, 0]}]}
+    r = {"vars": ["x", "y"], "terms": [{"coeff": "1", "exps": [FLAG_LIMIT + 1, 0]}]}
+    with pytest.raises(SchemaError, match=f"integers from 0 to {FLAG_LIMIT}") as exc:
+        current_from_obj({"n": 1, "P": P, "r": r})
+    assert exc.value.field == "current.r.terms[0].exps"
+    # the limit itself parses
+    assert poly_from_obj(P).degree("y") == FLAG_LIMIT
