@@ -18,8 +18,11 @@ class RatFunc:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: MPoly, den: MPoly | None = None):
-        if den is None:
-            den = MPoly.constant(num.vars, 1)
+        if den is None:  # a polynomial is already in canonical form
+            self.num = num
+            self.den = MPoly.constant(num.vars, 1)
+            self._hash = None
+            return
         num._check_same_ring(den)
         if den.is_zero():
             raise DomainError("denominator is the zero polynomial")

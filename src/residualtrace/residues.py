@@ -43,7 +43,8 @@ def shift_mod_monic(rem: list[MPoly], power: MPoly,
     """Multiply rem / power by the fiber variable, modulo the monic den / lead.
 
     R'_j = lead * R_{j-1} - R_{d-1} * den_j, with power scaled by lead;
-    a zero R_{d-1} is a plain shift, and lead = 1 skips the scaling.
+    a zero R_{d-1} is a plain shift, lead = 1 skips the scaling, and a
+    zero den_j skips its product.
     """
     d = len(den) - 1
     top = rem[d - 1]
@@ -51,9 +52,10 @@ def shift_mod_monic(rem: list[MPoly], power: MPoly,
     if top.is_zero():
         return out, power
     lead = den[d]
-    if lead.is_one():
-        return [out[j] - top * den[j] for j in range(d)], power
-    return [out[j] * lead - top * den[j] for j in range(d)], power * lead
+    if not lead.is_one():
+        out = [x * lead for x in out]
+        power = power * lead
+    return [x - top * c if c.terms else x for x, c in zip(out, den)], power
 
 
 def trace_stream(num: MPoly, den: MPoly, fiber: str, count: int) -> list[RatFunc]:

@@ -1,5 +1,6 @@
 """Exact polynomial layer: arithmetic, division, gcd, normal forms."""
 
+import re
 from fractions import Fraction
 from random import Random
 
@@ -38,6 +39,13 @@ def test_float_coefficients_rejected():
 def test_negative_exponent_rejected():
     with pytest.raises(DomainError):
         MPoly(V, {(-1, 0): 1})
+
+
+@pytest.mark.parametrize("exps", [(2.7,), ("3",), (Fraction(3),), (None,)])
+def test_non_integer_exponent_rejected(exps):
+    # int() would truncate 2.7 to 2 and parse "3"; the error names the vector
+    with pytest.raises(DomainError, match=re.escape(repr(exps))):
+        MPoly(("x",), [(exps, 1)])
 
 
 def test_ring_axioms_spot():
@@ -107,6 +115,49 @@ def test_subs_with_polynomial_images():
     p = Y ** 2 - X
     image = p.subs(W, {"x": a * yw + b})
     assert image == yw ** 2 - a * yw - b
+
+
+def _stored(p):
+    return p.vars, [(e, c, type(c)) for e, c in p.terms.items()]
+
+
+def _subs_outcome(p, variables, images):
+    try:
+        return _stored(p.subs(variables, images))
+    except DomainError as exc:
+        return "raises", str(exc)
+
+
+W = ("a", "b")
+A = MPoly.variable(W, "a")
+
+
+@pytest.mark.parametrize("images", [
+    {"x": A, "y": MPoly.variable(W, "b")},  # two renames
+    {"x": A * A + 1, "y": Fraction(2, 3)},
+    {"x": 0, "y": MPoly.zero(W)},
+    {"x": A},  # y is carried over and W lacks it
+    {"x": MPoly.variable(V, "x"), "y": 1},  # an image over the wrong tuple
+    {"x": 0.5, "y": 1},  # a float image
+    {"x": "1/2", "y": A},
+])
+@pytest.mark.parametrize("c", [Fraction(-7, 2), 5, 0])
+def test_subs_of_a_constant_matches_the_general_path(images, c):
+    # c + x takes the general path through the same image checks; taking
+    # x's own image back out leaves the substituted constant.
+    const = MPoly.constant(V, c)
+    ours = _subs_outcome(const, W, images)
+    general = _subs_outcome(const + X, W, images)
+    if general[0] == "raises":
+        assert ours == general
+        return
+    assert ours == _stored((const + X).subs(W, images) - X.subs(W, images))
+    assert ours[1] == ([((0, 0), c, type(c))] if c else [])
+
+
+def test_subs_of_a_constant_carries_over_present_variables():
+    assert (ONE * 3).subs(("y", "x"), {}) == MPoly.constant(("y", "x"), 3)
+    assert MPoly.zero(V).subs(("t",), {"x": 1, "y": 2}) == MPoly.zero(("t",))
 
 
 def test_eval_paths_agree():
