@@ -35,14 +35,6 @@ class ResidualCurrent(Record):
         _set(self, "p", p)
         _set(self, "r", r)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p and self.r == other.r
-
-    def __hash__(self):
-        return hash((self.p, self.r))
-
     @property
     def fiber(self) -> str:
         return self.p.vars[-1]
@@ -67,14 +59,6 @@ class ZeroCurrent(Record):
 
     def __init__(self, n: int):
         _set(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self):
-        return hash((self.n,))
 
 
 def _log(message: str, arg):

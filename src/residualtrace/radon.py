@@ -71,15 +71,6 @@ class LineChart(Record):
         _set(self, "a_names", a_names)
         _set(self, "b_names", b_names)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n == other.n and self.a_names == other.a_names
-                and self.b_names == other.b_names)
-
-    def __hash__(self):
-        return hash((self.n, self.a_names, self.b_names))
-
     @property
     def vars(self) -> tuple[str, ...]:
         return self.a_names + self.b_names
@@ -110,11 +101,6 @@ class RadonForm(Record):
     def __init__(self, n: int, components: dict[frozenset[int], RatFunc]):
         _set(self, "n", n)
         _set(self, "components", components)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.components == other.components
 
     __hash__ = None
 

@@ -24,6 +24,11 @@ bounds, accepted only if q c == p (mod t^L) for the L supplied
 coefficients c, that is, if its Taylor series reproduces every one of
 them.  If any valid candidate exists, every nonzero kernel vector reduces
 to the same one, so a failed certificate really means no candidate exists.
+The kernel vector q is one of minimal degree, so p / q needs no gcd: a
+common factor g of p and q with g(0) != 0 would make q / g a kernel vector
+of lower degree.  When t divides q it divides p too, and the certificate
+could pass only if q / t were a kernel vector of lower degree; so the
+answer is None, returned before the certificate is checked.
 The series layer runs on integer coefficient lists over one denominator:
 shifts to and from the base point, the series division of sample_series
 and the certificate are fraction-free, and a Fraction is built only for
@@ -37,7 +42,7 @@ from math import lcm
 from operator import mul
 
 from .algebra import MPoly, RatFunc, as_fraction, kernel_vector, solve_linear
-from .algebra.poly import _common_denominator, _div, _gcd_int_lists, _trusted
+from .algebra.poly import _common_denominator, _div, _trusted
 from .currents import ResidualCurrent, ZeroCurrent
 from .errors import (
     ContinuationError,
@@ -68,14 +73,6 @@ class SeriesSample(Record):
         _set(self, "base_point", as_fraction(base_point))
         _set(self, "coefficients", tuple(map(as_fraction, coefficients)))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.base_point == other.base_point and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.base_point, self.coefficients))
-
     def __len__(self):
         return len(self.coefficients)
 
@@ -105,20 +102,6 @@ class ReconstructionReport(Record):
         _set(self, "meromorphic_coefficients", meromorphic_coefficients)
         _set(self, "denominator_coefficients", denominator_coefficients)
         _set(self, "numerator_coefficients", numerator_coefficients)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.degree == other.degree and self.current == other.current
-                and self.residual_violations == other.residual_violations
-                and self.meromorphic_coefficients == other.meromorphic_coefficients
-                and self.denominator_coefficients == other.denominator_coefficients
-                and self.numerator_coefficients == other.numerator_coefficients)
-
-    def __hash__(self):
-        return hash((self.degree, self.current, self.residual_violations,
-                     self.meromorphic_coefficients, self.denominator_coefficients,
-                     self.numerator_coefficients))
 
 
 # The modular filter of degree detection works modulo the prime 2^61 - 1 at
@@ -320,17 +303,6 @@ def _shift(f: list[int], a: int, b: int, e: int) -> list[int]:
     return h
 
 
-def _exact_quo(f: list[int], g: list[int]) -> list[int]:
-    """f / g for a primitive g dividing f over Q; the quotient is integral (Gauss)."""
-    r = list(f)
-    q = [0] * (len(f) - len(g) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = c = r[k + len(g) - 1] // g[-1]
-        for j, y in enumerate(g):
-            r[k + j] -= c * y
-    return q
-
-
 def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
                     var: str = "x") -> RatFunc | None:
     """Rational function matching a Taylor sample within degree bounds, or None.
@@ -341,11 +313,13 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
     base point (in particular when the only algebraic candidates would have
     a pole there).
 
-    The sample c is cleared to integers C = D c.  The Pade kernel gives q,
-    p = q C is truncated to degree max_num_deg, and both are divided by
-    their gcd, all over Z.  The certificate is q C == p (mod t^L) for the
-    L = len(sample) coefficients: with q(0) != 0 that says the series of
-    p / (D q) reproduces every supplied coefficient, without a division.
+    The sample c is cleared to integers C = D c.  The Pade kernel gives q
+    of minimal degree, and p = q C is truncated to degree max_num_deg, all
+    over Z.  Minimality makes p and q coprime unless q(0) = 0, and then
+    the answer is None (see the module docstring).  The certificate is
+    q C == p (mod t^L) for the L = len(sample) coefficients: with q(0) != 0
+    that says the series of p / (D q) reproduces every supplied
+    coefficient, without a division.
     """
     big_l = len(sample)
     m, nn = max_num_deg, max_den_deg
@@ -370,9 +344,6 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
         if any(c):
             return None
         return RatFunc.zero((var,))
-    g = _gcd_int_lists(p, q)
-    if len(g) > 1:
-        p, q = _exact_quo(p, g), _exact_quo(q, g)
     if q[0] == 0:
         # pole at the base point: no bounded rational function matches
         return None

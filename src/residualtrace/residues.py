@@ -28,6 +28,8 @@ they use numpy, which is imported when they first run.
 
 from __future__ import annotations
 
+from cmath import isfinite
+from operator import index
 from typing import Sequence
 
 from .algebra import MPoly, RatFunc, exact_div, poly_gcd
@@ -105,28 +107,34 @@ class RationalForm1D:
         return f"RationalForm1D(({self.num}) / ({self.den}) d{self.fiber})"
 
 
+def _check_finite(name: str, value) -> None:
+    try:
+        finite = isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise DomainError(f"contour {name} must be a finite number")
+
+
 class ContourSpec(Record):
     """Circle contour for the quadrature oracle."""
 
     __slots__ = ("center", "radius", "points")
 
     def __init__(self, center: complex = 0j, radius: float = 0.0, points: int = 256):
+        _check_finite("center", center)
+        _check_finite("radius", radius)
         if radius <= 0:
             raise DomainError("contour radius must be positive")
+        try:
+            points = index(points)
+        except TypeError:
+            raise DomainError(f"contour points must be an integer, got {points!r}") from None
         if points < 16:
             raise DomainError("contour needs at least 16 quadrature points")
         _set(self, "center", center)
         _set(self, "radius", radius)
         _set(self, "points", points)
-
-    def __eq__(self, other):
-        # field tuples, whose identity check lets a spec holding a NaN equal itself
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.center, self.radius, self.points) == (other.center, other.radius, other.points)
-
-    def __hash__(self):
-        return hash((self.center, self.radius, self.points))
 
 
 def residue_sum(form: RationalForm1D) -> RatFunc:

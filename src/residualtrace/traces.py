@@ -33,14 +33,6 @@ class TraceSequence(Record):
         _set(self, "entries", entries)
         _set(self, "source_degree", source_degree)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries and self.source_degree == other.source_degree
-
-    def __hash__(self):
-        return hash((self.entries, self.source_degree))
-
     @property
     def vars(self) -> tuple[str, ...]:
         return self.entries[0].vars

@@ -18,20 +18,11 @@ from residualtrace.algebra import MPoly, exact_div  # noqa: E402
 from residualtrace.currents import validate  # noqa: E402
 from residualtrace.residues import fiber_coefficients, mod_monic  # noqa: E402
 from residualtrace.sampling import random_base_poly  # noqa: E402
+from sympy_expr import to_sympy  # noqa: E402
 
 V = ("x1", "x2", "y")
 BASE = V[:-1]
 SYMS = dict(zip(V, sympy.symbols(V)))
-
-
-def to_sympy(p: MPoly):
-    out = sympy.Integer(0)
-    for exps, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in zip(p.vars, exps):
-            term *= SYMS[v] ** e
-        out += term
-    return out
 
 
 def fiber_poly(rng: Random, degree: int, lead: MPoly | None = None) -> MPoly:

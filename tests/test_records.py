@@ -119,6 +119,18 @@ def test_contour_spec_validation():
     with pytest.raises(DomainError, match="16"):
         ContourSpec(radius=1.0, points=15)
     assert ContourSpec(radius=1.0, points=16).points == 16
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf, -inf, 10 ** 400, "1"):
+        with pytest.raises(DomainError, match="radius"):
+            ContourSpec(radius=bad)
+        with pytest.raises(DomainError, match="center"):
+            ContourSpec(center=bad, radius=1.0)
+    for bad in (complex(1.0, nan), complex(inf, 0.0)):
+        with pytest.raises(DomainError, match="center"):
+            ContourSpec(center=bad, radius=1.0)
+    for bad in (20.5, "32", None):
+        with pytest.raises(DomainError, match="points"):
+            ContourSpec(radius=1.0, points=bad)
 
 
 def test_series_sample_coerces_and_refuses_floats():
@@ -153,6 +165,14 @@ def test_equal_values_hash_equally(name):
     a, b = build(0), build(0)
     assert hash(a) == hash(b)
     assert len({a, b, build(1)}) == 2
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_hash_is_the_hash_of_the_field_tuple(name):
+    # radon's memo keys are these hashes: they must not move
+    fields, build = RECORDS[name]
+    for value in (build(0), build(1)):
+        assert hash(value) == hash(tuple(getattr(value, f) for f in fields))
 
 
 def test_radon_form_is_unhashable():

@@ -19,17 +19,7 @@ sympy = pytest.importorskip("sympy")
 from residualtrace.algebra import MPoly, sylvester_resultant  # noqa: E402
 from residualtrace.currents import support_discriminant  # noqa: E402
 from residualtrace.sampling import random_current  # noqa: E402
-
-
-def to_sympy(p: MPoly):
-    syms = sympy.symbols(p.vars)
-    out = sympy.Integer(0)
-    for exps, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for s, e in zip(syms, exps):
-            term *= s ** e
-        out += term
-    return out
+from sympy_expr import to_sympy  # noqa: E402
 
 
 def seeded_currents(n: int, seed: int, count: int = 12):

@@ -16,17 +16,13 @@ sympy = pytest.importorskip("sympy")
 
 from residualtrace.algebra import MPoly, RatFunc  # noqa: E402
 from residualtrace.reconstruct import sample_series  # noqa: E402
+from sympy_expr import to_sympy  # noqa: E402
 
 X = sympy.Symbol("x")
 
 
 def rational(rng: Random) -> Fraction:
     return Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 5]))
-
-
-def to_sympy(p: MPoly):
-    return sum((sympy.Rational(c.numerator, c.denominator) * X ** e
-                for (e,), c in p.terms.items()), sympy.Integer(0))
 
 
 def test_sample_series_matches_sympy():

@@ -17,20 +17,11 @@ sympy = pytest.importorskip("sympy")
 
 from residualtrace.algebra import MPoly  # noqa: E402
 from residualtrace.errors import DomainError  # noqa: E402
+from sympy_expr import to_sympy  # noqa: E402
 
 SOURCE = ("x", "y", "z")
 TARGET = ("a", "b", "z")
 SYMS = {v: sympy.Symbol(v) for v in SOURCE + TARGET}
-
-
-def to_sympy(p: MPoly):
-    out = sympy.Integer(0)
-    for exps, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in zip(p.vars, exps):
-            term *= SYMS[v] ** e
-        out += term
-    return out
 
 
 def random_poly(rng: Random, variables=SOURCE, terms=8, top=3) -> MPoly:

@@ -17,19 +17,10 @@ sympy = pytest.importorskip("sympy")
 from residualtrace.algebra import MPoly  # noqa: E402
 from residualtrace.residues import fiber_coefficients, trace_stream  # noqa: E402
 from residualtrace.sampling import random_current  # noqa: E402
+from sympy_expr import to_sympy  # noqa: E402
 
 CHART = ("a", "b", "y")
 SYMS = dict(zip(CHART, sympy.symbols(CHART)))
-
-
-def to_sympy(p: MPoly):
-    out = sympy.Integer(0)
-    for exps, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in zip(p.vars, exps):
-            term *= SYMS[v] ** e
-        out += term
-    return out
 
 
 def sympy_traces(num: MPoly, den: MPoly, count: int) -> list:
