@@ -11,9 +11,9 @@ polynomial acc, and a gcd reduces it only otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from ..errors import DomainError, SingularSystemError
+from . import dense
 from .poly import MPoly, as_fraction, exact_div, poly_lcm
 from .ratfunc import RatFunc
 
@@ -188,9 +188,7 @@ def kernel_vector(rows: list[list[Fraction]], ncols: int) -> list[Fraction] | No
     for r in rows:
         if len(r) != ncols:
             raise DomainError("ragged rows in kernel computation")
-        r = [v if type(v) is int else as_fraction(v) for v in r]
-        den = lcm(*[v.denominator for v in r])
-        a.append([v.numerator * (den // v.denominator) for v in r])
+        a.append(dense.clear(v if type(v) is int else as_fraction(v) for v in r)[1])
     pivots: list[tuple[int, int]] = []
     row = 0
     for col in range(ncols):
@@ -203,9 +201,7 @@ def kernel_vector(rows: list[list[Fraction]], ncols: int) -> list[Fraction] | No
         for i in range(len(a)):
             f = a[i][col]
             if i != row and f:
-                r = [pv * v - f * w for v, w in zip(a[i], top)]
-                g = gcd(*r) or 1
-                a[i] = [v // g for v in r]
+                a[i] = dense.primitive([pv * v - f * w for v, w in zip(a[i], top)])
         pivots.append((row, col))
         row += 1
         if row == len(a):

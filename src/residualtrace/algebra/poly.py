@@ -32,11 +32,12 @@ zero and a zero summand gives the other operand itself, and a one-term
 factor gives one comprehension over the other factor's terms, in their
 order, since distinct keys shifted by one key stay distinct.
 
-Pseudo-division by a polynomial in one variable has one implementation,
-`mod_monic`, on ascending coefficient lists.  The trace stream of
-`residues` reduces by the fiber polynomial with it; `currents.validate`
-(r modulo the monic P) and the primitive PRS of the gcd reach it through
-`pseudo_rem`, which takes and returns an `MPoly`.
+Pseudo-division in one variable has two implementations.  `mod_monic`, on
+lists of `MPoly` coefficients, reduces the trace stream of `residues`, and
+through `pseudo_rem` serves `currents.validate` and the multivariate PRS of
+the gcd.  `dense.prem`, on int lists, serves the gcd's one-variable base
+case, a dense integer PRS that keeps the chart path about 12% faster than
+the `MPoly` PRS would; one shared version would branch on int or `MPoly`.
 
 Substitution has one implementation, `MPoly.subs`.  An image that is a bare
 target variable (one term, coefficient 1, total degree 1) is a rename: it
@@ -53,11 +54,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd as _int_gcd
-from math import lcm as _int_lcm
 from operator import index as _index
 from typing import Callable
 
 from ..errors import DomainError
+from . import dense
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction  # stored form: see the storage rule above
@@ -115,22 +116,6 @@ def _adder(n: int) -> Callable[[Exponents, Exponents], Exponents]:
 
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
-
-
-def _common_denominator(terms: dict[Exponents, Coefficient]) -> tuple[int, list[int]]:
-    """(den, nums) with den the lcm of the denominators and terms[e] = num / den.
-
-    `nums` follows the iteration order of `terms`; with all-int terms they
-    are the stored values themselves.
-    """
-    values = list(terms.values())
-    for c in values:
-        if type(c) is not int:
-            break
-    else:
-        return 1, values
-    den = _int_lcm(*[c.denominator for c in values])
-    return den, [c.numerator * (den // c.denominator) for c in values]
 
 
 def _trusted(variables: tuple[str, ...], terms: dict[Exponents, Coefficient]) -> "MPoly":
@@ -352,8 +337,8 @@ class MPoly:
             # distinct keys shifted by one key stay distinct: nothing cancels
             (ea, ca), = a.items()
             return _trusted(self.vars, {add(ea, eb): _canon(ca * cb) for eb, cb in b.items()})
-        da, na = _common_denominator(a)
-        db, nb = _common_denominator(b)
+        da, na = dense.clear(a.values())
+        db, nb = dense.clear(b.values())
         b_items = list(zip(b, nb))
         # A key is deleted when its sum cancels and re-inserted if it comes
         # back: float evaluation sums terms in dict order, so that order is
@@ -570,12 +555,12 @@ class MPoly:
 
     def rational_content(self) -> Fraction:
         """Positive rational c with self/c integer-coefficient and coprime."""
-        den, nums = _common_denominator(self.terms)
+        den, nums = dense.clear(self.terms.values())
         return Fraction(_int_gcd(*nums), den)
 
     def primitive_int(self) -> "MPoly":
         """Divide out the rational content: integer coefficients with gcd 1."""
-        den, nums = _common_denominator(self.terms)
+        den, nums = dense.clear(self.terms.values())
         g = _int_gcd(*nums)
         if den == 1 and g <= 1:  # already primitive, or zero (g = 0)
             return self
@@ -735,76 +720,12 @@ def _active_vars(f: MPoly, g: MPoly) -> list[int]:
     return [i for i, u in enumerate(used) if u]
 
 
-def _gcd_int_lists(a: list[int], b: list[int]) -> list[int]:
-    """Primitive PRS gcd for dense integer coefficient lists (ascending)."""
-
-    def strip(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    def content(c):
-        g = 0
-        for x in c:
-            g = _int_gcd(g, x)
-        return g or 1
-
-    def primitive(c):
-        g = content(c)
-        return [x // g for x in c]
-
-    def pseudo_rem(u, v):
-        u = list(u)
-        dv = len(v) - 1
-        lv = v[-1]
-        while len(u) - 1 >= dv and u:
-            du = len(u) - 1
-            lu = u[-1]
-            shift = du - dv
-            u = [x * lv for x in u]
-            for i, vc in enumerate(v):
-                u[i + shift] -= lu * vc
-            strip(u)
-            if not u:
-                break
-        return u
-
-    a, b = strip(list(a)), strip(list(b))
-    if not a:
-        return primitive(b)
-    if not b:
-        return primitive(a)
-    a, b = primitive(a), primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        r = pseudo_rem(a, b)
-        if not r:
-            return primitive(b)
-        if len(r) == 1:
-            return [1]
-        a, b = b, primitive(r)
-
-
 def _gcd_univariate(f: MPoly, g: MPoly, vi: int) -> MPoly:
-    var = f.vars[vi]
-    fi = f.primitive_int()
-    gi = g.primitive_int()
-
-    def to_list(p):
-        out = [0] * (p.degree(var) + 1)
-        for exps, c in p.terms.items():
-            out[exps[vi]] = c.numerator
-        return out
-
-    coeffs = _gcd_int_lists(to_list(fi), to_list(gi))
-    terms = {}
-    nv = len(f.vars)
-    for k, c in enumerate(coeffs):
-        if c:
-            key = tuple(k if i == vi else 0 for i in range(nv))
-            terms[key] = c
-    return _trusted(f.vars, terms)
+    """gcd of f and g in variable vi alone, by the dense integer PRS."""
+    coeffs = dense.gcd(dense.from_terms(f.terms, vi)[1], dense.from_terms(g.terms, vi)[1])
+    zero = (0,) * len(f.vars)
+    return _trusted(f.vars, {zero[:vi] + (k,) + zero[vi + 1:]: c
+                             for k, c in enumerate(coeffs) if c})
 
 
 def _content_in(f: MPoly, vi: int) -> MPoly:

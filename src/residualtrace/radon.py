@@ -48,6 +48,9 @@ from .traces import TraceSequence
 # so only a `radon` followed by `pencil_projection` on one current shares work.
 _MEMO_SIZE = 8
 
+# The fiber variable of the chart, whatever the current's: no chart name is "y".
+_FIBER = "y"
+
 __all__ = [
     "LineChart",
     "RadonForm",
@@ -109,18 +112,19 @@ def _line_traces(current: ResidualCurrent, offsets: Sequence[MPoly], count: int)
     """Traces u_0 .. u_{count-1} of a current along the lines x_i = a_i y + offsets[i].
 
     The offsets share one variable tuple, which holds the slopes a_i of
-    `line_chart(n)` and ends with the current's fiber variable; the traces
-    live over that tuple without the fiber variable.  The substituted p keeps
-    a positive fiber degree: its top fiber coefficient is p's top-degree form
-    at (a, 1), which is nonzero.
+    `line_chart(n)` and ends with `_FIBER`, the image of the current's fiber
+    variable; the traces live over that tuple without `_FIBER`.  The
+    substituted p keeps a positive fiber degree: its top fiber coefficient is
+    p's top-degree form at (a, 1), which is nonzero.
     """
     variables = offsets[0].vars
-    y = MPoly.variable(variables, current.fiber)
+    y = MPoly.variable(variables, _FIBER)
     slopes = line_chart(current.n).a_names
     images = {x: MPoly.variable(variables, a) * y + b
               for x, a, b in zip(current.base_vars, slopes, offsets)}
+    images[current.fiber] = y
     return trace_stream(current.r.subs(variables, images),
-                        current.p.subs(variables, images), current.fiber, count)
+                        current.p.subs(variables, images), _FIBER, count)
 
 
 def radon(current: ResidualCurrent, k_max: int) -> list[RatFunc]:
@@ -138,7 +142,7 @@ def radon(current: ResidualCurrent, k_max: int) -> list[RatFunc]:
 @lru_cache(maxsize=_MEMO_SIZE)
 def _chart_traces(current: ResidualCurrent, k_max: int) -> tuple[RatFunc, ...]:
     chart = line_chart(current.n)
-    variables = chart.vars + (current.fiber,)
+    variables = chart.vars + (_FIBER,)
     offsets = [MPoly.variable(variables, b) for b in chart.b_names]
     return tuple(_line_traces(current, offsets, k_max + 1))
 
@@ -238,7 +242,7 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
     y0 = apex[n]
 
     # direct route: substitute x_i = a_i y + (x_i0 - a_i y0) and reduce
-    pencil_vars = chart.a_names + (current.fiber,)
+    pencil_vars = chart.a_names + (_FIBER,)
     direct = _line_traces(current, [
         MPoly.constant(pencil_vars, apex[i]) - MPoly.variable(pencil_vars, a).scale(y0)
         for i, a in enumerate(chart.a_names)], count)

@@ -38,11 +38,10 @@ an output coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
-from .algebra import MPoly, RatFunc, as_fraction, kernel_vector, solve_linear
-from .algebra.poly import _common_denominator, _div, _trusted
+from .algebra import MPoly, RatFunc, as_fraction, dense, kernel_vector, solve_linear
+from .algebra.poly import _div, _trusted
 from .currents import ResidualCurrent, ZeroCurrent
 from .errors import (
     ContinuationError,
@@ -270,39 +269,6 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
     )
 
 
-# ---- univariate series helpers (ascending integer lists) -----------------
-
-
-def _strip(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _cleared(poly: MPoly) -> tuple[list[int], int]:
-    """(coefficients of den * poly, den): den clears every denominator of poly."""
-    den, nums = _common_denominator(poly.terms)
-    out = [0] * (poly.degree() + 1)
-    for (k,), v in zip(poly.terms, nums):
-        out[k] = v
-    return out, den
-
-
-def _shift(f: list[int], a: int, b: int, e: int) -> list[int]:
-    """Coefficients of b^e f(a/b + t) in t, for e >= deg f: Horner on a + b t."""
-    if not f:
-        return []
-    n = len(f) - 1
-    scale = b ** (e - n)
-    h = [f[n] * scale]
-    for i in range(n - 1, -1, -1):
-        # h <- h (a + b t) + f_i b^(e - i)
-        h = [a * u + b * w for u, w in zip(h + [0], [0] + h)]
-        scale *= b
-        h[0] += f[i] * scale
-    return h
-
-
 def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
                     var: str = "x") -> RatFunc | None:
     """Rational function matching a Taylor sample within degree bounds, or None.
@@ -328,18 +294,15 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
     if big_l < m + nn + 2:
         raise DomainError(
             f"need at least {m + nn + 2} coefficients for bounds ({m}, {nn}), have {big_l}")
-    c = sample.coefficients
-    den = lcm(*[v.denominator for v in c])
-    c = [v.numerator * (den // v.denominator) for v in c]
+    den, c = dense.clear(sample.coefficients)
     rows = [[c[k - j] if k >= j else 0 for j in range(nn + 1)]
             for k in range(m + 1, m + nn + 1)]
     q = kernel_vector(rows, nn + 1)
     if q is None:
         # nn rows in nn + 1 unknowns always leave a kernel vector
         raise DomainError("degenerate linearization in the rationality test")
-    qd = lcm(*[v.denominator for v in q])
-    q = _strip([v.numerator * (qd // v.denominator) for v in q])
-    p = _strip([sum(map(mul, q, c[i::-1])) for i in range(m + 1)])
+    q = dense.strip(dense.clear(q)[1])
+    p = dense.strip([sum(map(mul, q, c[i::-1])) for i in range(m + 1)])
     if not p:
         if any(c):
             return None
@@ -357,7 +320,7 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
         e = len(f) - 1
         scale *= b ** e
         return _trusted((var,), {(k,): _div(v, scale)
-                                 for k, v in enumerate(_shift(f, a, b, e)) if v})
+                                 for k, v in enumerate(dense.shift(f, a, b, e)) if v})
 
     return RatFunc(poly(p, den * q[0]), poly(q, q[0]))
 
@@ -376,10 +339,10 @@ def sample_series(f: RatFunc, x0, count: int) -> SeriesSample:
     if count < 1:
         raise DomainError("count must be at least 1")
     x0 = as_fraction(x0)
-    (num, dn), (den, dd) = _cleared(f.num), _cleared(f.den)
+    (dn, num), (dd, den) = dense.from_terms(f.num.terms, 0), dense.from_terms(f.den.terms, 0)
     e = max(len(num), len(den)) - 1
-    p = _shift(num, x0.numerator, x0.denominator, e)
-    q = _shift(den, x0.numerator, x0.denominator, e)
+    p = dense.shift(num, x0.numerator, x0.denominator, e)
+    q = dense.shift(den, x0.numerator, x0.denominator, e)
     q0 = q[0]
     if q0 == 0:
         raise DomainError(f"base point {x0} lies on the polar set")

@@ -16,9 +16,9 @@ multiplies R by c instead of dividing den by it, so the loop is `MPoly`
 arithmetic with no gcd, and each sum is normalised once, as the
 `RatFunc` R_{d-1} / c^e.  When c = 1 (every monic p) the power stays 1.
 The first reduction is `mod_monic` and the coefficient lists come from
-`fiber_coefficients`; both live in `algebra.poly`, where the gcd and
-`currents.validate` use the same pseudo-division, and are re-exported
-here.  Each later step is `shift_mod_monic`.
+`fiber_coefficients`; both live in `algebra.poly`, where the multivariate
+gcd and `currents.validate` use the same pseudo-division, and are
+re-exported here.  Each later step is `shift_mod_monic`.
 
 Two numeric paths act as oracles for it: residues at numerically computed
 poles (companion-matrix roots) and trapezoidal contour quadrature of
@@ -32,7 +32,7 @@ from cmath import isfinite
 from operator import index
 from typing import Sequence
 
-from .algebra import MPoly, RatFunc, exact_div, poly_gcd
+from .algebra import MPoly, RatFunc, dense, exact_div, poly_gcd
 from .algebra.poly import fiber_coefficients, mod_monic
 from .errors import DomainError
 from .record import Record, _set
@@ -166,13 +166,6 @@ def _specialize(form: RationalForm1D, x_values: Sequence[complex]):
     return coeffs(nmap), coeffs(dmap)
 
 
-def _strip_trailing(c: list[complex], tol: float = 0.0) -> list[complex]:
-    out = list(c)
-    while len(out) > 1 and abs(out[-1]) <= tol:
-        out.pop()
-    return out
-
-
 def _horner(cs: list[complex], z: complex) -> complex:
     """The polynomial with ascending coefficients cs, evaluated at z."""
     acc = 0j
@@ -192,7 +185,7 @@ def pointwise_residues(form: RationalForm1D, x_values: Sequence[complex]):
     if form.den.degree(form.fiber) == 0:
         return []
     ncoeffs, dcoeffs = _specialize(form, x_values)
-    dcoeffs = _strip_trailing(dcoeffs)
+    dcoeffs = dense.strip(dcoeffs)
     d = len(dcoeffs) - 1
     if d < 1:
         raise DomainError("specialized denominator dropped degree")
@@ -213,16 +206,19 @@ def pointwise_residues(form: RationalForm1D, x_values: Sequence[complex]):
     return pairs
 
 
+def _default_circle(dcoeffs: list[complex], points: int = 256) -> ContourSpec:
+    """The circle of `default_contour` for stripped denominator coefficients."""
+    radius = 2.0 * (1.0 + max(abs(c / dcoeffs[-1]) for c in dcoeffs))
+    return ContourSpec(center=0j, radius=radius, points=points)
+
+
 def default_contour(form: RationalForm1D, x_values: Sequence[complex],
                     points: int = 256) -> ContourSpec:
     """Circle |y| = 2 (1 + max |monic coefficient|), enclosing every pole."""
-    _, dcoeffs = _specialize(form, x_values)
-    dcoeffs = _strip_trailing(dcoeffs)
-    if len(dcoeffs) < 2 or dcoeffs[-1] == 0:
+    dcoeffs = dense.strip(_specialize(form, x_values)[1])
+    if len(dcoeffs) < 2:
         raise DomainError("specialized denominator has no fiber poles")
-    lead = dcoeffs[-1]
-    radius = 2.0 * (1.0 + max(abs(c / lead) for c in dcoeffs))
-    return ContourSpec(center=0j, radius=radius, points=points)
+    return _default_circle(dcoeffs, points)
 
 
 def contour_oracle(form: RationalForm1D, x_values: Sequence[complex],
@@ -236,11 +232,11 @@ def contour_oracle(form: RationalForm1D, x_values: Sequence[complex],
     if form.den.degree(form.fiber) == 0:
         return 0j
     ncoeffs, dcoeffs = _specialize(form, x_values)
-    dstripped = _strip_trailing(dcoeffs)
-    if len(dstripped) < 2 or dstripped[-1] == 0:
+    dstripped = dense.strip(list(dcoeffs))
+    if len(dstripped) < 2:
         raise DomainError("specialized denominator dropped degree")
     if spec is None:
-        spec = default_contour(form, x_values)
+        spec = _default_circle(dstripped)
     import numpy as np
     roots = np.roots(dstripped[::-1])
     for z in roots:

@@ -197,6 +197,17 @@ def test_radon_with_closedness():
     assert payload["u_ab"][1]["num"]["terms"] == [{"coeff": "1", "exps": [1, 0]}]
 
 
+def test_radon_with_a_fiber_named_like_a_chart_variable():
+    # the fiber "a" is also the chart slope: same output as the fiber "y"
+    W = ("x", "a")
+    renamed = canonical_dumps(current_to_obj(validate(
+        MPoly.variable(W, "a") ** 2 - MPoly.variable(W, "x"), MPoly.constant(W, 1))))
+    args = ["radon", "--check-closedness"]
+    out = run_cli(args, renamed)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == run_cli(args, RUNNING_EXAMPLE).stdout
+
+
 def test_zero_current_has_no_trace_data():
     out = run_cli(["trace"], '{"n":1,"zero":true}')
     assert out.returncode == 1

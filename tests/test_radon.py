@@ -277,6 +277,34 @@ def test_is_radon_zero():
         is_radon_zero(c, -1)
 
 
+def _with_fiber(c, fiber):
+    variables = c.base_vars + (fiber,)
+    return validate(MPoly(variables, c.p.terms), MPoly(variables, c.r.terms))
+
+
+@pytest.mark.parametrize("n, fiber", [
+    (1, "y"), (1, "a"), (1, "b"), (2, "a1"), (2, "b2")])
+def test_fiber_named_like_a_chart_variable(n, fiber):
+    # the chart has a fiber variable of its own, so a current whose fiber
+    # shares a slope or offset name has the same chart and pencil traces
+    rng = Random(53 + n)
+    W = ("x1", "x2", "y")
+    first = (validate(Y * Y - X, MPoly.constant(V, 1)) if n == 1 else
+             validate(MPoly.variable(W, "y") ** 2 - MPoly.variable(W, "x1"),
+                      MPoly.variable(W, "x2")))
+    currents = [first] + [random_current(rng, n=n, max_degree=3 - n, coeff_degree=1)
+                          for _ in range(3)]
+    for c in currents:
+        renamed = _with_fiber(c, fiber)
+        k = 2 * c.degree + n
+        assert radon(renamed, k) == radon(c, k)
+        assert is_radon_zero(renamed, 1) == is_radon_zero(c, 1)
+        apex = (1, 5) if n == 1 else (1, 2, 5)
+        while c.p.eval_exact(dict(zip(c.p.vars, apex))) == 0:
+            apex = tuple(v + 1 for v in apex)
+        assert pencil_projection(renamed, apex) == pencil_projection(c, apex)
+
+
 def test_chart_traces_specialize_to_fiber_traces():
     # a = 0 freezes the line x = b; chart traces become plain traces in b.
     # This needs total degree <= fiber degree (true for products of affine
