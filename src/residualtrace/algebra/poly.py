@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd as _int_gcd
+from math import fsum, gcd as _int_gcd, nan
 from operator import index as _index
 from typing import Callable
 
@@ -341,8 +341,8 @@ class MPoly:
         db, nb = dense.clear(b.values())
         b_items = list(zip(b, nb))
         # A key is deleted when its sum cancels and re-inserted if it comes
-        # back: float evaluation sums terms in dict order, so that order is
-        # part of the result.
+        # back, so the terms keep the order of the plain pair loop; the
+        # term-order tests pin it.
         acc: dict[Exponents, int] = {}
         for ea, ca in zip(a, na):
             for eb, cb in b_items:
@@ -522,15 +522,20 @@ class MPoly:
         return total
 
     def eval_numeric(self, values: dict[str, complex]) -> complex:
+        """Value at a complex point, the same in any term order.
+
+        Each part is a correctly rounded `fsum`, or nan past the float range.
+        """
         point = [complex(values[v]) for v in self.vars]
-        total = 0j
+        real, imag = [], []
         for exps, c in self.terms.items():
             term = complex(c)
             for x, e in zip(point, exps):
                 if e:
                     term *= x ** e
-            total += term
-        return total
+            real.append(term.real)
+            imag.append(term.imag)
+        return complex(_fsum(real), _fsum(imag))
 
     # ---- calculus -----------------------------------------------------
 
@@ -606,6 +611,13 @@ class MPoly:
         return f"MPoly({self})"
 
 
+def _fsum(values: list[float]) -> float:
+    try:
+        return fsum(values)
+    except (OverflowError, ValueError):  # a finite sum past the float range, or inf - inf
+        return nan
+
+
 # ---- division ----------------------------------------------------------
 
 
@@ -617,7 +629,8 @@ def try_div(f: MPoly, g: MPoly) -> MPoly | None:
     if f.is_zero():
         return f
     if g.is_constant():
-        return f.scale(1 / g.constant_value())
+        c = g.constant_value()
+        return f if c == 1 else f.scale(1 / c)
     gterms = g.terms
     ge = max(gterms, key=grlex_key)
     gc = gterms[ge]

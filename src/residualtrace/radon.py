@@ -24,7 +24,8 @@ degree agree (products of affine roots, for instance).
 
 Chart traces are memoised: `radon` keeps the traces of its last 8
 (current, k_max) keys, equal currents sharing a key, in a
-`functools.lru_cache`.  A caller that transforms a current and then
+`functools.lru_cache`, as `traces` memoises fiber traces, with the same
+bound and typed keys.  A caller that transforms a current and then
 projects it to a pencil therefore pays for the chart traces once.  The
 bound is far below the size of any batch of currents, so nothing else is
 reused.  The memo holds tuples, and `radon` returns a fresh list on every
@@ -42,11 +43,7 @@ from .currents import ResidualCurrent, ZeroCurrent
 from .errors import DomainError
 from .record import Record, _set
 from .residues import trace_stream
-from .traces import TraceSequence
-
-# Entries of the chart-trace memo: far fewer than the currents of any batch,
-# so only a `radon` followed by `pencil_projection` on one current shares work.
-_MEMO_SIZE = 8
+from .traces import _MEMO_SIZE, TraceSequence
 
 # The fiber variable of the chart, whatever the current's: no chart name is "y".
 _FIBER = "y"
@@ -139,7 +136,7 @@ def radon(current: ResidualCurrent, k_max: int) -> list[RatFunc]:
     return list(_chart_traces(current, k_max))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _chart_traces(current: ResidualCurrent, k_max: int) -> tuple[RatFunc, ...]:
     chart = line_chart(current.n)
     variables = chart.vars + (_FIBER,)

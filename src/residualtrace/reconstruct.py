@@ -208,7 +208,10 @@ def detect_degree(t: TraceSequence, d_max: int) -> int:
 def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
     """Rebuild the current whose first len(t) traces are t.
 
-    On success `traces(report.current, len(t))` equals t entry for entry.
+    On success `traces(report.current, len(t))` equals t entry for entry:
+    the rebuilt current is traced again through the fiber-trace memo of
+    `traces`, so after `traces(c, len(t))` the check is a lookup when the
+    rebuilt current equals c, and any other current is traced in full.
     The pair is canonical by construction, so it is not re-validated: p is
     monic of degree d, deg_y r < d, and r != 0 (else u_0 .. u_{d-1} and so
     all of t would vanish).  A common fiber factor of degree e >= 1 would

@@ -6,9 +6,22 @@ monic of fiber degree d, the sequence obeys the depth-d linear recurrence
 whose coefficients are p's own fiber coefficients:
 
     u_{k+d} + a_1 u_{k+d-1} + ... + a_d u_k = 0,   p = y^d + a_1 y^{d-1} + ... + a_d.
+
+Fiber traces are memoised: `traces` keeps the entries of its last 8
+(current, count) keys, equal currents sharing a key, in a
+`functools.lru_cache`.  The cache is typed, so a count of 3.0 is refused
+as it is when cold, not answered from the entry for 3.  `reconstruct`
+certifies its answer by tracing the rebuilt current again, so after
+`traces(c, m)` that check is a lookup whenever the rebuilt current equals
+c; a wrong one is a different key and is traced in full.  The bound is far
+below the size of any batch of currents, so nothing else is reused.  The
+memo holds tuples, and `traces` wraps them in a fresh `TraceSequence` on
+every call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .algebra import FracMatrix, RatFunc, clear_denominators
 from .currents import ResidualCurrent
@@ -17,6 +30,11 @@ from .record import Record, _set
 from .residues import fiber_coefficients, trace_stream
 
 __all__ = ["TraceSequence", "traces", "recurrence_failures", "recurrence_check", "hankel"]
+
+# Entries of the fiber-trace memo, and of `radon`'s chart-trace memo: far
+# fewer than the currents of any batch, so only a trace followed by a check
+# on the same current shares work.
+_MEMO_SIZE = 8
 
 
 class TraceSequence(Record):
@@ -51,12 +69,17 @@ def traces(current: ResidualCurrent, count: int) -> TraceSequence:
     """First `count` traces of a current, computed by incremental reduction.
 
     Each step multiplies the reduced numerator by y modulo p and reads off
-    the top coefficient, so the cost is linear in `count`.
+    the top coefficient, so the cost is linear in `count`.  The entries
+    come from the fiber-trace memo (see the module docstring).
     """
     if count < 1:
         raise DomainError("count must be at least 1")
-    out = trace_stream(current.r, current.p, current.fiber, count)
-    return TraceSequence(entries=tuple(out), source_degree=current.degree)
+    return TraceSequence(entries=_fiber_traces(current, count), source_degree=current.degree)
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _fiber_traces(current: ResidualCurrent, count: int) -> tuple[RatFunc, ...]:
+    return tuple(trace_stream(current.r, current.p, current.fiber, count))
 
 
 def recurrence_failures(t: TraceSequence, a):

@@ -7,8 +7,8 @@ deg_y r >= d (validate and poly_gcd).  Every result, or the type and
 message of the error raised, is written as canonical JSON.  Canonical JSON
 sorts terms, so every output polynomial (traces, chart and pencil entries,
 reconstructed, continued and validated currents, gcds) also carries its raw
-term dict order, which `MPoly.eval_numeric` sums in.  A refactor that must
-keep the outputs byte-identical keeps the digest.
+term dict order, which the kernels keep.  A refactor that must keep the
+outputs byte-identical keeps the digest.
 """
 
 import hashlib

@@ -1,5 +1,6 @@
 """Exact polynomial layer: arithmetic, division, gcd, normal forms."""
 
+import math
 import re
 from fractions import Fraction
 from random import Random
@@ -167,6 +168,15 @@ def test_eval_paths_agree():
     approx = p.eval_numeric({k: complex(v) for k, v in vals.items()})
     assert exact == Fraction(-17, 2)
     assert abs(approx - complex(exact)) < 1e-12
+
+
+def test_eval_numeric_past_the_float_range_is_nan():
+    # fsum raises on inf - inf and on a finite sum that overflows
+    w = ("x", "y", "z")
+    x, y, z = (MPoly.variable(w, v) for v in w)
+    far = {"x": 1e200, "y": 1e200, "z": 1}
+    assert math.isnan((x * y - x * y * z).eval_numeric(far).real)
+    assert math.isnan((x + y).eval_numeric({"x": 1e308, "y": 1e308, "z": 0}).real)
 
 
 def test_derivative_and_antiderivative():

@@ -96,8 +96,7 @@ def test_mul_matches_sympy(p, q):
 @SETTINGS
 @given(polys, polys)
 def test_mul_keeps_fraction_loop_term_order(p, q):
-    # Float evaluation sums terms in dict order, so the order is part of
-    # what the kernel must reproduce.
+    # The kernel keeps the term order of the plain loop it replaced.
     ref = reference_product(p.terms, q.terms)
     assert list((p * q).terms.items()) == list(ref.items())
 

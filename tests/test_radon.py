@@ -211,8 +211,6 @@ def test_pencil_projection_fires_on_corrupted_chart_route(monkeypatch):
 
 
 def test_radon_returns_a_fresh_list_on_every_call():
-    module = importlib.import_module("residualtrace.radon")
-    module._chart_traces.cache_clear()
     c = validate(Y * Y + X * Y - 1, MPoly.constant(V, 1))
     apex = (3, 1)
     count = 2 * c.degree + 2
@@ -231,7 +229,6 @@ def test_radon_returns_a_fresh_list_on_every_call():
 
 def test_pencil_after_radon_traces_the_chart_once(monkeypatch):
     module = importlib.import_module("residualtrace.radon")
-    module._chart_traces.cache_clear()
     honest = module._line_traces
     seen = []
 

@@ -26,6 +26,7 @@ from residualtrace.reconstruct import (
 from residualtrace.residues import trace_stream
 from residualtrace.sampling import random_current
 from residualtrace.traces import TraceSequence, hankel, traces
+from residualtrace.verify import check_roundtrip
 
 V = ("x", "y")
 X = MPoly.variable(V, "x")
@@ -209,6 +210,26 @@ def test_reconstruct_reproduces_traces():
         report = reconstruct(t, c.degree)
         assert report.current == c
         assert traces(report.current, len(t)).entries == t.entries
+
+
+def test_roundtrip_traces_each_current_once(trace_streams):
+    # reconstruct's self-check finds the traces the roundtrip just computed
+    report = check_roundtrip(1729, 40)
+    assert report["pass"]
+    assert len(trace_streams) == report["instances"] == 40
+
+
+def test_wrong_reconstruction_misses_the_memo(monkeypatch, trace_streams):
+    c = validate(Y * Y + X * Y - 1, Y.scale(2) + X.scale(3))
+    t = traces(c, 2 * c.degree + 2)  # warms the memo
+    # the package attribute `reconstruct` is the function, not the module
+    module = importlib.import_module("residualtrace.reconstruct")
+    honest = module.ResidualCurrent
+    monkeypatch.setattr(module, "ResidualCurrent", lambda p, r: honest(p=p, r=r + 1))
+    with pytest.raises(DomainError, match="does not reproduce"):
+        reconstruct(t, c.degree)
+    # the rebuilt current is off by one, so it is traced in full
+    assert [(p, r) for p, r, _ in trace_streams] == [(c.p, c.r), (c.p, c.r + 1)]
 
 
 def test_reconstruct_picks_a_fresh_fiber_name():

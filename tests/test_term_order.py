@@ -1,9 +1,10 @@
 """Term dict order of MPoly kernels against per-term reference loops.
 
-`eval_numeric` sums terms in dict order, so the order a kernel leaves its
-terms in is part of its result; the golden digest hashes sorted JSON and
-cannot see it.  The references below are the plain loops the kernels
-replaced, on raw term dicts: a product accumulates pair by pair, deleting a
+The kernels keep the term order of the plain loops they replaced, and
+these tests pin it; the golden digest hashes sorted JSON and cannot see
+it.  `eval_numeric` sums with `fsum`, so no float result depends on it.
+The references below are the plain loops the kernels replaced, on raw
+term dicts: a product accumulates pair by pair, deleting a
 key whose sum cancels and re-inserting it at the end if it comes back; a
 sum keeps one side's order and appends the other's new terms; a quotient
 takes grlex leading terms off a remainder dict; a substitution adds, term
@@ -235,6 +236,35 @@ def substitutions(draw):
 def test_substitution_order(case):
     p, variables, images = case
     assert raw(p.subs(variables, images).terms) == raw(ref_subs(p, variables, images))
+
+
+def test_quotient_by_one_is_the_dividend():
+    # the constant divisor 1 returns f itself: same values, types and order
+    v = ("x", "y")
+    f = MPoly(v, [((0, 1), Fraction(1, 2)), ((2, 0), 3), ((1, 1), Fraction(-5, 3)), ((0, 0), 1)])
+    one = MPoly.constant(v, 1)
+    assert try_div(f, one) is f
+    assert raw(try_div(f, one).terms) == raw(ref_try_div(f.terms, one.terms))
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+points = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeffs, max_size=12)
+                        .map(lambda t: MPoly(NAMES[:n], t)),
+                        st.lists(points, min_size=n, max_size=n))))
+def test_eval_numeric_ignores_term_order(case):
+    p, point = case
+    values = dict(zip(p.vars, point))
+    reversed_p = MPoly(p.vars, dict(reversed(p.terms.items())))
+    assert reversed_p == p and list(reversed_p.terms) == list(reversed(p.terms))
+    assert bits(reversed_p.eval_numeric(values)) == bits(p.eval_numeric(values))
 
 
 def test_product_that_cancels_and_reinserts():

@@ -1,5 +1,6 @@
 """Trace sequences, the depth-d recurrence, and Hankel matrices."""
 
+import importlib
 from fractions import Fraction
 from random import Random
 
@@ -8,7 +9,8 @@ import pytest
 from residualtrace.algebra import MPoly, RatFunc, determinant
 from residualtrace.currents import validate
 from residualtrace.errors import DomainError
-from residualtrace.residues import RationalForm1D, pointwise_residues
+from residualtrace.radon import radon
+from residualtrace.residues import RationalForm1D, pointwise_residues, trace_stream
 from residualtrace.sampling import random_current, random_rational_point
 from residualtrace.traces import TraceSequence, hankel, recurrence_check, traces
 
@@ -161,3 +163,39 @@ def test_traces_match_pointwise_pole_sums():
             direct = sum(res * pole ** k for pole, res in pairs)
             assert abs(direct - e.eval_numeric(assign)) < 1e-8
         checked += 1
+
+
+def test_equal_current_built_anew_is_traced_once(trace_streams):
+    first = traces(validate(Y * Y + X * Y - 1, Y.scale(2) + X.scale(3)), 6)
+    again = traces(validate(Y * Y + X * Y - 1, Y.scale(2) + X.scale(3)), 6)
+    assert again == first
+    assert len(trace_streams) == 1
+    # another count is another key
+    traces(validate(Y * Y + X * Y - 1, Y.scale(2) + X.scale(3)), 5)
+    assert len(trace_streams) == 2
+
+
+def test_traces_returns_a_fresh_record_equal_to_a_cold_run():
+    c = validate(Y * Y + X * Y - 1, Y.scale(2) + X.scale(3))
+    cold = TraceSequence(entries=tuple(trace_stream(c.r, c.p, c.fiber, 6)), source_degree=2)
+    first = traces(c, 6)
+    again = traces(c, 6)
+    assert first == again == cold
+    assert first is not again
+    assert again.source_degree == c.degree
+
+
+def test_a_float_count_is_refused_warm_or_cold():
+    c = validate(Y * Y - X, MPoly.constant(V, 1))
+    traces(c, 3)
+    with pytest.raises(TypeError):
+        traces(c, 3.0)
+    radon(c, 3)
+    with pytest.raises(TypeError):
+        radon(c, 3.0)
+
+
+def test_fiber_memo_is_small():
+    module = importlib.import_module("residualtrace.traces")
+    maxsize = module._fiber_traces.cache_info().maxsize
+    assert maxsize is not None and 1 <= maxsize <= 16
