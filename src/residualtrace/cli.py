@@ -36,12 +36,15 @@ def _read(path: str) -> str:
         raise SchemaError("input", f"cannot read {path}: {exc.strerror}") from None
 
 
-def _write(path: str | None, text: str):
+def _write(path: str | None, text: str, flag: str = "output"):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SchemaError(flag, f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_current(path: str):
@@ -59,6 +62,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if args.report == "-" and args.output in (None, "-"):
+        raise SchemaError("report", "--report - needs -o FILE: stdout carries one document")
     t = jsonio.traces_from_obj(jsonio.loads(_read(args.input), "traces"), "traces")
     d_max = args.dmax if args.dmax is not None else max(1, len(t) // 2)
     report = reconstruct(t, d_max)
@@ -66,14 +71,13 @@ def cmd_reconstruct(args) -> int:
         raise DomainError(
             "recurrence or numerator coefficients are not polynomial; "
             "no current within this model reproduces the traces")
-    _write(args.output, jsonio.canonical_dumps(jsonio.current_to_obj(report.current)))
+    text = jsonio.canonical_dumps(jsonio.current_to_obj(report.current))
+    # the report goes first, so a report that cannot be written leaves stdout empty
     if args.report:
-        payload = {
-            "degree": report.degree,
-            "residual_violations": report.residual_violations,
-            "meromorphic_coefficients": report.meromorphic_coefficients,
-        }
-        _write(args.report, jsonio.canonical_dumps(payload))
+        _write(args.report, jsonio.canonical_dumps({
+            name: getattr(report, name)
+            for name in ("degree", "residual_violations", "meromorphic_coefficients")}), "report")
+    _write(args.output, text)
     return 0
 
 

@@ -2,7 +2,7 @@
 
 The inverse direction of the trace map: given u_0 .. u_m, find the minimal
 fiber degree d whose Hankel system is solvable and whose recurrence
-annihilates every available entry, then rebuild p from the recurrence
+annihilates every available entry, with p built from the recurrence
 coefficients and r from the triangular relation
 
     r = y^{d-1} u_0 + y^{d-2} (u_1 + a_1 u_0) + ... ,
@@ -15,8 +15,9 @@ the Hankel matrix H_d(x0) is invertible mod p, det H_d is nonzero and its
 exact solution is defined at x0, where it reduces to the mod-p solution;
 so a window of the recurrence that fails mod p fails exactly, and d is
 rejected.  When H_d(x0) is singular mod p nothing is known, and the exact
-solve and recurrence check decide as they would without the filter.  A
-degree is only ever accepted by the exact solve plus the exact check.
+solve and one exact certificate decide: the traces of the rebuilt (p, r)
+equal the input, or, for coefficients off the polynomial ring, the
+recurrence holds on every window.
 
 Series-sampled traces go through a rationality test first: a kernel-based
 Pade candidate p / q within prescribed numerator and denominator degree
@@ -174,44 +175,78 @@ def _modular_failures(t: TraceSequence, top: int) -> list[int | None]:
     return out
 
 
+def _candidate(t: TraceSequence, a: list[RatFunc]):
+    """r's coefficients r_j = sum_{i<=j} a_i u_{j-i} (a_0 = 1) of y^{d-1-j}, and (p, r).
+
+    The pair is None when a coefficient is not polynomial: no current has them.
+    """
+    d = len(a)
+    r_coeffs = tuple(sum((a[i - 1] * t[j - i] for i in range(1, j + 1)), t[j]) for j in range(d))
+    if any(not c.is_polynomial() for c in (*a, *r_coeffs)):
+        return r_coeffs, None
+    fiber = "y"
+    while fiber in t.vars:
+        fiber += "_"
+    variables = t.vars + (fiber,)
+
+    def pieces(coeffs):  # coeffs[j] multiplies fiber^(d - 1 - j)
+        return {d - 1 - j: c.as_poly().extend(variables) for j, c in enumerate(coeffs)}
+
+    p = MPoly.from_univariate(variables, fiber, {d: MPoly.constant(variables, 1), **pieces(a)})
+    r = MPoly.from_univariate(variables, fiber, pieces(r_coeffs))
+    return r_coeffs, ResidualCurrent(p=p, r=r)
+
+
 def _detect(t: TraceSequence, d_max: int):
+    """(d, a, r_coeffs, current) for the minimal d whose candidate reproduces t.
+
+    The traces of a polynomial candidate agree with t on u_0 .. u_{2d-1} and
+    obey its recurrence, so they equal t iff the recurrence holds on every
+    window, and the first index j where they differ is window j - d.  A
+    candidate off the polynomial ring (current None) is checked window by
+    window with `recurrence_failures`.
+    """
     if d_max < 1:
         raise DomainError("d_max must be at least 1")
     if t.is_zero():
-        return 0, []
+        return 0, [], (), None
     top = min(d_max, len(t) // 2)
     # outcomes[d - 1]: a window where the depth-d recurrence fails, None if singular
     outcomes = _modular_failures(t, top)
     for d in range(1, top + 1):
         if outcomes[d - 1] is not None:
             continue
-        h = hankel(t, d)
-        rhs = [-t[d + i] for i in range(d)]
         try:
-            sol = solve_linear(h, rhs)
+            sol = solve_linear(hankel(t, d), [-t[d + i] for i in range(d)])
         except SingularSystemError:
             continue
         # sol[j] = a_{d-j}, so the recurrence reads u_{k+d} + sum_j sol[j] u_{k+j} = 0
-        k = next(recurrence_failures(t, sol), None)
+        a = sol[::-1]
+        r_coeffs, current = _candidate(t, a)
+        if current is None:
+            k = next(recurrence_failures(t, sol), None)
+        else:
+            rebuilt = traces(current, len(t)).entries
+            k = None if rebuilt == t.entries else next(
+                j - d for j, (u, v) in enumerate(zip(rebuilt, t.entries)) if u != v)
         if k is None:
-            return d, [sol[d - i] for i in range(1, d + 1)]
+            return d, a, r_coeffs, current
         outcomes[d - 1] = k
     raise DegreeDetectionError(tuple(outcomes))
 
 
 def detect_degree(t: TraceSequence, d_max: int) -> int:
     """Minimal fiber degree whose recurrence annihilates all of t; 0 for zero t."""
-    d, _ = _detect(t, d_max)
-    return d
+    return _detect(t, d_max)[0]
 
 
 def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
     """Rebuild the current whose first len(t) traces are t.
 
     On success `traces(report.current, len(t))` equals t entry for entry:
-    the rebuilt current is traced again through the fiber-trace memo of
-    `traces`, so after `traces(c, len(t))` the check is a lookup when the
-    rebuilt current equals c, and any other current is traced in full.
+    that equality is the certificate on which `_detect` accepts d.  It goes
+    through the fiber-trace memo of `traces`, so after `traces(c, len(t))`
+    it is a lookup when the rebuilt current equals c.
     The pair is canonical by construction, so it is not re-validated: p is
     monic of degree d, deg_y r < d, and r != 0 (else u_0 .. u_{d-1} and so
     all of t would vanish).  A common fiber factor of degree e >= 1 would
@@ -224,52 +259,14 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
     """
     if not t.vars:
         raise DomainError("a current needs at least one base variable and one fiber variable")
-    d, a = _detect(t, d_max)
-    n = len(t.vars)
+    d, a, r_coeffs, current = _detect(t, d_max)
     if d == 0:
-        return ReconstructionReport(degree=0, current=ZeroCurrent(n), residual_violations=0)
-    r_coeffs = []
-    for j in range(d):
-        acc = t[j]
-        for i in range(1, j + 1):
-            acc = acc + a[i - 1] * t[j - i]
-        r_coeffs.append(acc)  # coefficient of y^{d-1-j}
-    den_coeffs = tuple(a)
-    num_coeffs = tuple(r_coeffs)
-    meromorphic = any(not c.is_polynomial() for c in den_coeffs + num_coeffs)
-    if meromorphic:
-        return ReconstructionReport(
-            degree=d,
-            current=None,
-            residual_violations=0,
-            meromorphic_coefficients=True,
-            denominator_coefficients=den_coeffs,
-            numerator_coefficients=num_coeffs,
-        )
-    fiber = "y"
-    while fiber in t.vars:
-        fiber += "_"
-    variables = t.vars + (fiber,)
-    p_pieces = {d: MPoly.constant(variables, 1)}
-    for i, ai in enumerate(a, start=1):
-        if not ai.is_zero():
-            p_pieces[d - i] = ai.as_poly().extend(variables)
-    r_pieces = {}
-    for j, c in enumerate(r_coeffs):
-        if not c.is_zero():
-            r_pieces[d - 1 - j] = c.as_poly().extend(variables)
-    p = MPoly.from_univariate(variables, fiber, p_pieces)
-    r = MPoly.from_univariate(variables, fiber, r_pieces)
-    current = ResidualCurrent(p=p, r=r)
-    if traces(current, len(t)).entries != t.entries:
-        raise DomainError("reconstructed current does not reproduce the input traces")
+        return ReconstructionReport(degree=0, current=ZeroCurrent(len(t.vars)),
+                                    residual_violations=0)
     return ReconstructionReport(
-        degree=d,
-        current=current,
-        residual_violations=0,
-        denominator_coefficients=den_coeffs,
-        numerator_coefficients=num_coeffs,
-    )
+        degree=d, current=current, residual_violations=0,
+        meromorphic_coefficients=current is None,
+        denominator_coefficients=tuple(a), numerator_coefficients=r_coeffs)
 
 
 def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,

@@ -11,12 +11,11 @@ Fiber traces are memoised: `traces` keeps the entries of its last 8
 (current, count) keys, equal currents sharing a key, in a
 `functools.lru_cache`.  The cache is typed, so a count of 3.0 is refused
 as it is when cold, not answered from the entry for 3.  `reconstruct`
-certifies its answer by tracing the rebuilt current again, so after
-`traces(c, m)` that check is a lookup whenever the rebuilt current equals
-c; a wrong one is a different key and is traced in full.  The bound is far
-below the size of any batch of currents, so nothing else is reused.  The
-memo holds tuples, and `traces` wraps them in a fresh `TraceSequence` on
-every call.
+accepts a degree only when the rebuilt current's traces equal its input:
+after `traces(c, m)` that is a lookup whenever the rebuilt current equals
+c, and any other candidate is traced in full.  The bound is far below the
+size of any batch of currents, so nothing else is reused.  The memo holds
+tuples, and `traces` wraps them in a fresh `TraceSequence` on every call.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ import pytest
 from residualtrace.algebra import MPoly
 from residualtrace.currents import validate
 from residualtrace.errors import FLAG_LIMIT, DomainError
-from residualtrace.jsonio import canonical_dumps, current_to_obj
+from residualtrace.jsonio import canonical_dumps, current_to_obj, traces_to_obj
+from residualtrace.traces import traces
 
 V = ("x", "y")
 X = MPoly.variable(V, "x")
@@ -19,6 +20,10 @@ Y = MPoly.variable(V, "y")
 
 RUNNING_EXAMPLE = canonical_dumps(
     current_to_obj(validate(Y * Y - X, MPoly.constant(V, 1))))
+# its traces u_0 .. u_5, and the README's series of u_0 .. u_3 at x0 = 1
+TRACED = canonical_dumps(traces_to_obj(traces(validate(Y * Y - X, MPoly.constant(V, 1)), 6)))
+SERIES = json.dumps({"series": [{"x0": "1", "coeffs": c + ["0"] * (8 - len(c))}
+                                for c in (["0"], ["1"], ["0"], ["1", "1"])]})
 
 
 def run_cli(args, stdin_text=""):
@@ -149,6 +154,59 @@ def test_reconstruct_writes_report(tmp_path):
     report = json.loads(report_path.read_text())
     assert report == {
         "degree": 2, "meromorphic_coefficients": False, "residual_violations": 0}
+
+
+def run_main(args, stdin_text, monkeypatch, capsys):
+    """`cli.main` in-process: (exit code, stdout, stderr)."""
+    from residualtrace.cli import main
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    code = main(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("output", [[], ["-o", "-"]])
+def test_reconstruct_report_and_current_cannot_share_stdout(output, monkeypatch, capsys):
+    # two documents on stdout would break the one-canonical-document contract
+    code, out, err = run_main(["reconstruct", "--report", "-", *output], TRACED,
+                              monkeypatch, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: report: ") and "--report" in err
+
+
+def test_reconstruct_report_alone_on_stdout(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "current.json"
+    code, out, _ = run_main(["reconstruct", "--report", "-", "-o", str(target)], TRACED,
+                            monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out) == {
+        "degree": 2, "meromorphic_coefficients": False, "residual_violations": 0}
+    assert target.read_text() == RUNNING_EXAMPLE
+
+
+@pytest.mark.parametrize("args, stdin_text", [
+    pytest.param(["trace"], RUNNING_EXAMPLE, id="trace"),
+    pytest.param(["radon"], RUNNING_EXAMPLE, id="radon"),
+    pytest.param(["reconstruct"], TRACED, id="reconstruct"),
+    pytest.param(["continue", "--num-deg", "2", "--den-deg", "0"], SERIES, id="continue"),
+])
+def test_unwritable_output_exits_2_naming_the_flag(args, stdin_text, tmp_path, monkeypatch,
+                                                   capsys):
+    missing = str(tmp_path / "missing" / "x.json")
+    code, out, err = run_main([*args, "-o", missing], stdin_text, monkeypatch, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: output: cannot write {missing}: ")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_report_exits_2_with_stdout_empty(tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "missing" / "x.json")
+    code, out, err = run_main(["reconstruct", "--report", missing], TRACED, monkeypatch, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: report: cannot write {missing}: ")
 
 
 def test_reconstruct_meromorphic_exits_1():

@@ -1,11 +1,13 @@
 """Hostile documents through the command line, in-process.
 
-One field of the README running example at a time is replaced by a hostile
-value: each value of a fixed list in each field, then drawn JSON values.
-Whatever the value, `main` must return 0, 1 or 2 without raising, and
-stdout must be empty or exactly one canonical JSON document.  Integers are
-small or far past `FLAG_LIMIT`, so an accepted document stays a small
-current and no case starts unbounded work.
+One field of a README document at a time is replaced by a hostile value:
+each value of a fixed list in each field, then drawn JSON values.  The
+documents are the running example's current (for `trace` and `radon`),
+its traces u_0 .. u_3 (for `reconstruct`) and the series batch of the
+`continue` example.  Whatever the value, `main` must return 0, 1 or 2
+without raising, and stdout must be empty or exactly one canonical JSON
+document.  Integers are small or far past `FLAG_LIMIT`, so an accepted
+document stays small and no case starts unbounded work.
 """
 
 import contextlib
@@ -32,6 +34,26 @@ EXAMPLE = {
     "r": {"vars": ["x", "y"], "terms": [{"coeff": "1", "exps": [0, 0]}]},
 }
 COMMANDS = (["trace"], ["trace", "--count", "3"], ["radon", "--check-closedness"])
+
+
+def _ratfunc(num_terms):
+    return {"num": {"vars": ["x"], "terms": num_terms},
+            "den": {"vars": ["x"], "terms": [{"coeff": "1", "exps": [0]}]}}
+
+
+# u_0 .. u_3 = 0, 1, 0, x, and the series of 0, 1, 0, 1 + t at x0 = 1 (five
+# coefficients each, one more than the bounds (2, 0) need)
+TRACES = {"u": [_ratfunc([]), _ratfunc([{"coeff": "1", "exps": [0]}]),
+                _ratfunc([]), _ratfunc([{"coeff": "1", "exps": [1]}])]}
+SERIES = {"series": [{"x0": "1", "coeffs": c + ["0"] * (5 - len(c))}
+                     for c in (["0"], ["1"], ["0"], ["1", "1"])]}
+# each document with its subcommands, as (document, commands); the listed
+# values run under the first command only, which keeps the test near 5 s
+OTHER_DOCUMENTS = {
+    "traces": (TRACES, (["reconstruct"], ["reconstruct", "--dmax", "1"])),
+    "series": (SERIES, (["continue", "--num-deg", "2", "--den-deg", "0"],
+                        ["continue", "--num-deg", "2", "--den-deg", "0", "--dmax", "1"])),
+}
 
 
 def paths(node, prefix=()):
@@ -113,3 +135,34 @@ def test_the_example_itself_passes():
     for args in COMMANDS:
         code, out, _ = run(args, json.dumps(EXAMPLE))
         assert code == 0 and out == canonical_dumps(json.loads(out))
+
+
+@pytest.mark.parametrize("kind", OTHER_DOCUMENTS)
+def test_each_listed_value_in_each_field_of(kind):
+    doc, (args, _) = OTHER_DOCUMENTS[kind]
+    for path in paths(doc):
+        for value in HOSTILE:
+            check(args, replaced(doc, path, value))
+
+
+@pytest.mark.parametrize("kind", OTHER_DOCUMENTS)
+def test_any_json_value_in_one_field_of(kind):
+    doc, commands = OTHER_DOCUMENTS[kind]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(list(paths(doc))), json_values, st.sampled_from(commands))
+    def one_field(path, value, args):
+        check(args, replaced(doc, path, value))
+
+    one_field()
+
+
+@pytest.mark.parametrize("kind, count", [("traces", 61), ("series", 33)])
+def test_the_other_documents_pass_unless_d_max_is_1(kind, count):
+    # the example has fiber degree 2; at d_max = 1, H_1 = [u_0] = [0] is singular
+    doc, (args, capped) = OTHER_DOCUMENTS[kind]
+    assert len(list(paths(doc))) == count
+    code, out, _ = run(args, json.dumps(doc))
+    assert code == 0 and out == canonical_dumps(json.loads(out))
+    code, out, err = run(capped, json.dumps(doc))
+    assert (code, out) == (1, "") and "d=1 singular" in err

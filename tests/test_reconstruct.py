@@ -15,6 +15,7 @@ from residualtrace.errors import (
     SingularSystemError,
 )
 from residualtrace.reconstruct import (
+    ReconstructionReport,
     SeriesSample,
     _detect,
     continue_current,
@@ -103,7 +104,10 @@ def exact_detect(t, d_max):
 def assert_detect_matches_exact(t, d_max):
     d, a, outcomes = exact_detect(t, d_max)
     if d is not None:
-        assert _detect(t, d_max) == (d, a)
+        got_d, got_a, _, candidate = _detect(t, d_max)
+        assert (got_d, got_a) == (d, a)
+        if candidate is not None:
+            assert traces(candidate, len(t)).entries == t.entries
         return
     with pytest.raises(DegreeDetectionError) as exc:
         _detect(t, d_max)
@@ -174,6 +178,19 @@ def test_detect_modular_fallback(monkeypatch, u0, solves):
     assert len(calls) == solves
 
 
+def test_polynomial_candidate_rejected_by_its_traces(trace_streams):
+    # u_k = 2^k (x - 101) for k < 3 vanishes at the filter's first point, so
+    # H_1(x0) is singular there; the exact solve gives the polynomial
+    # candidate p = y - 2, r = x - 101, whose u_3 differs from t's
+    t = seq(XR - 101, 2 * XR - 202, 4 * XR - 404, 8 * XR - 807)
+    with pytest.raises(DegreeDetectionError) as exc:
+        detect_degree(t, 2)
+    # index 3 is the first that differs, so window 3 - d = 2 fails; H_2 is singular
+    assert exc.value.outcomes == (2, None)
+    assert trace_streams == [(Y - 2, X - 101, 4)]
+    assert_detect_matches_exact(t, 2)
+
+
 def test_reconstruct_running_example():
     t = TraceSequence(entries=(RatFunc.zero(B), RatFunc.one(B), RatFunc.zero(B), XR))
     report = reconstruct(t, 2)
@@ -212,11 +229,43 @@ def test_reconstruct_reproduces_traces():
         assert traces(report.current, len(t)).entries == t.entries
 
 
-def test_roundtrip_traces_each_current_once(trace_streams):
-    # reconstruct's self-check finds the traces the roundtrip just computed
+@pytest.fixture
+def recurrence_checks(monkeypatch) -> list:
+    """Each coefficient list `recurrence_failures` runs with from now, in any module."""
+    checks = []
+    for name in ("residualtrace.reconstruct", "residualtrace.traces"):
+        module = importlib.import_module(name)
+        honest = module.recurrence_failures
+
+        def counting(t, a, honest=honest):
+            checks.append(list(a))
+            return honest(t, a)
+
+        monkeypatch.setattr(module, "recurrence_failures", counting)
+    return checks
+
+
+def test_roundtrip_traces_each_current_once(trace_streams, recurrence_checks):
+    # the acceptance test finds the traces the roundtrip just computed
     report = check_roundtrip(1729, 40)
     assert report["pass"]
     assert len(trace_streams) == report["instances"] == 40
+    # trace equality is the only certificate of a polynomial candidate
+    assert recurrence_checks == []
+
+
+def test_meromorphic_candidate_is_checked_window_by_window(trace_streams, recurrence_checks):
+    # the running example's traces over (x + 2)^k: p = y^2 - x / (x + 2)^2
+    c = validate(Y * Y - X, MPoly.constant(V, 1))
+    q = XB + 2
+    t = with_denominators(traces(c, 6), q)
+    del trace_streams[:]
+    report = reconstruct(t, 2)
+    assert len(recurrence_checks) == 1 and trace_streams == []
+    assert report == ReconstructionReport(
+        degree=2, current=None, residual_violations=0, meromorphic_coefficients=True,
+        denominator_coefficients=(RatFunc.zero(B), -XR / RatFunc(q * q)),
+        numerator_coefficients=(RatFunc.zero(B), RatFunc.one(B) / RatFunc(q)))
 
 
 def test_wrong_reconstruction_misses_the_memo(monkeypatch, trace_streams):
@@ -226,10 +275,12 @@ def test_wrong_reconstruction_misses_the_memo(monkeypatch, trace_streams):
     module = importlib.import_module("residualtrace.reconstruct")
     honest = module.ResidualCurrent
     monkeypatch.setattr(module, "ResidualCurrent", lambda p, r: honest(p=p, r=r + 1))
-    with pytest.raises(DomainError, match="does not reproduce"):
+    # the candidate's traces differ from t, so detection rejects d = 2
+    with pytest.raises(DegreeDetectionError) as exc:
         reconstruct(t, c.degree)
-    # the rebuilt current is off by one, so it is traced in full
-    assert [(p, r) for p, r, _ in trace_streams] == [(c.p, c.r), (c.p, c.r + 1)]
+    assert isinstance(exc.value.outcomes[1], int)
+    # the candidate is off by one, so it is traced in full
+    assert trace_streams == [(c.p, c.r, len(t)), (c.p, c.r + 1, len(t))]
 
 
 def test_reconstruct_picks_a_fresh_fiber_name():
