@@ -234,8 +234,8 @@ def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
         return q ** mdeg
     if mdeg == 0:
         return p ** ndeg
-    pc = [p.coefficient_in(var, k) for k in range(mdeg, -1, -1)]
-    qc = [q.coefficient_in(var, k) for k in range(ndeg, -1, -1)]
+    pc = p.as_univariate(var)[::-1]
+    qc = q.as_univariate(var)[::-1]
     size = mdeg + ndeg
     zero = MPoly.zero(p.vars)
     rows = []

@@ -32,6 +32,12 @@ zero and a zero summand gives the other operand itself, and a one-term
 factor gives one comprehension over the other factor's terms, in their
 order, since distinct keys shifted by one key stay distinct.
 
+A polynomial viewed in one variable has one implementation,
+`MPoly.as_univariate`: the ascending coefficient list, zeros included, in
+the same ring.  `fiber_coefficients` is that list restricted to the base
+variables, and every caller that needs a coefficient (a leading one, a
+content, a Sylvester row) reads it from there.
+
 Pseudo-division in one variable has two implementations.  `mod_monic`, on
 lists of `MPoly` coefficients, reduces the trace stream of `residues`, and
 through `pseudo_rem` serves `currents.validate` and the multivariate PRS of
@@ -391,23 +397,16 @@ class MPoly:
 
     # ---- structure ----------------------------------------------------
 
-    def coefficient_in(self, var: str, k: int) -> "MPoly":
-        """Coefficient of var**k, as a polynomial in the same ring with var absent."""
-        vi = self.vars.index(var)
-        terms = {}
-        for exps, c in self.terms.items():
-            if exps[vi] == k:
-                terms[exps[:vi] + (0,) + exps[vi + 1:]] = c
-        return _trusted(self.vars, terms)
+    def as_univariate(self, var: str) -> list["MPoly"]:
+        """Coefficients in `var`, ascending, zeros included, in this ring with var absent.
 
-    def as_univariate(self, var: str) -> dict[int, "MPoly"]:
-        """View as a polynomial in `var`: map exponent -> coefficient poly."""
+        The zero polynomial gives the empty list.
+        """
         vi = self.vars.index(var)
-        out: dict[int, dict[Exponents, Coefficient]] = {}
+        out: list[dict[Exponents, Coefficient]] = [{} for _ in range(self.degree(var) + 1)]
         for exps, c in self.terms.items():
-            k = exps[vi]
-            out.setdefault(k, {})[exps[:vi] + (0,) + exps[vi + 1:]] = c
-        return {k: _trusted(self.vars, terms) for k, terms in out.items()}
+            out[exps[vi]][exps[:vi] + (0,) + exps[vi + 1:]] = c
+        return [_trusted(self.vars, terms) for terms in out]
 
     def restrict(self, variables) -> "MPoly":
         """Reinterpret over a sub-tuple of variables; dropped ones must not occur."""
@@ -664,21 +663,10 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
 # ---- pseudo-division in one variable --------------------------------------
 
 
-def _coefficients_in(p: MPoly, var: str) -> list[MPoly]:
-    """Coefficients of p in var, ascending, in the ring of p."""
-    by_exp = p.as_univariate(var)
-    zero = MPoly.zero(p.vars)
-    return [by_exp.get(k, zero) for k in range(p.degree(var) + 1)]
-
-
-def fiber_coefficients(p: MPoly, var: str | None = None) -> list[MPoly]:
-    """Coefficients of p in the fiber variable, ascending, as polynomials over the base."""
-    var = var if var is not None else p.vars[-1]
+def fiber_coefficients(p: MPoly, var: str) -> list[MPoly]:
+    """`as_univariate` in the fiber variable var, restricted to the other variables."""
     base = tuple(v for v in p.vars if v != var)
-    by_exp = p.as_univariate(var)
-    zero = MPoly.zero(base)
-    return [by_exp[k].restrict(base) if k in by_exp else zero
-            for k in range(p.degree(var) + 1)]
+    return [c.restrict(base) for c in p.as_univariate(var)]
 
 
 def mod_monic(num: list[MPoly], power: MPoly,
@@ -715,8 +703,7 @@ def pseudo_rem(a: MPoly, b: MPoly, var: str) -> MPoly:
     e >= 0 counts the reduction steps; it is 0 when b is monic in var, so
     the result is then the remainder itself.
     """
-    rem, _ = mod_monic(_coefficients_in(a, var), MPoly.constant(a.vars, 1),
-                       _coefficients_in(b, var))
+    rem, _ = mod_monic(a.as_univariate(var), MPoly.constant(a.vars, 1), b.as_univariate(var))
     return MPoly.from_univariate(a.vars, var, dict(enumerate(rem)))
 
 
@@ -742,8 +729,7 @@ def _gcd_univariate(f: MPoly, g: MPoly, vi: int) -> MPoly:
 
 
 def _content_in(f: MPoly, vi: int) -> MPoly:
-    var = f.vars[vi]
-    coeffs = list(f.as_univariate(var).values())
+    coeffs = [c for c in f.as_univariate(f.vars[vi]) if c.terms]
     g = coeffs[0]
     for c in coeffs[1:]:
         if g.is_constant():
@@ -839,7 +825,7 @@ def poly_gcd_fiber(f: MPoly, g: MPoly, var: str | None = None) -> MPoly:
     cont = _content_in(g0, g0.vars.index(var))
     if not cont.is_one():
         g0 = exact_div(g0, cont)
-    lead = g0.coefficient_in(var, g0.degree(var))
+    lead = g0.as_univariate(var)[-1]
     if lead.is_constant():
         return g0.scale(1 / lead.constant_value())
     return g0.primitive_int().sign_normalized()

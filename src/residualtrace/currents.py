@@ -10,6 +10,7 @@ form and logs what it changed.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Sequence
 
 from .algebra import (
@@ -24,6 +25,9 @@ from .errors import DomainError
 from .record import Record, _set
 
 WeightedPoints = Sequence[tuple[RatFunc, RatFunc]]
+
+# the fiber variable of the currents `from_weighted_points` builds
+_FIBER = "y"
 
 
 class ResidualCurrent(Record):
@@ -82,7 +86,7 @@ def validate(p: MPoly, r: MPoly) -> ResidualCurrent:
     d = p.degree(fiber)
     if d < 1:
         raise DomainError(f"p must have positive degree in the fiber variable {fiber!r}")
-    if not p.coefficient_in(fiber, d).is_one():
+    if not p.as_univariate(fiber)[d].is_one():
         raise DomainError(f"p is not monic in the fiber variable {fiber!r}: {p}")
     if r.is_zero():
         raise DomainError("r is identically zero; the zero current has no (p, r) representative")
@@ -93,86 +97,56 @@ def validate(p: MPoly, r: MPoly) -> ResidualCurrent:
             raise DomainError("r is a multiple of p; the pair represents the zero current")
     g = poly_gcd(p, r)
     if not g.is_constant():
+        # lc(g) * lc(p / g) = lc(p) = 1 in the fiber variable, so both leads
+        # are constants and rescaling by lc(p / g) keeps p monic and r / p fixed
         p1 = exact_div(p, g)
-        r1 = exact_div(r, g)
-        dd = p1.degree(fiber)
-        lead = p1.coefficient_in(fiber, dd)
-        # p monic forces the removed factor's fiber-leading coefficient to be
-        # constant, so rescaling both parts keeps the quotient form equal
-        if not lead.is_constant():
-            raise DomainError(f"common factor {g} breaks fiber monicity")
-        c = lead.constant_value()
-        p, r = p1.scale(1 / c), r1.scale(1 / c)
+        c = p1.as_univariate(fiber)[-1].constant_value()
+        p, r = p1.scale(1 / c), exact_div(r, g).scale(1 / c)
         _log("divided out common factor %s", g)
     return ResidualCurrent(p=p, r=r)
 
 
-def from_weighted_points(points: WeightedPoints, fiber: str = "y") -> ResidualCurrent:
+def from_weighted_points(points: WeightedPoints) -> ResidualCurrent:
     """Current with fiber poles at given root functions and prescribed weights.
 
     Each point is a pair (root, weight) of rational functions of the base
-    variables.  p is the product of (y - root_i) and r interpolates so the
-    residue at root_i equals weight_i.  Both must come out polynomial; if
-    they do not, the data has no representative here and DomainError is
-    raised.
+    variables.  Over the base variables plus the fiber y,
+    p = prod_i (y - root_i) and r = sum_i weight_i p / (y - root_i), so the
+    residue of r / p at root_i is weight_i.  Both must come out
+    polynomial; if one does not, the data has no representative here and
+    DomainError names it.
     """
     points = list(points)
     if not points:
         raise DomainError("at least one weighted point is required")
     base = points[0][0].vars
-    roots = []
-    weights = []
     for i, (root, weight) in enumerate(points):
         if root.vars != base or weight.vars != base:
             raise DomainError("all roots and weights must share one variable list")
         if weight.is_zero():
             raise DomainError(f"weight {i} is zero; drop the point instead")
-        roots.append(root)
-        weights.append(weight)
+    roots = [root for root, _ in points]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if roots[i] == roots[j]:
                 raise DomainError(f"roots {i} and {j} coincide: {roots[i]}")
-    if fiber in base:
-        raise DomainError(f"fiber name {fiber!r} collides with a base variable")
+    if _FIBER in base:
+        raise DomainError(f"fiber name {_FIBER!r} collides with a base variable")
 
-    one = RatFunc.one(base)
+    variables = tuple(base) + (_FIBER,)
 
-    def mul_linear(coeffs: list[RatFunc], root: RatFunc) -> list[RatFunc]:
-        # multiply an ascending coefficient list by (y - root)
-        out = [RatFunc.zero(base)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            out[k + 1] = out[k + 1] + c
-            out[k] = out[k] - c * root
-        return out
+    def lift(f: RatFunc) -> RatFunc:
+        return RatFunc(f.num.extend(variables), f.den.extend(variables))
 
-    p_coeffs = [one]
-    for root in roots:
-        p_coeffs = mul_linear(p_coeffs, root)
-    r_coeffs = [RatFunc.zero(base)] * max(1, len(roots))
-    for i, weight in enumerate(weights):
-        part = [weight]
-        for j, root in enumerate(roots):
-            if j != i:
-                part = mul_linear(part, root)
-        for k, c in enumerate(part):
-            r_coeffs[k] = r_coeffs[k] + c
-
-    variables = tuple(base) + (fiber,)
-
-    def assemble(coeffs: list[RatFunc], what: str) -> MPoly:
-        pieces = {}
-        for k, c in enumerate(coeffs):
-            if not c.is_polynomial():
-                raise DomainError(
-                    f"{what} coefficient of {fiber}^{k} is not polynomial: {c}")
-            if not c.is_zero():
-                pieces[k] = c.as_poly().extend(variables)
-        return MPoly.from_univariate(variables, fiber, pieces)
-
-    p = assemble(p_coeffs, "denominator")
-    r = assemble(r_coeffs, "numerator")
-    return validate(p, r)
+    y = RatFunc.variable(variables, _FIBER)
+    factors = [y - lift(root) for root in roots]
+    p = prod(factors)
+    if not p.is_polynomial():
+        raise DomainError(f"denominator p is not polynomial: {p}")
+    r = sum(lift(weight) * (p / factor) for (_, weight), factor in zip(points, factors))
+    if not r.is_polynomial():
+        raise DomainError(f"numerator r is not polynomial: {r}")
+    return validate(p.as_poly(), r.as_poly())
 
 
 def support_discriminant(current: ResidualCurrent) -> MPoly:

@@ -258,7 +258,7 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
     if not all(_cross_equal(num, den, g.num, g.den)
                for (num, den), g in zip(specialized, direct)):
         raise DomainError("pencil traces disagree with specialized chart traces")
-    return TraceSequence(entries=tuple(direct), source_degree=d)
+    return TraceSequence(entries=tuple(direct))
 
 
 def is_radon_zero(current: ResidualCurrent | ZeroCurrent, k_probe: int) -> bool:

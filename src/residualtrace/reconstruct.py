@@ -111,6 +111,9 @@ _P = (1 << 61) - 1
 _POINT_SEEDS = (101, 211, 307)
 _POINT_STEP = 1009
 
+# the variable of the rational functions `detect_rational` returns
+_SERIES_VAR = "x"
+
 
 def _modular_failures(t: TraceSequence, top: int) -> list[int | None]:
     """For d = 1..top, a window where the depth-d recurrence must fail, or None.
@@ -269,8 +272,7 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
         denominator_coefficients=tuple(a), numerator_coefficients=r_coeffs)
 
 
-def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
-                    var: str = "x") -> RatFunc | None:
+def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int) -> RatFunc | None:
     """Rational function matching a Taylor sample within degree bounds, or None.
 
     Needs at least max_num_deg + max_den_deg + 2 coefficients: enough to pin
@@ -306,7 +308,7 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
     if not p:
         if any(c):
             return None
-        return RatFunc.zero((var,))
+        return RatFunc.zero((_SERIES_VAR,))
     if q[0] == 0:
         # pole at the base point: no bounded rational function matches
         return None
@@ -319,8 +321,8 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int,
     def poly(f: list[int], scale: int) -> MPoly:
         e = len(f) - 1
         scale *= b ** e
-        return _trusted((var,), {(k,): _div(v, scale)
-                                 for k, v in enumerate(dense.shift(f, a, b, e)) if v})
+        return _trusted((_SERIES_VAR,), {(k,): _div(v, scale)
+                                         for k, v in enumerate(dense.shift(f, a, b, e)) if v})
 
     return RatFunc(poly(p, den * q[0]), poly(q, q[0]))
 
@@ -359,8 +361,7 @@ def sample_series(f: RatFunc, x0, count: int) -> SeriesSample:
 
 
 def continue_current(series: list[SeriesSample], d_max: int,
-                     max_num_deg: int, max_den_deg: int,
-                     var: str = "x") -> ReconstructionReport:
+                     max_num_deg: int, max_den_deg: int) -> ReconstructionReport:
     """Reconstruct a current from series-sampled traces u_0 .. u_{m}.
 
     Each sample is independently tested for rationality within the degree
@@ -377,7 +378,7 @@ def continue_current(series: list[SeriesSample], d_max: int,
         raise DomainError("all trace series must share one base point")
     entries = []
     for k, s in enumerate(series):
-        f = detect_rational(s, max_num_deg, max_den_deg, var)
+        f = detect_rational(s, max_num_deg, max_den_deg)
         if f is None:
             raise ContinuationError(
                 k, f"trace {k} admits no rational continuation within bounds "

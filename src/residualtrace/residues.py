@@ -150,20 +150,12 @@ def _specialize(form: RationalForm1D, x_values: Sequence[complex]):
         raise DomainError(
             f"expected {len(form.base_vars)} base values, got {len(x_values)}")
     assign = {v: complex(x) for v, x in zip(form.base_vars, x_values)}
-    assign[form.fiber] = 0j  # placeholder, replaced per power below
-    dmap = form.den.as_univariate(form.fiber)
-    nmap = form.num.as_univariate(form.fiber)
+    assign[form.fiber] = 0j  # the fiber coefficients do not contain it
 
-    def coeffs(m):
-        if not m:
-            return [0j]
-        top = max(m)
-        out = [0j] * (top + 1)
-        for k, poly in m.items():
-            out[k] = poly.eval_numeric(assign)
-        return out
+    def coeffs(p: MPoly) -> list[complex]:
+        return [c.eval_numeric(assign) for c in p.as_univariate(form.fiber)] or [0j]
 
-    return coeffs(nmap), coeffs(dmap)
+    return coeffs(form.num), coeffs(form.den)
 
 
 def _horner(cs: list[complex], z: complex) -> complex:

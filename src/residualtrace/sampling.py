@@ -81,8 +81,9 @@ def random_weighted_current(rng: Random, n: int = 1, count: int = 3,
                             max_abs: int = 3):
     """Current from distinct linear fiber roots with nonzero weights.
 
-    Returns (current, roots, weights); roots are affine in the base
-    variables so the product form stays polynomial.
+    Returns (current, points), points being the (root, weight) pairs given
+    to `from_weighted_points`; roots are affine in the base variables and
+    weights constant, so the product form stays polynomial.
     """
     variables = base_vars(n)
     while True:

@@ -39,16 +39,15 @@ _MEMO_SIZE = 8
 class TraceSequence(Record):
     """Consecutive traces u_0 .. u_m over a shared base-variable tuple."""
 
-    __slots__ = ("entries", "source_degree")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[RatFunc, ...], source_degree: int | None = None):
+    def __init__(self, entries: tuple[RatFunc, ...]):
         if not entries:
             raise DomainError("a trace sequence needs at least one entry")
         variables = entries[0].vars
         if any(e.vars != variables for e in entries):
             raise DomainError("trace entries live over different variable lists")
         _set(self, "entries", entries)
-        _set(self, "source_degree", source_degree)
 
     @property
     def vars(self) -> tuple[str, ...]:
@@ -73,7 +72,7 @@ def traces(current: ResidualCurrent, count: int) -> TraceSequence:
     """
     if count < 1:
         raise DomainError("count must be at least 1")
-    return TraceSequence(entries=_fiber_traces(current, count), source_degree=current.degree)
+    return TraceSequence(entries=_fiber_traces(current, count))
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)

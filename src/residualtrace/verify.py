@@ -1,10 +1,11 @@
 """Self-check suites: exact identities plus the numeric oracle, seeded.
 
 Each suite draws its own deterministic family from one Random seed, so a
-report is a pure function of (seed, tolerance, counts).  The CLI exposes
-these through the `verify` subcommand, and the acceptance gate
-(`tests/test_acceptance.py`, criteria 1-3 and 5) runs them with its own
-seeds and larger counts.
+suite's report is a pure function of its seed, count and tolerance, and
+`verify_report`, which runs every suite at its default count, of (seed,
+tolerance).  The CLI exposes it through the `verify` subcommand, and the
+acceptance gate (`tests/test_acceptance.py`, criteria 1-3 and 5) runs the
+suites with its own seeds and larger counts.
 """
 
 from __future__ import annotations
@@ -31,14 +32,25 @@ DEFAULT_SEED = 1729
 DEFAULT_TOLERANCE = 1e-8
 
 
-def _mixed_family(rng: Random, count: int):
-    """count currents, two thirds with n=1 (d <= 5), one third with n=2 (d <= 3)."""
+def _mixed_family(rng: Random, count: int, n1: tuple[int, int] = (5, 3),
+                  n2: tuple[int, int] = (3, 2)):
+    """count currents, two thirds with n=1 and one third with n=2.
+
+    n1 and n2 are the (max_degree, coeff_degree) bounds of each part; the
+    n=1 currents are drawn first.
+    """
     split = count - count // 3
-    family = [random_current(rng, n=1, max_degree=5, coeff_degree=3)
+    family = [random_current(rng, n=1, max_degree=n1[0], coeff_degree=n1[1])
               for _ in range(split)]
-    family += [random_current(rng, n=2, max_degree=3, coeff_degree=2)
+    family += [random_current(rng, n=2, max_degree=n2[0], coeff_degree=n2[1])
                for _ in range(count - split)]
     return family
+
+
+def _suite(name: str, instances: int, failures: list[int], **extra) -> dict:
+    """One suite's report: its failed instance indices, any extra fields, and pass."""
+    return {"name": name, "instances": instances, "failures": len(failures),
+            "failed_indices": failures, **extra, "pass": not failures}
 
 
 def check_roundtrip(seed: int, count: int = 40) -> dict:
@@ -51,9 +63,7 @@ def check_roundtrip(seed: int, count: int = 40) -> dict:
         report = reconstruct(t, c.degree)
         if report.current != c or report.residual_violations != 0:
             failures.append(idx)
-    return {"name": "roundtrip-inversion", "instances": len(family),
-            "failures": len(failures), "failed_indices": failures,
-            "pass": not failures}
+    return _suite("roundtrip-inversion", len(family), failures)
 
 
 def check_recurrence(seed: int, count: int = 40) -> dict:
@@ -66,9 +76,7 @@ def check_recurrence(seed: int, count: int = 40) -> dict:
         t = traces(c, 3 * d + 1)
         if recurrence_check(t, c.p):
             failures.append(idx)
-    return {"name": "trace-recurrence", "instances": len(family),
-            "failures": len(failures), "failed_indices": failures,
-            "pass": not failures}
+    return _suite("trace-recurrence", len(family), failures)
 
 
 def check_hankel_identity(seed: int, count: int = 30) -> dict:
@@ -107,28 +115,20 @@ def check_hankel_identity(seed: int, count: int = 30) -> dict:
               and determinant(anti) == det_h * sign)
         if not ok:
             failures.append(idx)
-    return {"name": "hankel-determinant", "instances": instances,
-            "failures": len(failures), "failed_indices": failures,
-            "pass": not failures}
+    return _suite("hankel-determinant", instances, failures)
 
 
 def check_closedness(seed: int, count: int = 25) -> dict:
     """d/db_i u_{k+n} = d/da_i u_{k+n-1} exactly, k up to 2d."""
     rng = Random(seed)
-    split = count - count // 3
-    family = [random_current(rng, n=1, max_degree=4, coeff_degree=2)
-              for _ in range(split)]
-    family += [random_current(rng, n=2, max_degree=2, coeff_degree=1)
-               for _ in range(count - split)]
+    family = _mixed_family(rng, count, (4, 2), (2, 1))
     failures = []
     for idx, c in enumerate(family):
         k_top = 2 * c.degree
         u = radon(c, k_top + c.n)
         if closedness_check(u, range(k_top + 1)):
             failures.append(idx)
-    return {"name": "radon-closedness", "instances": len(family),
-            "failures": len(failures), "failed_indices": failures,
-            "pass": not failures}
+    return _suite("radon-closedness", len(family), failures)
 
 
 def _oracle_one(form: RationalForm1D, point: dict) -> tuple[float | None, str | None]:
@@ -182,28 +182,21 @@ def check_numeric_oracle(seed: int, tolerance: float = DEFAULT_TOLERANCE,
     errors = [e for e, _ in results if e is not None]
     failures = [i for i, (e, why) in enumerate(results)
                 if why is not None or not (e <= tolerance)]
-    report = {"name": "numeric-oracle", "instances": len(jobs),
-              "failures": len(failures), "failed_indices": failures,
-              "max_abs_error": max(errors, default=0.0), "tolerance": tolerance,
-              "pass": not failures}
+    report = _suite("numeric-oracle", len(jobs), failures,
+                    max_abs_error=max(errors, default=0.0), tolerance=tolerance)
     if reasons:
         report["failure_reasons"] = reasons
     return report
 
 
-SUITES = ("roundtrip", "recurrence", "hankel", "closedness", "oracle")
-
-
-def verify_report(seed: int = DEFAULT_SEED, tolerance: float = DEFAULT_TOLERANCE,
-                  counts: dict | None = None) -> dict:
-    """Run all five suites and aggregate one JSON-ready report."""
-    counts = counts or {}
+def verify_report(seed: int = DEFAULT_SEED, tolerance: float = DEFAULT_TOLERANCE) -> dict:
+    """Run all five suites, each at its default count, and aggregate one JSON-ready report."""
     suites = [
-        check_roundtrip(seed, counts.get("roundtrip", 40)),
-        check_recurrence(seed + 1, counts.get("recurrence", 40)),
-        check_hankel_identity(seed + 2, counts.get("hankel", 30)),
-        check_closedness(seed + 3, counts.get("closedness", 25)),
-        check_numeric_oracle(seed + 4, tolerance, counts.get("oracle", 25)),
+        check_roundtrip(seed),
+        check_recurrence(seed + 1),
+        check_hankel_identity(seed + 2),
+        check_closedness(seed + 3),
+        check_numeric_oracle(seed + 4, tolerance),
     ]
     return {
         "seed": seed,

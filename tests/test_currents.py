@@ -1,6 +1,7 @@
 """Current validation, point-mass construction, and the support discriminant."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -13,6 +14,8 @@ from residualtrace.currents import (
     validate,
 )
 from residualtrace.errors import DomainError
+from residualtrace.sampling import random_weighted_current
+from residualtrace.traces import traces
 
 V = ("x", "y")
 X = MPoly.variable(V, "x")
@@ -113,6 +116,28 @@ def test_from_weighted_points_rejects_nonpolynomial_data():
     xr = RatFunc.variable(B, "x")
     with pytest.raises(DomainError, match="not polynomial"):
         from_weighted_points([(1 / xr, RatFunc.constant(B, 1))])
+
+
+def test_from_weighted_points_names_the_nonpolynomial_part():
+    B = ("x",)
+    xr, one = RatFunc.variable(B, "x"), RatFunc.one(B)
+    # a root with a denominator makes p rational; r = 1 / x with p = y - x
+    with pytest.raises(DomainError, match="denominator p is not polynomial"):
+        from_weighted_points([(1 / xr, one), (xr, one)])
+    with pytest.raises(DomainError, match="numerator r is not polynomial"):
+        from_weighted_points([(xr, 1 / xr)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_point_mass_traces_are_weighted_power_sums(n):
+    # r / p = sum_i w_i / (y - root_i), so u_k = sum_i w_i root_i^k exactly
+    rng = Random(1913 + n)
+    for _ in range(8):
+        c, points = random_weighted_current(rng, n=n, count=rng.randint(1, 4))
+        assert c.degree == len(points)
+        t = traces(c, 2 * c.degree + 1)
+        for k, u in enumerate(t.entries):
+            assert u == sum((w * root ** k for root, w in points), RatFunc.zero(c.base_vars))
 
 
 def test_support_discriminant_example():

@@ -22,7 +22,7 @@ from residualtrace.jsonio import (
     traces_from_obj,
     traces_to_obj,
 )
-from residualtrace.traces import traces
+from residualtrace.traces import TraceSequence, traces
 
 V = ("x", "y")
 X = MPoly.variable(V, "x")
@@ -147,6 +147,14 @@ def test_traces_roundtrip():
     again = traces_from_obj(loads(blob))
     assert again.entries == t.entries
     assert canonical_dumps(traces_to_obj(again)) == blob
+
+
+def test_traces_equal_their_json_round_trip():
+    # a trace sequence is its entries: nothing the JSON form drops may take
+    # part in equality
+    t = traces(validate(Y * Y - X, MPoly.constant(V, 1)), 4)
+    assert traces_from_obj(traces_to_obj(t)) == t
+    assert TraceSequence(t.entries) == t
 
 
 def test_traces_schema_checks():

@@ -89,11 +89,12 @@ def test_pow_matches_repeated_product():
 
 def test_coefficient_views():
     p = Y ** 2 * (X + 1) + Y * X * X + 7
-    c = p.coefficient_in("y", 2)
-    assert c == X + 1
     uni = p.as_univariate("y")
-    assert set(uni) == {0, 1, 2}
-    assert MPoly.from_univariate(V, "y", uni) == p
+    assert uni == [MPoly.constant(V, 7), X * X, X + 1]
+    assert MPoly.from_univariate(V, "y", dict(enumerate(uni))) == p
+    # zeros are included below the top; the zero polynomial has no coefficients
+    assert (Y * Y).as_univariate("y") == [MPoly.zero(V), MPoly.zero(V), ONE]
+    assert MPoly.zero(V).as_univariate("y") == []
     # a coefficient over another variable list is refused, not re-keyed
     with pytest.raises(DomainError, match="lives over"):
         MPoly.from_univariate(V, "y", {1: MPoly.variable(("u", "v"), "u")})

@@ -165,7 +165,6 @@ def test_pencil_projection_running_example():
     ar = RatFunc.variable(P, "a")
     assert t.entries == (
         RatFunc.zero(P), RatFunc.one(P), ar, ar * ar - 1)
-    assert t.source_degree == 2
 
 
 def test_pencil_projection_single_point():

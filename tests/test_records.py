@@ -38,7 +38,7 @@ def _current(shift=0):
 RECORDS = {
     "ResidualCurrent": (("p", "r"), lambda i: ResidualCurrent(_current(i).p, _current(i).r)),
     "ZeroCurrent": (("n",), lambda i: ZeroCurrent(1 + i)),
-    "TraceSequence": (("entries", "source_degree"), lambda i: TraceSequence(U, i)),
+    "TraceSequence": (("entries",), lambda i: TraceSequence(U[i:])),
     "SeriesSample": (("base_point", "coefficients"),
                      lambda i: SeriesSample(Fraction(1, 2), (1, "2/3", Fraction(i)))),
     "ReconstructionReport": (
@@ -60,8 +60,7 @@ def test_positional_and_keyword_construction_with_defaults():
     assert ZeroCurrent(2) == ZeroCurrent(n=2) and ZeroCurrent(2).n == 2
 
     t = TraceSequence(U)
-    assert t.source_degree is None and t.entries == U
-    assert TraceSequence(entries=U, source_degree=3) == TraceSequence(U, 3)
+    assert t.entries == U and TraceSequence(entries=U) == t
     assert len(t) == 2 and t[1] == U[1] and t.vars == ("x",) and not t.is_zero()
 
     s = SeriesSample(base_point="1/2", coefficients=[1, Fraction(2, 3)])
@@ -98,7 +97,7 @@ def test_signature_rejects_extra_and_missing_arguments(name):
         cls(*args, None)
     with pytest.raises(TypeError):
         cls(*args[:-1], **{fields[-1]: args[-1]}, bogus=1)
-    if name not in ("ReconstructionReport", "TraceSequence", "ContourSpec"):
+    if name not in ("ReconstructionReport", "ContourSpec"):
         with pytest.raises(TypeError):
             cls(*args[:-1])
 
