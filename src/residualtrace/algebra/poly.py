@@ -45,6 +45,16 @@ the gcd.  `dense.prem`, on int lists, serves the gcd's one-variable base
 case, a dense integer PRS that keeps the chart path about 12% faster than
 the `MPoly` PRS would; one shared version would branch on int or `MPoly`.
 
+The gcd has one rule: a common divisor of f and g involves only the
+variables that both contain.  So when their supports differ, gcd(f, g) is
+the gcd of every coefficient of f and of g taken as polynomials in the
+other variables; `_gcd_all` takes that list fewest terms first and stops at
+a constant, and contents use the same loop.  In a chart, where c^e lies in
+the slopes alone, no PRS step ever runs in the other chart variables.  When
+the supports are equal, a primitive PRS runs in the last shared variable;
+one shared variable is the dense integer PRS of `dense.gcd`.  A one-term
+argument takes neither path: its divisors are monomials.
+
 Substitution has one implementation, `MPoly.subs`.  An image that is a bare
 target variable (one term, coefficient 1, total degree 1) is a rename: it
 moves exponents and multiplies nothing.  The other terms are grouped by
@@ -710,73 +720,66 @@ def pseudo_rem(a: MPoly, b: MPoly, var: str) -> MPoly:
 # ---- gcd ----------------------------------------------------------------
 
 
-def _active_vars(f: MPoly, g: MPoly) -> list[int]:
-    used = [0] * len(f.vars)
-    for p in (f, g):
-        for exps in p.terms.keys():
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = 1
-    return [i for i, u in enumerate(used) if u]
+def _support(p: MPoly) -> set[int]:
+    """Positions of the variables that occur in p."""
+    return {i for exps in p.terms for i, e in enumerate(exps) if e}
 
 
-def _gcd_univariate(f: MPoly, g: MPoly, vi: int) -> MPoly:
-    """gcd of f and g in variable vi alone, by the dense integer PRS."""
-    coeffs = dense.gcd(dense.from_terms(f.terms, vi)[1], dense.from_terms(g.terms, vi)[1])
-    zero = (0,) * len(f.vars)
-    return _trusted(f.vars, {zero[:vi] + (k,) + zero[vi + 1:]: c
-                             for k, c in enumerate(coeffs) if c})
+def _gcd_all(polys: list[MPoly]) -> MPoly:
+    """gcd of nonzero polynomials, up to a rational factor.
+
+    Takes them fewest terms first and stops at a constant.
+    """
+    polys = sorted(polys, key=lambda p: len(p.terms))
+    g = polys[0]
+    for p in polys[1:]:
+        if g.is_constant():
+            break
+        g = _gcd_rec(g, p)
+    return g
 
 
 def _content_in(f: MPoly, vi: int) -> MPoly:
-    coeffs = [c for c in f.as_univariate(f.vars[vi]) if c.terms]
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        if g.is_constant():
-            break
-        g = _gcd_rec(g, c)
-    if g.is_constant():
-        return MPoly.constant(f.vars, 1)
-    return g.primitive_int().sign_normalized()
+    """gcd of f's coefficients in variable vi: integer-primitive, or 1 when constant."""
+    g = _gcd_all([c for c in f.as_univariate(f.vars[vi]) if c.terms])
+    return MPoly.constant(f.vars, 1) if g.is_constant() else g.primitive_int()
 
 
 def _gcd_rec(f: MPoly, g: MPoly) -> MPoly:
-    """gcd of nonzero integer-primitive polynomials, up to sign."""
-    active = _active_vars(f, g)
-    if not active:
-        return MPoly.constant(f.vars, 1)
-    if len(active) == 1:
-        return _gcd_univariate(f, g, active[0])
-    vi = active[-1]
+    """gcd of nonzero f and g, not both constant, up to a rational factor."""
+    support, other = _support(f), _support(g)
+    if support != other:
+        # a common divisor lies in the shared variables: take every
+        # coefficient of f and of g as polynomials in the others
+        shared = support & other
+        pieces: dict[Exponents, dict[Exponents, Coefficient]] = {}
+        for k, p in enumerate((f, g)):
+            for exps, c in p.terms.items():
+                outer = (k,) + tuple([e for i, e in enumerate(exps) if i not in shared])
+                inner = tuple([e if i in shared else 0 for i, e in enumerate(exps)])
+                pieces.setdefault(outer, {})[inner] = c
+        return _gcd_all([_trusted(f.vars, t) for t in pieces.values()])
+    vi = max(support)
+    if len(support) == 1:
+        coeffs = dense.gcd(dense.from_terms(f.terms, vi)[1], dense.from_terms(g.terms, vi)[1])
+        zero = (0,) * len(f.vars)
+        return _trusted(f.vars, {zero[:vi] + (k,) + zero[vi + 1:]: c
+                                 for k, c in enumerate(coeffs) if c})
+    # equal supports: the primitive PRS in the last shared variable
     var = f.vars[vi]
-    df, dg = f.degree(var), g.degree(var)
-    if df == 0:
-        return _gcd_rec(f, _content_in(g, vi))
-    if dg == 0:
-        return _gcd_rec(_content_in(f, vi), g)
-    cf = _content_in(f, vi)
-    cg = _content_in(g, vi)
-    pf = exact_div(f, cf) if not cf.is_one() else f
-    pg = exact_div(g, cg) if not cg.is_one() else g
-    c = MPoly.constant(f.vars, 1)
-    if not (cf.is_one() or cg.is_one()):
-        c = _gcd_rec(cf, cg)
-    if pf.degree(var) < pg.degree(var):
-        pf, pg = pg, pf
-    a, b = pf, pg
+    cf, cg = _content_in(f, vi), _content_in(g, vi)
+    c = _gcd_all([cf, cg])
+    a, b = exact_div(f, cf), exact_div(g, cg)
+    if a.degree(var) < b.degree(var):
+        a, b = b, a
     while True:
         # the PRS needs each remainder only up to a unit such as lead^e
         r = pseudo_rem(a, b, var)
         if r.is_zero():
-            tail = b
-            break
+            return c * b
         if r.degree(var) == 0:
-            tail = MPoly.constant(f.vars, 1)
-            break
-        cr = _content_in(r, vi)
-        r = exact_div(r, cr) if not cr.is_one() else r
-        a, b = b, r.primitive_int()
-    return (c * tail).primitive_int()
+            return c
+        a, b = b, exact_div(r, _content_in(r, vi)).primitive_int()
 
 
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -804,27 +807,24 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     return h.primitive_int().sign_normalized()
 
 
-def poly_gcd_fiber(f: MPoly, g: MPoly, var: str | None = None) -> MPoly:
+def poly_gcd_fiber(f: MPoly, g: MPoly) -> MPoly:
     """gcd as univariate polynomials in the fiber variable over Q(base).
 
-    Pure base-variable content is treated as a unit and stripped.  The
-    result is monic in `var` when its leading fiber coefficient is a
-    rational constant, otherwise it is the primitive integer-coefficient
-    representative with positive leading sign.  Returns 1 exactly when the
-    arguments are coprime in the fiber variable.
+    The fiber is the last variable.  Pure base-variable content is treated
+    as a unit and stripped.  The result is monic in the fiber when its
+    leading fiber coefficient is a rational constant, otherwise it is the
+    primitive integer-coefficient representative with positive leading
+    sign.  Returns 1 exactly when the arguments are coprime in the fiber.
     """
     f._check_same_ring(g)
-    var = var if var is not None else f.vars[-1]
     if f.is_zero() and g.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
     g0 = poly_gcd(f, g)
-    d = g0.degree(var)
-    if d <= 0:
+    var = f.vars[-1]
+    if g0.degree(var) <= 0:
         return MPoly.constant(f.vars, 1)
     # strip content that does not involve the fiber variable
-    cont = _content_in(g0, g0.vars.index(var))
-    if not cont.is_one():
-        g0 = exact_div(g0, cont)
+    g0 = exact_div(g0, _content_in(g0, len(f.vars) - 1))
     lead = g0.as_univariate(var)[-1]
     if lead.is_constant():
         return g0.scale(1 / lead.constant_value())

@@ -8,10 +8,13 @@ message of the error raised, is written as canonical JSON.  Canonical JSON
 sorts terms, so every output polynomial (traces, chart and pencil entries,
 reconstructed, continued and validated currents, gcds) also carries its raw
 term dict order, which the kernels keep.  A refactor that must keep the
-outputs byte-identical keeps the digest.
+outputs byte-identical keeps the digest.  `VALUES` hashes the same document
+with every "order" key dropped: a change that reorders raw terms on
+purpose re-pins `GOLDEN` and must keep `VALUES`.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 from random import Random
 
@@ -25,7 +28,8 @@ from residualtrace.sampling import base_vars, current_vars, random_base_poly, ra
 from residualtrace.traces import traces
 
 SEED = 20240611
-GOLDEN = "f2e856cc5423fc7b76aca593fbbecd34170fd14762c3a4dfa07c82843f6c31f2"
+GOLDEN = "04f568b0f67a54961ec2490d8ef665b2912cf51a2815546fcee170ab17e6a171"
+VALUES = "1b3880def0b04cb09a30755e2c0e441fef54c9b56dfebb8a60e04d8507402e01"
 
 
 def _order(*polys):
@@ -141,6 +145,19 @@ def corpus_document() -> str:
     return canonical_dumps(doc)
 
 
+def _without_order(obj):
+    if isinstance(obj, dict):
+        return {k: _without_order(v) for k, v in obj.items() if k != "order"}
+    if isinstance(obj, list):
+        return [_without_order(v) for v in obj]
+    return obj
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_golden_digest():
-    digest = hashlib.sha256(corpus_document().encode()).hexdigest()
-    assert digest == GOLDEN
+    doc = corpus_document()
+    assert _sha256(canonical_dumps(_without_order(json.loads(doc)))) == VALUES
+    assert _sha256(doc) == GOLDEN

@@ -1,5 +1,6 @@
 """Exact polynomial layer: arithmetic, division, gcd, normal forms."""
 
+import importlib
 import math
 import re
 from fractions import Fraction
@@ -260,6 +261,27 @@ def test_gcd_fiber_strips_base_content():
     assert poly_gcd_fiber(f, g) == Y
     assert poly_gcd_fiber(Y ** 2 - X, MPoly.zero(V)) == Y ** 2 - X
     assert poly_gcd_fiber(Y + 1, Y + 2).is_one()
+
+
+def test_gcd_reduces_to_the_shared_variables(monkeypatch):
+    # g lies in Q[a1, a2], so every common divisor does: the gcd runs its
+    # PRS steps in a1 and a2 only, never in b1 or b2
+    poly = importlib.import_module("residualtrace.algebra.poly")
+    chart = ("a1", "a2", "b1", "b2")
+    a1, a2 = MPoly.variable(chart, "a1"), MPoly.variable(chart, "a2")
+    rng = Random(5)
+    r = MPoly(chart, [(tuple(rng.randint(0, 3) for _ in chart), rng.randint(-9, 9))
+                      for _ in range(30)])
+    h = a1 - a2 + 3
+    steps = []
+
+    def spy(a, b, var, real=poly.pseudo_rem):
+        steps.append(var)
+        return real(a, b, var)
+
+    monkeypatch.setattr(poly, "pseudo_rem", spy)
+    assert poly_gcd(r * h, (a1 + 2 * a2 + 1) ** 3 * h) == h
+    assert steps and set(steps) <= {"a1", "a2"}
 
 
 def test_gcd_fiber_monic_when_possible():

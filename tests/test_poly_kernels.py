@@ -159,6 +159,27 @@ def test_gcd_matches_sympy(g, a, b):
     assert_canonical(ours)
 
 
+# Nonzero polynomials over a strict subset of V: each draw keeps one or two
+# of the variables and zeroes the exponents of the others.
+subsets = st.sampled_from([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+on_subsets = st.tuples(subsets, factors).map(lambda t: MPoly(V, [
+    (tuple(e if i in t[0] else 0 for i, e in enumerate(exps)), c)
+    for exps, c in t[1].terms.items()])).filter(lambda p: not p.is_zero())
+
+
+@SETTINGS
+@given(on_subsets, factors, polys)
+def test_gcd_with_fewer_variables_matches_sympy(g, h, k):
+    # the support route: a common divisor lies in the variables of g
+    for f in (g * h, g * h + k):
+        if f.is_zero():
+            continue
+        ours = poly_gcd(f, g)
+        assert ours == poly_gcd(g, f)
+        assert to_sympy(ours).monic() == sympy.gcd(to_sympy(f), to_sympy(g)).monic()
+        assert_canonical(ours)
+
+
 monomials = st.tuples(exps, coeffs.filter(bool)).map(lambda t: MPoly(V, {t[0]: t[1]}))
 
 
