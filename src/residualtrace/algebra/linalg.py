@@ -237,11 +237,11 @@ def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     pc = p.as_univariate(var)[::-1]
     qc = q.as_univariate(var)[::-1]
     size = mdeg + ndeg
-    zero = MPoly.zero(p.vars)
+    zero = MPoly.zero(pc[0].vars)
     rows = []
     for i in range(ndeg):
         rows.append([zero] * i + pc + [zero] * (ndeg - 1 - i))
     for i in range(mdeg):
         rows.append([zero] * i + qc + [zero] * (mdeg - 1 - i))
     assert all(len(r) == size for r in rows)
-    return det_poly_grid(rows)
+    return MPoly.from_univariate(p.vars, var, [det_poly_grid(rows)])

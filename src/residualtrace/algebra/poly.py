@@ -33,10 +33,16 @@ factor gives one comprehension over the other factor's terms, in their
 order, since distinct keys shifted by one key stay distinct.
 
 A polynomial viewed in one variable has one implementation,
-`MPoly.as_univariate`: the ascending coefficient list, zeros included, in
-the same ring.  `fiber_coefficients` is that list restricted to the base
-variables, and every caller that needs a coefficient (a leading one, a
-content, a Sylvester row) reads it from there.
+`MPoly.as_univariate`: the ascending coefficient list, zeros included, each
+coefficient a polynomial over the other variables (the zero polynomial
+gives `[]`).  `MPoly.from_univariate` is its exact inverse; it also takes a
+dict {k: coefficient} from a caller that fixes its own term order.
+Pseudo-division, the trace stream, `currents.validate` and the Sylvester
+matrix read coefficients from this view, over the smaller ring.  A caller
+that needs a result in the full ring lifts one polynomial back with
+``from_univariate(vars, var, [g])``: `_content_in` its content,
+`sylvester_resultant` its determinant, `currents.from_weighted_points` its
+roots and weights.
 
 Pseudo-division in one variable has two implementations.  `mod_monic`, on
 lists of `MPoly` coefficients, reduces the trace stream of `residues`, and
@@ -225,20 +231,25 @@ class MPoly:
         return _trusted(variables, {exps: 1})
 
     @classmethod
-    def from_univariate(cls, variables, var: str, coeffs: dict[int, "MPoly"]) -> "MPoly":
-        """Assemble sum_k coeffs[k] * var**k; coefficient polys share `variables`."""
+    def from_univariate(cls, variables, var: str, coeffs) -> "MPoly":
+        """sum_k coeffs[k] * var**k, the inverse of `as_univariate`.
+
+        `coeffs` is the ascending list, or a dict {k: coefficient} whose
+        order is the result's term order; each coefficient lives over
+        `variables` without `var`.
+        """
         variables = tuple(map(str, variables))
         vi = variables.index(var)
+        base = variables[:vi] + variables[vi + 1:]
         # No two (k, term) pairs share a key: the coefficients lack `var`.
         terms: dict[Exponents, Coefficient] = {}
-        for k, poly in coeffs.items():
-            if poly.vars != variables:
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+        for k, poly in items:
+            if poly.vars != base:
                 raise DomainError(
-                    f"coefficient of {var}^{k} lives over {poly.vars}, not {variables}")
+                    f"coefficient of {var}^{k} lives over {poly.vars}, not {base}")
             for exps, c in poly.terms.items():
-                if exps[vi] != 0:
-                    raise DomainError(f"coefficient of {var}^{k} already contains {var}")
-                terms[exps[:vi] + (k,) + exps[vi + 1:]] = c
+                terms[exps[:vi] + (k,) + exps[vi:]] = c
         return _trusted(variables, terms)
 
     # ---- basic queries ------------------------------------------------
@@ -408,50 +419,16 @@ class MPoly:
     # ---- structure ----------------------------------------------------
 
     def as_univariate(self, var: str) -> list["MPoly"]:
-        """Coefficients in `var`, ascending, zeros included, in this ring with var absent.
+        """Coefficients in `var`, ascending, zeros included, over the other variables.
 
-        The zero polynomial gives the empty list.
+        The zero polynomial gives the empty list; `from_univariate` is the inverse.
         """
         vi = self.vars.index(var)
+        base = self.vars[:vi] + self.vars[vi + 1:]
         out: list[dict[Exponents, Coefficient]] = [{} for _ in range(self.degree(var) + 1)]
         for exps, c in self.terms.items():
-            out[exps[vi]][exps[:vi] + (0,) + exps[vi + 1:]] = c
-        return [_trusted(self.vars, terms) for terms in out]
-
-    def restrict(self, variables) -> "MPoly":
-        """Reinterpret over a sub-tuple of variables; dropped ones must not occur."""
-        variables = tuple(variables)
-        positions = []
-        for v in variables:
-            if v not in self.vars:
-                raise DomainError(f"{v!r} is not among variables {self.vars}")
-            positions.append(self.vars.index(v))
-        kept = set(positions)
-        terms = {}
-        for exps, c in self.terms.items():
-            for i, e in enumerate(exps):
-                if e and i not in kept:
-                    raise DomainError(
-                        f"cannot drop variable {self.vars[i]!r}: it occurs in {self}")
-            terms[tuple(exps[i] for i in positions)] = c
-        return _trusted(variables, terms)
-
-    def extend(self, variables) -> "MPoly":
-        """Reinterpret over a larger variable tuple containing the current one."""
-        variables = tuple(map(str, variables))
-        index = []
-        for v in self.vars:
-            if v not in variables:
-                raise DomainError(f"target variables {variables} lack {v!r}")
-            index.append(variables.index(v))
-        nv = len(variables)
-        terms = {}
-        for exps, c in self.terms.items():
-            key = [0] * nv
-            for pos, e in zip(index, exps):
-                key[pos] = e
-            terms[tuple(key)] = c
-        return _trusted(variables, terms)
+            out[exps[vi]][exps[:vi] + exps[vi + 1:]] = c
+        return [_trusted(base, terms) for terms in out]
 
     def subs(self, variables, images: dict) -> "MPoly":
         """Substitute variables by polynomials over a new variable tuple.
@@ -673,12 +650,6 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
 # ---- pseudo-division in one variable --------------------------------------
 
 
-def fiber_coefficients(p: MPoly, var: str) -> list[MPoly]:
-    """`as_univariate` in the fiber variable var, restricted to the other variables."""
-    base = tuple(v for v in p.vars if v != var)
-    return [c.restrict(base) for c in p.as_univariate(var)]
-
-
 def mod_monic(num: list[MPoly], power: MPoly,
               den: list[MPoly]) -> tuple[list[MPoly], MPoly]:
     """Reduce num / power modulo the monic den / lead, lead = den[-1].
@@ -713,8 +684,9 @@ def pseudo_rem(a: MPoly, b: MPoly, var: str) -> MPoly:
     e >= 0 counts the reduction steps; it is 0 when b is monic in var, so
     the result is then the remainder itself.
     """
-    rem, _ = mod_monic(a.as_univariate(var), MPoly.constant(a.vars, 1), b.as_univariate(var))
-    return MPoly.from_univariate(a.vars, var, dict(enumerate(rem)))
+    den = b.as_univariate(var)
+    rem, _ = mod_monic(a.as_univariate(var), MPoly.constant(den[0].vars, 1), den)
+    return MPoly.from_univariate(a.vars, var, rem)
 
 
 # ---- gcd ----------------------------------------------------------------
@@ -741,8 +713,11 @@ def _gcd_all(polys: list[MPoly]) -> MPoly:
 
 def _content_in(f: MPoly, vi: int) -> MPoly:
     """gcd of f's coefficients in variable vi: integer-primitive, or 1 when constant."""
-    g = _gcd_all([c for c in f.as_univariate(f.vars[vi]) if c.terms])
-    return MPoly.constant(f.vars, 1) if g.is_constant() else g.primitive_int()
+    var = f.vars[vi]
+    g = _gcd_all([c for c in f.as_univariate(var) if c.terms])
+    if g.is_constant():
+        return MPoly.constant(f.vars, 1)
+    return MPoly.from_univariate(f.vars, var, [g.primitive_int()])
 
 
 def _gcd_rec(f: MPoly, g: MPoly) -> MPoly:

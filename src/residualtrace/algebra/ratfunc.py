@@ -186,12 +186,7 @@ class RatFunc:
     # ---- calculus and specialization ------------------------------------
 
     def diff(self, var: str) -> "RatFunc":
-        if self.den.is_one():
-            return RatFunc(self.num.derivative(var))
-        return RatFunc(
-            self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
-            self.den * self.den,
-        )
+        return RatFunc(*derivative_pair(self, var))
 
     def subs(self, variables, images: dict) -> "RatFunc":
         num = self.num.subs(variables, images)
@@ -219,3 +214,14 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+def derivative_pair(f: RatFunc, var: str) -> tuple[MPoly, MPoly]:
+    """d/dvar of f = N / Q as the unreduced pair (N_var Q - N Q_var, Q^2).
+
+    When Q does not involve var the pair is (N_var, Q).
+    """
+    dq = f.den.derivative(var)
+    if dq.is_zero():
+        return f.num.derivative(var), f.den
+    return f.num.derivative(var) * f.den - f.num * dq, f.den * f.den

@@ -136,7 +136,8 @@ def from_weighted_points(points: WeightedPoints) -> ResidualCurrent:
     variables = tuple(base) + (_FIBER,)
 
     def lift(f: RatFunc) -> RatFunc:
-        return RatFunc(f.num.extend(variables), f.den.extend(variables))
+        return RatFunc(MPoly.from_univariate(variables, _FIBER, [f.num]),
+                       MPoly.from_univariate(variables, _FIBER, [f.den]))
 
     y = RatFunc.variable(variables, _FIBER)
     factors = [y - lift(root) for root in roots]
@@ -159,4 +160,4 @@ def support_discriminant(current: ResidualCurrent) -> MPoly:
     p = current.p
     fiber = current.fiber
     res = sylvester_resultant(p, p.derivative(fiber), fiber)
-    return res.restrict(current.base_vars)
+    return res.as_univariate(fiber)[0] if res.terms else MPoly.zero(current.base_vars)

@@ -39,6 +39,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .algebra import MPoly, RatFunc, as_fraction
+from .algebra.ratfunc import derivative_pair
 from .currents import ResidualCurrent, ZeroCurrent
 from .errors import DomainError
 from .record import Record, _set
@@ -121,7 +122,7 @@ def _line_traces(current: ResidualCurrent, offsets: Sequence[MPoly], count: int)
               for x, a, b in zip(current.base_vars, slopes, offsets)}
     images[current.fiber] = y
     return trace_stream(current.r.subs(variables, images),
-                        current.p.subs(variables, images), _FIBER, count)
+                        current.p.subs(variables, images), count)
 
 
 def radon(current: ResidualCurrent, k_max: int) -> list[RatFunc]:
@@ -179,17 +180,6 @@ def _cross_equal(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly) -> bool:
     return n1 * d2 == n2 * d1
 
 
-def _derivative(f: RatFunc, var: str) -> tuple[MPoly, MPoly]:
-    """d/dvar of f = N / Q as the unreduced pair (N_var Q - N Q_var, Q^2).
-
-    When Q does not involve var the pair is (N_var, Q).
-    """
-    dq = f.den.derivative(var)
-    if dq.is_zero():
-        return f.num.derivative(var), f.den
-    return f.num.derivative(var) * f.den - f.num * dq, f.den * f.den
-
-
 def closedness_check(u: Sequence[RatFunc], k_range: Iterable[int]) -> list[tuple[int, int]]:
     """Violations (i, k) of d/db_i u_{k+n} = d/da_i u_{k+n-1}; empty when closed.
 
@@ -203,8 +193,8 @@ def closedness_check(u: Sequence[RatFunc], k_range: Iterable[int]) -> list[tuple
             raise DomainError(
                 f"k = {k} needs chart traces up to u_{k + n}, have {len(u)}")
         for i in range(n):
-            lhs = _derivative(u[k + n], b_names[i])
-            rhs = _derivative(u[k + n - 1], a_names[i])
+            lhs = derivative_pair(u[k + n], b_names[i])
+            rhs = derivative_pair(u[k + n - 1], a_names[i])
             if not _cross_equal(*lhs, *rhs):
                 bad.append((i + 1, k))
     return bad

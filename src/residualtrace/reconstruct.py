@@ -193,9 +193,9 @@ def _candidate(t: TraceSequence, a: list[RatFunc]):
     variables = t.vars + (fiber,)
 
     def pieces(coeffs):  # coeffs[j] multiplies fiber^(d - 1 - j)
-        return {d - 1 - j: c.as_poly().extend(variables) for j, c in enumerate(coeffs)}
+        return {d - 1 - j: c.as_poly() for j, c in enumerate(coeffs)}
 
-    p = MPoly.from_univariate(variables, fiber, {d: MPoly.constant(variables, 1), **pieces(a)})
+    p = MPoly.from_univariate(variables, fiber, {d: MPoly.constant(t.vars, 1), **pieces(a)})
     r = MPoly.from_univariate(variables, fiber, pieces(r_coeffs))
     return r_coeffs, ResidualCurrent(p=p, r=r)
 

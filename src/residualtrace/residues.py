@@ -15,9 +15,9 @@ coefficient: the remainder of num / c is R / c^e.  A reduction step
 multiplies R by c instead of dividing den by it, so the loop is `MPoly`
 arithmetic with no gcd, and each sum is normalised once, as the
 `RatFunc` R_{d-1} / c^e.  When c = 1 (every monic p) the power stays 1.
-The first reduction is `mod_monic` and the coefficient lists come from
-`fiber_coefficients`; both live in `algebra.poly`, where the multivariate
-gcd and `currents.validate` use the same pseudo-division, and are
+The first reduction is `mod_monic`, on the coefficient lists of
+`MPoly.as_univariate`; it lives in `algebra.poly`, where the multivariate
+gcd and `currents.validate` use the same pseudo-division, and is
 re-exported here.  Each later step is `shift_mod_monic`.
 
 Two numeric paths act as oracles for it: residues at numerically computed
@@ -33,7 +33,7 @@ from operator import index
 from typing import Sequence
 
 from .algebra import MPoly, RatFunc, dense, exact_div, poly_gcd
-from .algebra.poly import fiber_coefficients, mod_monic
+from .algebra.poly import mod_monic
 from .errors import DomainError
 from .record import Record, _set
 
@@ -60,19 +60,20 @@ def shift_mod_monic(rem: list[MPoly], power: MPoly,
     return [x - top * c if c.terms else x for x, c in zip(out, den)], power
 
 
-def trace_stream(num: MPoly, den: MPoly, fiber: str, count: int) -> list[RatFunc]:
+def trace_stream(num: MPoly, den: MPoly, count: int) -> list[RatFunc]:
     """Residue sums of num * y^k / den over the fiber y, for k = 0 .. count - 1.
 
-    The numerator is reduced modulo den once, then each step multiplies the
-    remainder by y modulo den and reads off its top coefficient.  A
-    denominator without fiber poles gives zeros.
+    The fiber y is the last variable.  The numerator is reduced modulo den
+    once, then each step multiplies the remainder by y modulo den and reads
+    off its top coefficient.  A denominator without fiber poles gives zeros.
     """
-    den_coeffs = fiber_coefficients(den, fiber)
+    fiber = den.vars[-1]
+    den_coeffs = den.as_univariate(fiber)
     d = len(den_coeffs) - 1
     if d <= 0:
-        return [RatFunc.zero(tuple(v for v in den.vars if v != fiber))] * count
+        return [RatFunc.zero(den.vars[:-1])] * count
     # the remainder of num / lead, kept as rem / power
-    rem, power = mod_monic(fiber_coefficients(num, fiber), den_coeffs[d], den_coeffs)
+    rem, power = mod_monic(num.as_univariate(fiber), den_coeffs[d], den_coeffs)
     out = [RatFunc(rem[d - 1], power)]
     for _ in range(count - 1):
         rem, power = shift_mod_monic(rem, power, den_coeffs)
@@ -142,7 +143,7 @@ def residue_sum(form: RationalForm1D) -> RatFunc:
 
     A denominator of fiber degree 0 has no poles, so the sum is 0.
     """
-    return trace_stream(form.num, form.den, form.fiber, 1)[0]
+    return trace_stream(form.num, form.den, 1)[0]
 
 
 def _specialize(form: RationalForm1D, x_values: Sequence[complex]):
@@ -150,7 +151,6 @@ def _specialize(form: RationalForm1D, x_values: Sequence[complex]):
         raise DomainError(
             f"expected {len(form.base_vars)} base values, got {len(x_values)}")
     assign = {v: complex(x) for v, x in zip(form.base_vars, x_values)}
-    assign[form.fiber] = 0j  # the fiber coefficients do not contain it
 
     def coeffs(p: MPoly) -> list[complex]:
         return [c.eval_numeric(assign) for c in p.as_univariate(form.fiber)] or [0j]

@@ -26,16 +26,14 @@ def current_vars(n: int) -> tuple[str, ...]:
     return base_vars(n) + ("y",)
 
 
-def random_base_poly(rng: Random, n: int, max_deg: int, max_abs: int = 4,
-                     extra_var: str | None = None) -> MPoly:
+def random_base_poly(rng: Random, n: int, max_deg: int, max_abs: int = 4) -> MPoly:
     """Random polynomial in the base variables, possibly the zero polynomial."""
-    variables = base_vars(n) if extra_var is None else base_vars(n) + (extra_var,)
-    width = len(base_vars(n))
+    variables = base_vars(n)
     terms = {}
     for _ in range(rng.randint(0, n + max_deg)):
-        exps = [0] * len(variables)
+        exps = [0] * n
         remaining = rng.randint(0, max_deg)
-        for i in range(width):
+        for i in range(n):
             e = rng.randint(0, remaining)
             exps[i] = e
             remaining -= e
@@ -53,23 +51,23 @@ def random_current(rng: Random, n: int = 1, max_degree: int = 5,
     Validation may reduce the pair; what comes back is always canonical, so
     its fiber degree can be below the drawn one.
     """
-    variables = current_vars(n)
+    base, variables = base_vars(n), current_vars(n)
     fiber = "y"
     while True:
         d = rng.randint(1, max_degree)
-        pieces = {d: MPoly.constant(variables, 1)}
+        pieces = {d: MPoly.constant(base, 1)}
         for i in range(d):
-            coeff = random_base_poly(rng, n, coeff_degree, max_abs, extra_var=fiber)
+            coeff = random_base_poly(rng, n, coeff_degree, max_abs)
             if not coeff.is_zero():
                 pieces[i] = coeff
         p = MPoly.from_univariate(variables, fiber, pieces)
         r_pieces = {}
         for i in range(d):
-            coeff = random_base_poly(rng, n, coeff_degree, max_abs, extra_var=fiber)
+            coeff = random_base_poly(rng, n, coeff_degree, max_abs)
             if not coeff.is_zero():
                 r_pieces[i] = coeff
         if not r_pieces:
-            r_pieces[0] = MPoly.constant(variables, rng.randint(1, max_abs))
+            r_pieces[0] = MPoly.constant(base, rng.randint(1, max_abs))
         r = MPoly.from_univariate(variables, fiber, r_pieces)
         try:
             return validate(p, r)

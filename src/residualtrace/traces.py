@@ -26,7 +26,7 @@ from .algebra import FracMatrix, RatFunc, clear_denominators
 from .currents import ResidualCurrent
 from .errors import DomainError
 from .record import Record, _set
-from .residues import fiber_coefficients, trace_stream
+from .residues import trace_stream
 
 __all__ = ["TraceSequence", "traces", "recurrence_failures", "recurrence_check", "hankel"]
 
@@ -77,7 +77,7 @@ def traces(current: ResidualCurrent, count: int) -> TraceSequence:
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _fiber_traces(current: ResidualCurrent, count: int) -> tuple[RatFunc, ...]:
-    return tuple(trace_stream(current.r, current.p, current.fiber, count))
+    return tuple(trace_stream(current.r, current.p, count))
 
 
 def recurrence_failures(t: TraceSequence, a):
@@ -116,7 +116,7 @@ def recurrence_check(t: TraceSequence, p) -> list[int]:
     if len(t) < d + 1:
         raise DomainError(
             f"need at least {d + 1} traces to check a depth-{d} recurrence, have {len(t)}")
-    coeffs = fiber_coefficients(p, fiber)
+    coeffs = p.as_univariate(fiber)
     if not coeffs[-1].is_one():
         raise DomainError("p is not monic in the fiber variable")
     # coeffs[i] multiplies u_{k+i}; coeffs[i] = a_{d-i} in monic order

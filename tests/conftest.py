@@ -21,9 +21,9 @@ def trace_streams(monkeypatch) -> list:
     honest = TRACES.trace_stream
     streams = []
 
-    def counting(r, p, fiber, count):
+    def counting(r, p, count):
         streams.append((p, r, count))
-        return honest(r, p, fiber, count)
+        return honest(r, p, count)
 
     monkeypatch.setattr(TRACES, "trace_stream", counting)
     return streams

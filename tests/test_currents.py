@@ -149,7 +149,9 @@ def test_support_discriminant_example():
 def test_support_discriminant_vanishes_on_double_roots():
     # p = (y - x)^2 always has a double root
     c = validate((Y - X) * (Y - X), MPoly.constant(V, 1))
-    assert support_discriminant(c).is_zero()
+    disc = support_discriminant(c)
+    assert disc.is_zero()
+    assert disc.vars == c.base_vars
 
 
 def test_support_discriminant_nonzero_for_split_points():
@@ -159,6 +161,7 @@ def test_support_discriminant_nonzero_for_split_points():
     c = from_weighted_points(pts)
     disc = support_discriminant(c)
     assert not disc.is_zero()
+    assert disc.vars == c.base_vars
     # res(y^2-2y, 2y-2) = -4: the Sylvester determinant keeps its sign,
     # matching res(y^2-x, 2y) = -4x
     assert disc == MPoly(B, {(0,): Fraction(-4)})

@@ -93,15 +93,14 @@ def _series(rng):
 
 def _fiber_poly(rng, n, degree, monic, coeff_degree=2):
     """Random polynomial of fiber degree <= degree over the current variables."""
-    variables = current_vars(n)
     pieces = {}
     for k in range(degree + 1):
-        c = random_base_poly(rng, n, coeff_degree, 3, extra_var="y")
+        c = random_base_poly(rng, n, coeff_degree, 3)
         if not c.is_zero():
             pieces[k] = c
     if monic:
-        pieces[degree] = MPoly.constant(variables, 1)
-    return MPoly.from_univariate(variables, "y", pieces)
+        pieces[degree] = MPoly.constant(base_vars(n), 1)
+    return MPoly.from_univariate(current_vars(n), "y", pieces)
 
 
 def _pair(p, r):

@@ -16,7 +16,7 @@ sympy = pytest.importorskip("sympy")
 
 from residualtrace.algebra import MPoly, exact_div  # noqa: E402
 from residualtrace.currents import validate  # noqa: E402
-from residualtrace.residues import fiber_coefficients, mod_monic  # noqa: E402
+from residualtrace.residues import mod_monic  # noqa: E402
 from residualtrace.sampling import random_base_poly  # noqa: E402
 from sympy_expr import to_sympy  # noqa: E402
 
@@ -27,24 +27,20 @@ SYMS = dict(zip(V, sympy.symbols(V)))
 
 def fiber_poly(rng: Random, degree: int, lead: MPoly | None = None) -> MPoly:
     """Random polynomial of fiber degree `degree`; `lead` fixes the top coefficient."""
-    pieces = {k: random_base_poly(rng, 2, 2, 3, extra_var="y") for k in range(degree)}
+    pieces = {k: random_base_poly(rng, 2, 2, 3) for k in range(degree)}
     if lead is None:
-        lead = random_base_poly(rng, 2, 1, 3, extra_var="y") + MPoly.constant(V, 1)
+        lead = random_base_poly(rng, 2, 1, 3) + MPoly.constant(BASE, 1)
     pieces[degree] = lead
     return MPoly.from_univariate(V, "y", pieces)
 
 
-def assemble(coeffs: list[MPoly]) -> MPoly:
-    return MPoly.from_univariate(V, "y", {k: c.extend(V) for k, c in enumerate(coeffs)})
-
-
 def cases():
     rng = Random(4711)
-    x1 = MPoly.variable(V, "x1")
+    x1 = MPoly.variable(BASE, "x1")
     for _ in range(8):
         d = rng.randint(1, 3)
         # a lead of positive degree in both base variables
-        den = fiber_poly(rng, d, x1 * MPoly.variable(V, "x2") - x1 + 2)
+        den = fiber_poly(rng, d, x1 * MPoly.variable(BASE, "x2") - x1 + 2)
         yield fiber_poly(rng, d + rng.randint(0, 3)), den
     # a zero coefficient below the top of num skips one scaling step
     num = fiber_poly(rng, 5)
@@ -56,14 +52,14 @@ def cases():
 @pytest.mark.parametrize("num, den", list(cases()))
 def test_mod_monic_matches_sympy_prem(num, den):
     d = den.degree("y")
-    dcoeffs = fiber_coefficients(den, "y")
+    dcoeffs = den.as_univariate("y")
     assert not dcoeffs[-1].is_constant()
-    rem, power = mod_monic(fiber_coefficients(num, "y"), MPoly.constant(BASE, 1), dcoeffs)
+    rem, power = mod_monic(num.as_univariate("y"), MPoly.constant(BASE, 1), dcoeffs)
     assert len(rem) == d
-    r = assemble(rem)
+    r = MPoly.from_univariate(V, "y", rem)
     assert r.degree("y") < d
     # num * power - rem is a multiple of den
-    exact_div(num * power.extend(V) - r, den)
+    exact_div(num * MPoly.from_univariate(V, "y", [power]) - r, den)
     y = SYMS["y"]
     lead = to_sympy(dcoeffs[-1])
     prem = sympy.prem(to_sympy(num), to_sympy(den), y)
@@ -76,7 +72,7 @@ def test_mod_monic_with_lead_one_keeps_power():
     x, y = MPoly.variable(("x", "y"), "x"), MPoly.variable(("x", "y"), "y")
     num, den = y ** 5 + x * y ** 2 - 3, y ** 2 - x
     one = MPoly.constant(("x",), 1)
-    rem, power = mod_monic(fiber_coefficients(num, "y"), one, fiber_coefficients(den, "y"))
+    rem, power = mod_monic(num.as_univariate("y"), one, den.as_univariate("y"))
     xb = MPoly.variable(("x",), "x")
     assert rem == [xb * xb - 3, xb * xb]
     assert power is one

@@ -90,24 +90,24 @@ def test_pow_matches_repeated_product():
 
 def test_coefficient_views():
     p = Y ** 2 * (X + 1) + Y * X * X + 7
+    B = ("x",)
+    XB = MPoly.variable(B, "x")
     uni = p.as_univariate("y")
-    assert uni == [MPoly.constant(V, 7), X * X, X + 1]
+    assert uni == [MPoly.constant(B, 7), XB * XB, XB + 1]
+    assert MPoly.from_univariate(V, "y", uni) == p
     assert MPoly.from_univariate(V, "y", dict(enumerate(uni))) == p
+    # the view in x lives over y alone
+    assert p.as_univariate("x")[2].vars == ("y",)
     # zeros are included below the top; the zero polynomial has no coefficients
-    assert (Y * Y).as_univariate("y") == [MPoly.zero(V), MPoly.zero(V), ONE]
+    one = MPoly.constant(B, 1)
+    assert (Y * Y).as_univariate("y") == [MPoly.zero(B), MPoly.zero(B), one]
     assert MPoly.zero(V).as_univariate("y") == []
-    # a coefficient over another variable list is refused, not re-keyed
+    # a coefficient over another variable list, the full one included, is
+    # refused, not re-keyed
     with pytest.raises(DomainError, match="lives over"):
         MPoly.from_univariate(V, "y", {1: MPoly.variable(("u", "v"), "u")})
-
-
-def test_restrict_and_extend():
-    p = X * X + 3
-    small = p.restrict(("x",))
-    assert small.vars == ("x",)
-    assert small.extend(V) == p
-    with pytest.raises(DomainError):
-        (X * Y).restrict(("x",))
+    with pytest.raises(DomainError, match="lives over"):
+        MPoly.from_univariate(V, "y", [X])
 
 
 def test_subs_with_polynomial_images():

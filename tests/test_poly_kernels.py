@@ -130,6 +130,24 @@ def test_sums_that_cancel(p, q):
     assert_canonical(p + (q - p))
 
 
+@pytest.mark.parametrize("var", V)
+@SETTINGS
+@given(polys)
+def test_coefficient_view_matches_sympy(var, p):
+    # The gcd's PRS views its arguments in the last shared variable, which
+    # need not be the last variable: the first and the middle one count too.
+    sym = SYMS[V.index(var)]
+    others = tuple(v for v in V if v != var)
+    expr = to_sympy(p).as_expr()
+    view = p.as_univariate(var)
+    assert len(view) == (sympy.degree(expr, sym) + 1 if expr != 0 else 0)
+    for k, c in enumerate(view):
+        assert c.vars == others
+        want = sympy.Poly(expr.coeff(sym, k), *(SYMS[V.index(v)] for v in others), domain="QQ")
+        assert c.terms == from_sympy(want)
+    assert MPoly.from_univariate(p.vars, var, view) == p
+
+
 @SETTINGS
 @given(polys)
 def test_content_and_primitive_match_sympy(p):

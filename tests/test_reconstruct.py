@@ -310,7 +310,7 @@ def test_reconstruct_reduces_a_non_coprime_pair():
         c = random_current(rng, n=1, max_degree=3, coeff_degree=2)
         g = Y - X.scale(rng.randint(-3, 3)) - rng.randint(-3, 3)
         d = c.degree + 1
-        t = TraceSequence(entries=tuple(trace_stream(c.r * g, c.p * g, "y", 2 * d + 2)))
+        t = TraceSequence(entries=tuple(trace_stream(c.r * g, c.p * g, 2 * d + 2)))
         for d_max in (d - 1, d, d + 2):
             report = reconstruct(t, d_max)
             assert report.degree == c.degree

@@ -176,7 +176,7 @@ def test_equal_current_built_anew_is_traced_once(trace_streams):
 
 def test_traces_returns_a_fresh_record_equal_to_a_cold_run():
     c = validate(Y * Y + X * Y - 1, Y.scale(2) + X.scale(3))
-    cold = TraceSequence(entries=tuple(trace_stream(c.r, c.p, c.fiber, 6)))
+    cold = TraceSequence(entries=tuple(trace_stream(c.r, c.p, 6)))
     first = traces(c, 6)
     again = traces(c, 6)
     assert first == again == cold
