@@ -58,7 +58,6 @@ from .reconstruct import (
     sample_series,
 )
 from .residues import (
-    ContourSpec,
     RationalForm1D,
     contour_oracle,
     oracle_report,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContinuationError",
-    "ContourSpec",
     "DegreeDetectionError",
     "DomainError",
     "FracMatrix",

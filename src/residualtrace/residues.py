@@ -22,22 +22,29 @@ re-exported here.  Each later step is `shift_mod_monic`.
 
 Two numeric paths act as oracles for it: residues at numerically computed
 poles (companion-matrix roots) and trapezoidal contour quadrature of
-(1/2 pi i) * integral of f dy over a circle enclosing every pole.  Only
-they use numpy, which is imported when they first run.
+(1/2 pi i) * integral of f dy with `QUADRATURE_POINTS` nodes.  The
+quadrature runs over one circle, |y| = 2 (1 + M), with M the largest
+|c_i / c_d| over the coefficients c_0 .. c_d of the specialized
+denominator.  By the Cauchy bound every pole has |y| <= 1 + M, so each lies
+inside the circle, at most half its radius from the centre.  Only the
+oracles use numpy, which is imported when they first run.
 """
 
 from __future__ import annotations
 
-from cmath import isfinite
-from operator import index
 from typing import Sequence
 
 from .algebra import MPoly, RatFunc, dense, exact_div, poly_gcd
 from .algebra.poly import mod_monic
 from .errors import DomainError
-from .record import Record, _set
 
-REPEATED_ROOT_RTOL = 1e-9
+# A pole is repeated when |den'| there is below this fraction of the largest
+# denominator coefficient.  np.roots splits a double root into two simple
+# roots a relative sqrt(eps) or so apart, where |den'| is still 1e-8 to 1e-7
+# of that scale; a smaller tolerance passes them on as two huge residues
+# whose sum is wrong.  Simple poles away from the discriminant sit far above.
+REPEATED_ROOT_RTOL = 1e-6
+QUADRATURE_POINTS = 256
 
 
 def shift_mod_monic(rem: list[MPoly], power: MPoly,
@@ -108,36 +115,6 @@ class RationalForm1D:
         return f"RationalForm1D(({self.num}) / ({self.den}) d{self.fiber})"
 
 
-def _check_finite(name: str, value) -> None:
-    try:
-        finite = isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise DomainError(f"contour {name} must be a finite number")
-
-
-class ContourSpec(Record):
-    """Circle contour for the quadrature oracle."""
-
-    __slots__ = ("center", "radius", "points")
-
-    def __init__(self, center: complex = 0j, radius: float = 0.0, points: int = 256):
-        _check_finite("center", center)
-        _check_finite("radius", radius)
-        if radius <= 0:
-            raise DomainError("contour radius must be positive")
-        try:
-            points = index(points)
-        except TypeError:
-            raise DomainError(f"contour points must be an integer, got {points!r}") from None
-        if points < 16:
-            raise DomainError("contour needs at least 16 quadrature points")
-        _set(self, "center", center)
-        _set(self, "radius", radius)
-        _set(self, "points", points)
-
-
 def residue_sum(form: RationalForm1D) -> RatFunc:
     """Exact sum of fiber residues, as a rational function of the base variables.
 
@@ -198,28 +175,13 @@ def pointwise_residues(form: RationalForm1D, x_values: Sequence[complex]):
     return pairs
 
 
-def _default_circle(dcoeffs: list[complex], points: int = 256) -> ContourSpec:
-    """The circle of `default_contour` for stripped denominator coefficients."""
-    radius = 2.0 * (1.0 + max(abs(c / dcoeffs[-1]) for c in dcoeffs))
-    return ContourSpec(center=0j, radius=radius, points=points)
-
-
-def default_contour(form: RationalForm1D, x_values: Sequence[complex],
-                    points: int = 256) -> ContourSpec:
-    """Circle |y| = 2 (1 + max |monic coefficient|), enclosing every pole."""
-    dcoeffs = dense.strip(_specialize(form, x_values)[1])
-    if len(dcoeffs) < 2:
-        raise DomainError("specialized denominator has no fiber poles")
-    return _default_circle(dcoeffs, points)
-
-
-def contour_oracle(form: RationalForm1D, x_values: Sequence[complex],
-                   spec: ContourSpec | None = None) -> complex:
+def contour_oracle(form: RationalForm1D, x_values: Sequence[complex]) -> complex:
     """Trapezoidal estimate of the residue sum for one base specialization.
 
-    The contour must enclose every pole and pass near none of them; both
-    conditions are checked against companion-matrix roots.  A pole-free
-    integrand (fiber degree 0 denominator) integrates to zero exactly.
+    The contour is the circle |y| = 2 (1 + M), M the largest |c_i / c_d| of
+    the specialized denominator, which encloses every pole with room to
+    spare.  A pole-free integrand (fiber degree 0 denominator) integrates to
+    zero exactly.
     """
     if form.den.degree(form.fiber) == 0:
         return 0j
@@ -227,41 +189,32 @@ def contour_oracle(form: RationalForm1D, x_values: Sequence[complex],
     dstripped = dense.strip(list(dcoeffs))
     if len(dstripped) < 2:
         raise DomainError("specialized denominator dropped degree")
-    if spec is None:
-        spec = _default_circle(dstripped)
+    radius = 2.0 * (1.0 + max(abs(c / dstripped[-1]) for c in dstripped))
     import numpy as np
-    roots = np.roots(dstripped[::-1])
-    for z in roots:
-        gap = abs(complex(z) - spec.center)
-        if gap >= spec.radius:
-            raise DomainError(f"pole {complex(z):.6g} lies outside the contour")
-        if abs(gap - spec.radius) < 1e-6 * spec.radius:
-            raise DomainError(f"pole {complex(z):.6g} sits on the contour")
-
-    n = spec.points
+    n = QUADRATURE_POINTS
     total = 0j
     for j in range(n):
         theta = 2.0 * np.pi * j / n
-        w = spec.center + spec.radius * complex(np.cos(theta), np.sin(theta))
+        w = radius * complex(np.cos(theta), np.sin(theta))
         denom = _horner(dcoeffs, w)
         if denom == 0:
             raise DomainError("quadrature node hit a pole")
         total += _horner(ncoeffs, w) / denom * complex(np.cos(theta), np.sin(theta))
-    value = total * spec.radius / n
+    value = total * radius / n
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
         raise DomainError("contour quadrature diverged")
     return value
 
 
-def oracle_report(form: RationalForm1D, sample_points: Sequence[Sequence[complex]],
-                  spec: ContourSpec | None = None) -> list[dict]:
+def oracle_report(form: RationalForm1D,
+                  sample_points: Sequence[Sequence[complex]]) -> list[dict]:
     """Compare the exact residue sum against both numeric paths per sample point."""
     exact = residue_sum(form)
     rows = []
     for point in sample_points:
         assign = {v: complex(x) for v, x in zip(form.base_vars, point)}
         exact_val = exact.eval_numeric(assign)
-        quad = contour_oracle(form, point, spec)
+        quad = contour_oracle(form, point)
         try:
             point_sum = sum(res for _, res in pointwise_residues(form, point))
             point_err = abs(point_sum - exact_val)

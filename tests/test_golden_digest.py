@@ -14,6 +14,7 @@ purpose re-pins `GOLDEN` and must keep `VALUES`.
 """
 
 import hashlib
+import importlib
 import json
 from fractions import Fraction
 from random import Random
@@ -26,6 +27,13 @@ from residualtrace.radon import closedness_check, pencil_projection, radon
 from residualtrace.reconstruct import continue_current, reconstruct, sample_series
 from residualtrace.sampling import base_vars, current_vars, random_base_poly, random_current
 from residualtrace.traces import traces
+from residualtrace.verify import verify_report
+
+POLY = importlib.import_module("residualtrace.algebra.poly")
+# The package attributes `traces`, `radon` and `reconstruct` are functions.
+TRACES = importlib.import_module("residualtrace.traces")
+RADON = importlib.import_module("residualtrace.radon")
+RECONSTRUCT = importlib.import_module("residualtrace.reconstruct")
 
 SEED = 20240611
 GOLDEN = "04f568b0f67a54961ec2490d8ef665b2912cf51a2815546fcee170ab17e6a171"
@@ -160,3 +168,37 @@ def test_golden_digest():
     doc = corpus_document()
     assert _sha256(canonical_dumps(_without_order(json.loads(doc)))) == VALUES
     assert _sha256(doc) == GOLDEN
+
+
+def _clear_trace_memos():
+    TRACES._fiber_traces.cache_clear()
+    RADON._chart_traces.cache_clear()
+
+
+def test_reversed_term_order_reaches_no_value():
+    """Every term dict built in reverse order leaves values and verify bytes as they are."""
+    def documents():
+        return corpus_document(), canonical_dumps(verify_report(1729))
+
+    def values(doc):
+        return canonical_dumps(_without_order(json.loads(doc)))
+
+    trusted = POLY._trusted
+
+    def reversed_trusted(variables, terms):
+        return trusted(variables, dict(reversed(terms.items())))
+
+    doc, report = documents()
+    try:
+        # reconstruct imports `_trusted` by name, so it is patched there too
+        for module in (POLY, RECONSTRUCT):
+            module._trusted = reversed_trusted
+        _clear_trace_memos()
+        reversed_doc, reversed_report = documents()
+    finally:
+        for module in (POLY, RECONSTRUCT):
+            module._trusted = trusted
+        _clear_trace_memos()
+    assert _sha256(reversed_doc) != _sha256(doc)
+    assert values(reversed_doc) == values(doc)
+    assert reversed_report == report

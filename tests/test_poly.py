@@ -290,6 +290,22 @@ def test_gcd_fiber_monic_when_possible():
     assert poly_gcd_fiber(f, g) == Y + X
 
 
+def test_gcd_fiber_keeps_a_non_constant_lead_primitive():
+    # the fiber lead x is no rational constant, so the gcd is not made monic
+    assert poly_gcd_fiber((X * Y + 1) * (Y - 2), (X * Y + 1) * (Y + 3)) == X * Y + 1
+
+
+def test_gcd_fiber_of_two_zeros_raises():
+    with pytest.raises(DomainError, match=r"gcd\(0, 0\)"):
+        poly_gcd_fiber(MPoly.zero(V), MPoly.zero(V))
+
+
+def test_lcm_with_zero_is_zero():
+    f = (Y - X) * (Y + 1)
+    for m in (poly_lcm(MPoly.zero(V), f), poly_lcm(f, MPoly.zero(V))):
+        assert m.is_zero() and m.vars == V
+
+
 def test_lcm_divisible_by_both():
     f = (Y - X) * (Y + 1)
     g = (Y - X) * (Y - 2)

@@ -18,7 +18,6 @@ from residualtrace.currents import ResidualCurrent, ZeroCurrent, validate
 from residualtrace.errors import DomainError
 from residualtrace.radon import LineChart, RadonForm, line_chart
 from residualtrace.reconstruct import ReconstructionReport, SeriesSample
-from residualtrace.residues import ContourSpec
 from residualtrace.traces import TraceSequence
 
 V = ("x", "y")
@@ -48,8 +47,6 @@ RECORDS = {
     "LineChart": (("n", "a_names", "b_names"), lambda i: line_chart(1 + i)),
     "RadonForm": (("n", "components"),
                   lambda i: RadonForm(1, {frozenset(): U[i], frozenset({1}): U[0]})),
-    "ContourSpec": (("center", "radius", "points"),
-                    lambda i: ContourSpec(1j, 2.0 + i, 64)),
 }
 HASHABLE = [name for name in RECORDS if name != "RadonForm"]
 
@@ -80,10 +77,6 @@ def test_positional_and_keyword_construction_with_defaults():
     form = RadonForm(1, {frozenset(): U[0]})
     assert form == RadonForm(n=1, components={frozenset(): U[0]})
 
-    spec = ContourSpec(radius=1.5)
-    assert (spec.center, spec.radius, spec.points) == (0j, 1.5, 256)
-    assert ContourSpec(1j, 2.0, 32) == ContourSpec(center=1j, radius=2.0, points=32)
-
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_signature_rejects_extra_and_missing_arguments(name):
@@ -97,7 +90,7 @@ def test_signature_rejects_extra_and_missing_arguments(name):
         cls(*args, None)
     with pytest.raises(TypeError):
         cls(*args[:-1], **{fields[-1]: args[-1]}, bogus=1)
-    if name not in ("ReconstructionReport", "ContourSpec"):
+    if name != "ReconstructionReport":
         with pytest.raises(TypeError):
             cls(*args[:-1])
 
@@ -107,29 +100,6 @@ def test_trace_sequence_validation():
         TraceSequence(())
     with pytest.raises(DomainError, match="different variable lists"):
         TraceSequence((U[0], W))
-
-
-def test_contour_spec_validation():
-    for radius in (0.0, -1.0):
-        with pytest.raises(DomainError, match="radius"):
-            ContourSpec(radius=radius)
-    with pytest.raises(DomainError, match="radius"):
-        ContourSpec()
-    with pytest.raises(DomainError, match="16"):
-        ContourSpec(radius=1.0, points=15)
-    assert ContourSpec(radius=1.0, points=16).points == 16
-    nan, inf = float("nan"), float("inf")
-    for bad in (nan, inf, -inf, 10 ** 400, "1"):
-        with pytest.raises(DomainError, match="radius"):
-            ContourSpec(radius=bad)
-        with pytest.raises(DomainError, match="center"):
-            ContourSpec(center=bad, radius=1.0)
-    for bad in (complex(1.0, nan), complex(inf, 0.0)):
-        with pytest.raises(DomainError, match="center"):
-            ContourSpec(center=bad, radius=1.0)
-    for bad in (20.5, "32", None):
-        with pytest.raises(DomainError, match="points"):
-            ContourSpec(radius=1.0, points=bad)
 
 
 def test_series_sample_coerces_and_refuses_floats():

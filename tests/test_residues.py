@@ -8,10 +8,8 @@ import pytest
 from residualtrace.algebra import MPoly, RatFunc
 from residualtrace.errors import DomainError
 from residualtrace.residues import (
-    ContourSpec,
     RationalForm1D,
     contour_oracle,
-    default_contour,
     oracle_report,
     pointwise_residues,
     residue_sum,
@@ -67,11 +65,35 @@ def test_pointwise_residues_example():
 
 def test_pointwise_repeated_root_raises():
     # triple pole: computed roots split ~eps^(1/3), so |den'| ~ eps^(2/3)
-    # falls below the 1e-9 * scale guard (a bare double pole splits ~eps^(1/2)
-    # and slips past it; only residue_sum is trusted near such points)
     form = RationalForm1D(MPoly.constant(V, 1), (Y - 1) * (Y - 1) * (Y - 1))
     with pytest.raises(DomainError):
         pointwise_residues(form, [0.0])
+
+
+DOUBLE_POLE_DENOMINATORS = {
+    "(y-x)^2": (Y - X) ** 2,
+    "(y-x)^2(y+1)": (Y - X) ** 2 * (Y + 1),
+    "(y^2-x)^2": (Y * Y - X) ** 2,
+    "(y-x)^2(y-2x)(y+3)": (Y - X) ** 2 * (Y - X.scale(2)) * (Y + 3),
+}
+
+
+@pytest.mark.parametrize("xv", [0.5, 2, -1.3, 0.7 + 0.2j, 3, 10, 123])
+@pytest.mark.parametrize("name", sorted(DOUBLE_POLE_DENOMINATORS))
+def test_pointwise_double_pole_raises(name, xv):
+    # computed roots split a double pole ~sqrt(eps) apart; they must not come
+    # back as two huge simple residues with a wrong sum
+    form = RationalForm1D(MPoly.constant(V, 1), DOUBLE_POLE_DENOMINATORS[name])
+    with pytest.raises(DomainError, match="repeated pole"):
+        pointwise_residues(form, [xv])
+
+
+def test_oracle_report_double_pole_has_no_pointwise_value():
+    form = RationalForm1D(MPoly.constant(V, 1), (Y - X) ** 2)
+    (row,) = oracle_report(form, [[0.5]])
+    assert row["pointwise"] is None and row["pointwise_error"] is None
+    assert row["exact"] == 0
+    assert row["contour_error"] < 1e-9
 
 
 def test_pointwise_no_poles_empty():
@@ -88,23 +110,10 @@ def test_contour_matches_exact():
         assert abs(got - want) < 1e-10
 
 
-def test_contour_rejects_pole_outside():
-    form = RationalForm1D(MPoly.constant(V, 1), Y - X)
-    with pytest.raises(DomainError):
-        contour_oracle(form, [10.0], ContourSpec(radius=1.0))
-
-
-def test_contour_spec_validation():
-    with pytest.raises(DomainError):
-        ContourSpec(radius=0.0)
-    with pytest.raises(DomainError):
-        ContourSpec(radius=1.0, points=4)
-
-
-def test_default_contour_encloses_all_poles():
-    form = RationalForm1D(MPoly.constant(V, 1), (Y - 3) * (Y + 5))
-    spec = default_contour(form, [0.0])
-    assert spec.radius > 5.0
+def test_contour_encloses_distant_poles():
+    # residues 3/8 at y = 3 and 5/8 at y = -5; a circle missing -5 gives 3/8
+    form = RationalForm1D(Y, (Y - 3) * (Y + 5))
+    assert abs(contour_oracle(form, [0.0]) - 1) < 1e-12
 
 
 def test_oracle_report_rows():

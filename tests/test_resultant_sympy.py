@@ -42,6 +42,16 @@ def test_sympy_resultant_sign_convention():
     assert sylvester_resultant(y - 2, y ** 3 + 1, "y") == MPoly.constant(("y",), 9)
 
 
+def test_resultant_of_zero_and_of_fiber_constants_matches_sympy():
+    x, y = (MPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    # a zero argument gives 0; two arguments free of y give the empty determinant 1
+    for f, g, want in ((MPoly.zero(x.vars), y - x, 0), (x + 1, x - 2, 1)):
+        ours = sylvester_resultant(f, g, "y")
+        theirs = sympy.resultant(to_sympy(f), to_sympy(g), sympy.Symbol("y"))
+        assert theirs == want
+        assert ours == MPoly.constant(x.vars, want)
+
+
 CASES = [(1, 2024), (2, 2025)]
 
 
