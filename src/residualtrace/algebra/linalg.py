@@ -1,11 +1,17 @@
 """Exact linear algebra over the rational function field.
 
 Determinants use Bareiss fraction-free elimination after clearing row
-denominators, so all intermediate work stays in the polynomial ring.  The
-same elimination, `_bareiss`, drives `solve_linear`.  Back substitution
-is the only place rational function division appears: each quotient
-acc / a_ii is exact, with no gcd, whenever the pivot divides the
-polynomial acc, and a gcd reduces it only otherwise.
+denominators, so all intermediate work stays in the polynomial ring: a row
+of polynomials is its own numerators, and a step whose previous pivot is
+1, the first one included, divides by nothing.  The same elimination,
+`_bareiss`, drives `solve_linear`.  Back substitution runs on `MPoly` too,
+from the last unknown up, while each quotient acc / a_ii is exact
+(`try_div`); then a `RatFunc` is built only for the values returned.  At
+the first inexact quotient it falls back to `RatFunc` arithmetic for that
+unknown and every one above it, with the polynomial unknowns already
+solved wrapped as they are.  The products, sums and quotients are the ones
+an all-`RatFunc` loop would form, so the values and their term order are
+too.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from fractions import Fraction
 
 from ..errors import DomainError, SingularSystemError
 from . import dense
-from .poly import MPoly, as_fraction, exact_div, poly_lcm
+from .poly import MPoly, as_fraction, exact_div, poly_lcm, try_div
 from .ratfunc import RatFunc
 
 
@@ -24,7 +30,7 @@ class FracMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, rows):
-        entries = tuple(tuple(self._coerce(e, rows) for e in row) for row in rows)
+        entries = tuple(tuple(map(self._coerce, row)) for row in rows)
         if not entries or not entries[0]:
             raise DomainError("matrix must have at least one row and column")
         width = len(entries[0])
@@ -38,12 +44,14 @@ class FracMatrix:
         self.entries = entries
 
     @staticmethod
-    def _coerce(e, rows):
+    def _coerce(e):
+        """An entry of the matrix or of a right-hand side, as a RatFunc."""
         if isinstance(e, RatFunc):
             return e
         if isinstance(e, MPoly):
             return RatFunc(e)
-        raise DomainError(f"matrix entries must be RatFunc or MPoly, got {type(e).__name__}")
+        raise DomainError(f"linear system entries must be RatFunc or MPoly, "
+                          f"got {type(e).__name__}")
 
     @property
     def rows(self) -> int:
@@ -81,17 +89,22 @@ def clear_denominators(fs: list[RatFunc]) -> tuple[list[MPoly], MPoly]:
 def _cleared_rows(m: FracMatrix, rhs: list[RatFunc] | None = None):
     """Multiply each row by the lcm of its denominators.
 
-    Returns (rows of MPoly, rhs column of MPoly or None, row multipliers).
+    Returns (rows of MPoly, rhs column of MPoly or None, the row multipliers
+    other than 1).  A row of polynomials is its numerators.
     """
     out_rows = []
     out_rhs = [] if rhs is not None else None
     multipliers = []
     for i, row in enumerate(m.entries):
-        cleared, mult = clear_denominators(list(row) + ([rhs[i]] if rhs is not None else []))
+        fs = list(row) + ([rhs[i]] if rhs is not None else [])
+        if all(f.is_polynomial() for f in fs):
+            cleared = [f.num for f in fs]
+        else:
+            cleared, mult = clear_denominators(fs)
+            multipliers.append(mult)
         if rhs is not None:
             out_rhs.append(cleared.pop())
         out_rows.append(cleared)
-        multipliers.append(mult)
     return out_rows, out_rhs, multipliers
 
 
@@ -106,7 +119,7 @@ def _bareiss(a: list[list[MPoly]], c: list[MPoly] | None = None) -> int:
     n = len(a)
     variables = a[0][0].vars
     sign = 1
-    prev = MPoly.constant(variables, 1)
+    prev = None  # the previous pivot; None while it is 1, which divides nothing
     for k in range(n - 1):
         if a[k][k].is_zero():
             pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
@@ -118,11 +131,13 @@ def _bareiss(a: list[list[MPoly]], c: list[MPoly] | None = None) -> int:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                v = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = v if prev is None else exact_div(v, prev)
             if c is not None:
-                c[i] = exact_div(c[i] * a[k][k] - a[i][k] * c[k], prev)
+                v = c[i] * a[k][k] - a[i][k] * c[k]
+                c[i] = v if prev is None else exact_div(v, prev)
             a[i][k] = MPoly.zero(variables)
-        prev = a[k][k]
+        prev = None if a[k][k].is_one() else a[k][k]
     return 0 if a[n - 1][n - 1].is_zero() else sign
 
 
@@ -154,7 +169,7 @@ def solve_linear(m: FracMatrix, rhs) -> list[RatFunc]:
     """Solve m x = rhs exactly; raises SingularSystemError when det m = 0."""
     if m.rows != m.cols:
         raise DomainError("solve requires a square matrix")
-    rhs = [e if isinstance(e, RatFunc) else RatFunc(e) for e in rhs]
+    rhs = [FracMatrix._coerce(e) for e in rhs]
     if len(rhs) != m.rows:
         raise DomainError(f"right-hand side has {len(rhs)} entries for {m.rows} rows")
     for e in rhs:
@@ -164,8 +179,22 @@ def solve_linear(m: FracMatrix, rhs) -> list[RatFunc]:
     a, c, _ = _cleared_rows(m, rhs)
     if _bareiss(a, c) == 0:
         raise SingularSystemError("coefficient matrix is singular")
-    x: list[RatFunc | None] = [None] * n
+    x: list = [None] * n
     for i in range(n - 1, -1, -1):
+        acc = c[i]
+        for j in range(i + 1, n):
+            acc = acc - a[i][j] * x[j]
+        q = try_div(acc, a[i][i])
+        if q is None:
+            break
+        x[i] = q
+    else:
+        return [RatFunc(v) for v in x]
+    # acc / a_ii is not a polynomial: RatFunc from unknown i up.  RatFunc(acc,
+    # a_ii) is the quotient `/` would form once `try_div` has failed.
+    x[i + 1:] = map(RatFunc, x[i + 1:])
+    x[i] = RatFunc(acc, a[i][i])
+    for i in range(i - 1, -1, -1):
         acc = RatFunc(c[i])
         for j in range(i + 1, n):
             acc = acc - RatFunc(a[i][j]) * x[j]

@@ -4,14 +4,24 @@ Every instance is kept in a canonical reduced form: numerator and
 denominator coprime (full multivariate gcd) and the denominator's graded-lex
 leading coefficient equal to 1.  Structural equality therefore coincides
 with mathematical equality, and hashing is consistent with it.
+
+The denominator 1 of a polynomial is one shared `MPoly` per variable
+tuple, from `_one`; `MPoly` values are never mutated, so sharing it is
+safe and saves building a constant for each polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from ..errors import DomainError
 from .poly import MPoly, exact_div, poly_gcd, try_div
+
+
+@lru_cache(maxsize=64)
+def _one(variables: tuple[str, ...]) -> MPoly:
+    return MPoly.constant(variables, 1)
 
 
 class RatFunc:
@@ -20,14 +30,14 @@ class RatFunc:
     def __init__(self, num: MPoly, den: MPoly | None = None):
         if den is None:  # a polynomial is already in canonical form
             self.num = num
-            self.den = MPoly.constant(num.vars, 1)
+            self.den = _one(num.vars)
             self._hash = None
             return
         num._check_same_ring(den)
         if den.is_zero():
             raise DomainError("denominator is the zero polynomial")
         if num.is_zero():
-            den = MPoly.constant(num.vars, 1)
+            den = _one(num.vars)
         elif den.is_one():
             pass
         else:

@@ -241,8 +241,15 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
         - MPoly.variable(chart.a_names, chart.a_names[i]).scale(y0)
         for i in range(n)
     }
-    specialized = [(f.num.subs(chart.a_names, offsets), f.den.subs(chart.a_names, offsets))
-                   for f in u]
+
+    def specialize(f: MPoly) -> MPoly:
+        # a constant or zero carries over as it is: `subs` would only check
+        # the images again, and they are built just above
+        if f.is_constant():
+            return MPoly.constant(chart.a_names, next(iter(f.terms.values()), 0))
+        return f.subs(chart.a_names, offsets)
+
+    specialized = [(specialize(f.num), specialize(f.den)) for f in u]
     if any(den.is_zero() for _, den in specialized):
         raise DomainError("substitution lands on the polar set")
     if not all(_cross_equal(num, den, g.num, g.den)

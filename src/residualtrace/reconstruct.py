@@ -115,6 +115,33 @@ _POINT_STEP = 1009
 _SERIES_VAR = "x"
 
 
+def _at(f: MPoly, x0) -> tuple[int, int]:
+    """f(x0) mod p as (numerator, denominator), with f = nums / den over Z.
+
+    Each term is evaluated on ints and reduced once, at the end.
+    """
+    den, nums = dense.clear(f.terms.values())
+    total = 0
+    for exps, c in zip(f.terms, nums):
+        for x, e in zip(x0, exps):
+            if e:
+                c *= pow(x, e, _P)
+        total += c
+    return total % _P, den % _P
+
+
+def _residue(f: RatFunc, x0) -> int | None:
+    """f(x0) mod p, or None when a denominator of f vanishes there mod p.
+
+    A polynomial's denominator 1 is not evaluated.
+    """
+    nn, nd = _at(f.num, x0)
+    dn, dd = (1, 1) if f.is_polynomial() else _at(f.den, x0)
+    if nd * dn * dd % _P == 0:
+        return None
+    return nn * dd * pow(nd * dn, -1, _P) % _P
+
+
 def _modular_failures(t: TraceSequence, top: int) -> list[int | None]:
     """For d = 1..top, a window where the depth-d recurrence must fail, or None.
 
@@ -131,26 +158,14 @@ def _modular_failures(t: TraceSequence, top: int) -> list[int | None]:
     point where a trace denominator or a coefficient denominator vanishes
     mod p is passed over; with no usable point every entry is None.
     """
-    def at(f: MPoly, x0) -> tuple[int, int]:
-        # f(x0) mod p as (numerator, denominator)
-        num, den = 0, 1
-        for exps, c in f.terms.items():
-            mono = 1
-            for x, e in zip(x0, exps):
-                if e:
-                    mono = mono * pow(x, e, _P) % _P
-            num = (num * c.denominator + c.numerator * mono * den) % _P
-            den = den * c.denominator % _P
-        return num, den
-
     for s in _POINT_SEEDS:
         x0 = [s + _POINT_STEP * i for i in range(len(t.vars))]
         u = []
         for f in t.entries:
-            (nn, nd), (dn, dd) = at(f.num, x0), at(f.den, x0)
-            if nd * dn * dd % _P == 0:
+            v = _residue(f, x0)
+            if v is None:
                 break
-            u.append(nn * dd * pow(nd * dn, -1, _P) % _P)
+            u.append(v)
         else:
             break
     else:
@@ -182,11 +197,22 @@ def _candidate(t: TraceSequence, a: list[RatFunc]):
     """r's coefficients r_j = sum_{i<=j} a_i u_{j-i} (a_0 = 1) of y^{d-1-j}, and (p, r).
 
     The pair is None when a coefficient is not polynomial: no current has them.
+    When a and u_0 .. u_{d-1} are polynomial the sums run on their MPoly
+    numerators, in the same order, so they give the same terms in the same
+    order as the RatFunc sums.
     """
     d = len(a)
-    r_coeffs = tuple(sum((a[i - 1] * t[j - i] for i in range(1, j + 1)), t[j]) for j in range(d))
-    if any(not c.is_polynomial() for c in (*a, *r_coeffs)):
-        return r_coeffs, None
+    u = t.entries[:d]
+
+    def sums(a, u):  # r_j = u_j + a_1 u_{j-1} + ... + a_j u_0, left to right
+        return [sum((a[i - 1] * u[j - i] for i in range(1, j + 1)), u[j]) for j in range(d)]
+
+    if all(f.is_polynomial() for f in (*a, *u)):
+        r_coeffs = tuple(map(RatFunc, sums([f.num for f in a], [f.num for f in u])))
+    else:
+        r_coeffs = tuple(sums(a, u))
+        if any(not c.is_polynomial() for c in (*a, *r_coeffs)):
+            return r_coeffs, None
     fiber = "y"
     while fiber in t.vars:
         fiber += "_"

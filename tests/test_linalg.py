@@ -17,6 +17,7 @@ from residualtrace.algebra import (
     sylvester_resultant,
 )
 from residualtrace.algebra.linalg import _bareiss, _cleared_rows
+from residualtrace.currents import ResidualCurrent
 from residualtrace.errors import DomainError, SingularSystemError
 from residualtrace.sampling import random_current
 from residualtrace.traces import hankel, traces
@@ -125,6 +126,15 @@ def test_solve_rejects_bad_shapes():
         solve_linear(m, [RatFunc(X)])
 
 
+@pytest.mark.parametrize("scalar", [1, "1"])
+def test_scalar_right_hand_side_is_refused_like_a_scalar_entry(scalar):
+    name = type(scalar).__name__
+    with pytest.raises(DomainError, match=f"got {name}$"):
+        FracMatrix([[scalar]])
+    with pytest.raises(DomainError, match=f"got {name}$"):
+        solve_linear(FracMatrix([[RatFunc(X)]]), [scalar])
+
+
 def reference_solve(m, rhs):
     """Bareiss, then back substitution all in RatFunc, every quotient reduced by a gcd."""
     a, c, _ = _cleared_rows(m, rhs)
@@ -218,6 +228,120 @@ def test_solving_monic_hankel_systems_needs_no_gcd(monkeypatch):
         _bareiss(a, c)
         nonunit += sum(not a[i][i].is_constant() for i in range(m.rows))
     assert nonunit > 0
+
+
+def ratfunc_loop_solve(m, rhs):
+    """Bareiss, then back substitution all in RatFunc, each quotient by RatFunc `/`."""
+    a, c, _ = _cleared_rows(m, rhs)
+    assert _bareiss(a, c) != 0
+    n = m.rows
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = RatFunc(c[i])
+        for j in range(i + 1, n):
+            acc = acc - RatFunc(a[i][j]) * x[j]
+        x[i] = acc / RatFunc(a[i][i])
+    return x
+
+
+def integer_system(rng, variables, n, kind):
+    """(m, rhs, x): a seeded n x n system with integer polynomial entries.
+
+    "polynomial": rhs = m x for a polynomial x.  "switch": x_s is not a
+    polynomial and every x_j with j > s is, so back substitution leaves
+    MPoly at unknown s; an x_j with j < s is either.  "singular": the last
+    row is a polynomial combination of the others (n = 1: the zero matrix),
+    and x is None.  A nonsingular m is dense or upper triangular with a
+    constant diagonal.
+    """
+    gens = [MPoly.variable(variables, v) for v in variables]
+
+    def poly():
+        out = MPoly.constant(variables, rng.randint(-3, 3))
+        for _ in range(rng.randint(1, 2)):
+            term = MPoly.constant(variables, rng.choice([-2, -1, 1, 2, 3]))
+            for g in gens:
+                term = term * g ** rng.randint(0, 1)
+            out = out + term
+        return out
+
+    def rational():
+        while True:
+            f = RatFunc(poly(), gens[-1] + rng.randint(1, 4))
+            if not f.is_polynomial():
+                return f
+
+    if kind == "singular":
+        rows = [[poly() for _ in range(n)] for _ in range(n - 1)]
+        weights = [poly() for _ in rows]
+        rows.append([sum((w * row[j] for w, row in zip(weights, rows)),
+                         MPoly.zero(variables)) for j in range(n)])
+        m = FracMatrix(rows)
+        return m, [RatFunc(poly()) for _ in range(n)], None
+    while True:
+        if rng.random() < 0.5:
+            m = FracMatrix([[poly() for _ in range(n)] for _ in range(n)])
+        else:
+            # constant pivots: each quotient is a scaling, which keeps acc's term order
+            m = FracMatrix([[poly() if j > i else MPoly.constant(variables, rng.choice([1, 2, -3]))
+                             if j == i else MPoly.zero(variables) for j in range(n)]
+                            for i in range(n)])
+        if not determinant(m).is_zero():
+            break
+    if kind == "polynomial":
+        x = [RatFunc(poly()) for _ in range(n)]
+    else:
+        s = rng.randrange(n)
+        x = [rational() if j == s or (j < s and rng.random() < 0.5) else RatFunc(poly())
+             for j in range(n)]
+    rhs = [sum((m[i, j] * x[j] for j in range(n)), RatFunc.zero(variables)) for i in range(n)]
+    return m, rhs, x
+
+
+def test_polynomial_back_substitution_matches_sympy_and_the_ratfunc_loop():
+    sympy = pytest.importorskip("sympy")
+    from sympy_expr import to_sympy
+
+    def expr(f):
+        return to_sympy(f.num) / to_sympy(f.den)
+
+    rng = Random(2323)
+    switched = 0
+    for variables in (("x",), ("x", "y")):
+        for n in (1, 2, 3):
+            for kind in ("polynomial", "switch", "singular"):
+                for _ in range(3):
+                    m, rhs, x = integer_system(rng, variables, n, kind)
+                    a = sympy.Matrix([[expr(e) for e in row] for row in m.entries])
+                    det = sympy.expand(a.det(method="berkowitz"))
+                    if x is None:
+                        assert det == 0
+                        with pytest.raises(SingularSystemError):
+                            solve_linear(m, rhs)
+                        continue
+                    got = solve_linear(m, rhs)
+                    assert got == x
+                    # Cramer's rule on sympy's division-free determinant
+                    for i, v in enumerate(got):
+                        ai = a.copy()
+                        ai[:, i] = sympy.Matrix([expr(e) for e in rhs])
+                        assert sympy.cancel(expr(v) - ai.det(method="berkowitz") / det) == 0
+                    assert ([shape(v) for v in got]
+                            == [shape(v) for v in ratfunc_loop_solve(m, rhs)])
+                    switched += any(not v.is_polynomial() for v in got[1:])
+    # the RatFunc loop also ran above a switch point
+    assert switched > 0
+    # A Hankel system from the benchmark corpus: summing acc over j in the
+    # other order changes the raw term order of its x_0, which no system of
+    # the form b = m x above shows.
+    W = ("x", "y")
+    c = ResidualCurrent(
+        p=MPoly(W, {(0, 3): 1, (3, 0): -2, (2, 0): 4, (0, 0): -2, (1, 1): 4, (3, 1): 4,
+                    (2, 1): 1, (1, 2): 1, (0, 2): -1}),
+        r=MPoly(W, {(2, 0): 2, (3, 0): 2, (0, 1): -1}))
+    t = traces(c, 6)
+    m, rhs = hankel(t, 3), [-t[3 + i] for i in range(3)]
+    assert [shape(v) for v in solve_linear(m, rhs)] == [shape(v) for v in ratfunc_loop_solve(m, rhs)]
 
 
 def test_kernel_vector_annihilates_and_is_deterministic():

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from residualtrace.algebra import MPoly, RatFunc, solve_linear
-from residualtrace.currents import ZeroCurrent, validate
+from residualtrace.currents import ResidualCurrent, ZeroCurrent, validate
 from residualtrace.errors import (
     ContinuationError,
     DegreeDetectionError,
@@ -15,9 +15,12 @@ from residualtrace.errors import (
     SingularSystemError,
 )
 from residualtrace.reconstruct import (
+    _POINT_SEEDS,
     ReconstructionReport,
     SeriesSample,
     _detect,
+    _modular_failures,
+    _residue,
     continue_current,
     detect_degree,
     detect_rational,
@@ -149,6 +152,38 @@ def test_detect_matches_exact_reference():
             perturbed = list(rational.entries)
             perturbed[-1] += 1
             assert_detect_matches_exact(TraceSequence(entries=tuple(perturbed)), d)
+
+
+def test_modular_filter_evaluates_each_entry_exactly():
+    p = (1 << 61) - 1
+    rng = Random(47)
+    checked = unusable = 0
+    for _ in range(6):
+        c = random_current(rng, n=1, max_degree=3, coeff_degree=2)
+        t = traces(c, 2 * c.degree + 2)
+        # x - 101 vanishes at the first point; 2x - 3 gives fractional coefficients
+        for q in (XB + rng.choice([-3, -1, 2, 5]), XB - 101, 2 * XB - 3):
+            for f in with_denominators(t, q).entries:
+                for s in _POINT_SEEDS:
+                    got = _residue(f, [s])
+                    point = {"x": Fraction(s)}
+                    if f.den.eval_exact(point).numerator % p == 0:
+                        assert got is None
+                        unusable += 1
+                        continue
+                    exact = f.eval_exact(point)
+                    assert got == exact.numerator * pow(exact.denominator, -1, p) % p
+                    checked += 1
+    assert checked > 0 and unusable > 0
+
+
+def test_coefficient_denominator_p_leaves_the_exact_solve_to_decide():
+    p = (1 << 61) - 1
+    c = random_current(Random(48), n=1, max_degree=3, coeff_degree=2)
+    c = ResidualCurrent(p=c.p, r=c.r.scale(Fraction(1, p)))
+    t = traces(c, 2 * c.degree + 2)
+    assert _modular_failures(t, c.degree) == [None] * c.degree
+    assert reconstruct(t, c.degree).current == c
 
 
 @pytest.mark.parametrize("u0, solves", [
