@@ -22,9 +22,12 @@ Kernel rule: products and contents clear each operand's denominators by
 their lcm and run the inner loop on ints; an all-integer operand is the
 lcm = 1 case, and an all-integer product keeps its int accumulator as the
 result.  Only an output term with a denominator that does not cancel becomes
-a ``Fraction``, never a partial product.  A sum or difference keeps the
-stored value of every term found on one side only (negated for a
-subtrahend) and sums a shared term, on ints when both values are ints.
+a ``Fraction``, never a partial product.  Scaling by a non-integral p/q
+takes an int value v to v p over q, a ``Fraction`` only when q does not
+divide v p; a ``Fraction`` value is multiplied as it is.  A sum or
+difference keeps the stored value of every term found on one side only
+(negated for a subtrahend) and sums a shared term, on ints when both values
+are ints.
 A term key that is a sum of two keys (a product's, a quotient's, a renamed
 term's) comes from `_adder`, one unrolled tuple sum compiled per number of
 variables.  Trivial operands skip the general loop: a zero operand gives
@@ -68,7 +71,11 @@ their exponent vector in the remaining substituted variables, and each
 distinct vector costs one product of cached powers of the images, however
 many terms share it.  Each term then adds its coefficient times that
 product, shifted by the renames, so the result is the per-term sum, term
-order included.
+order included.  A term whose exponents in those variables are all zero has
+the unit as its product and adds its stored coefficient with no
+multiplication; every term of a denominator c^e that involves no
+substituted variable, as in the pencil's specialisation of chart traces,
+takes this path.
 """
 
 from __future__ import annotations
@@ -392,7 +399,15 @@ class MPoly:
 
     def scale(self, c) -> "MPoly":
         c = _coefficient(c)
-        return _trusted(self.vars, {e: _canon(v * c) for e, v in self.terms.items()} if c else {})
+        if not c:
+            return _trusted(self.vars, {})
+        if type(c) is int:
+            return _trusted(self.vars, {e: _canon(v * c) for e, v in self.terms.items()})
+        # c = p/q: an int value times p over q needs a Fraction only when q
+        # does not divide the product
+        p, q = c.numerator, c.denominator
+        return _trusted(self.vars, {e: _div(v * p, q) if type(v) is int else _canon(v * c)
+                                    for e, v in self.terms.items()})
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -468,7 +483,8 @@ class MPoly:
         if constant:
             return _trusted(variables, {(0,) * len(variables): c for c in self.terms.values()})
         add = _adder(len(variables))
-        unit = {(0,) * len(variables): 1}
+        zero = (0,) * len(variables)
+        unit = {zero: 1}
         # products[key] is built once per exponent vector `key` at `positions`,
         # multiplying in variable order; each term adds c times it, shifted
         # by the renames, in place, so the terms land where repeated `+` of
@@ -486,10 +502,14 @@ class MPoly:
                             cache.append(cache[-1] * cache[0])
                         term = cache[e - 1] if term is None else term * cache[e - 1]
                 prod = products[key] = unit if term is None else term.terms
+            shift = zero
             if moves:
                 shift = [0] * len(variables)
                 for i, t in moves:
                     shift[t] += exps[i]
+            if prod is unit:  # c times the unit is c, already in stored form
+                scaled = {tuple(shift): c}
+            elif moves:
                 scaled = {add(e, shift): _canon(v * c) for e, v in prod.items()}
             else:
                 scaled = {e: _canon(v * c) for e, v in prod.items()}

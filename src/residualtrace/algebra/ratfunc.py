@@ -196,7 +196,7 @@ class RatFunc:
     # ---- calculus and specialization ------------------------------------
 
     def diff(self, var: str) -> "RatFunc":
-        return RatFunc(*derivative_pair(self, var))
+        return RatFunc(*derivative_pair(self.num, self.den, var))
 
     def subs(self, variables, images: dict) -> "RatFunc":
         num = self.num.subs(variables, images)
@@ -226,12 +226,18 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def derivative_pair(f: RatFunc, var: str) -> tuple[MPoly, MPoly]:
-    """d/dvar of f = N / Q as the unreduced pair (N_var Q - N Q_var, Q^2).
+def derivative_pair(num: MPoly, den: MPoly, var: str) -> tuple[MPoly, MPoly]:
+    """d/dvar of num / den as the unreduced pair (N_var Q - N Q_var, Q^2).
 
-    When Q does not involve var the pair is (N_var, Q).
+    The one quotient rule: `RatFunc.diff` reduces its pair, and
+    `radon.closedness_check` compares pairs cleared to integer coefficients,
+    which give the same quotient.  When den is 1 or does not involve var the
+    pair is (N_var, Q); the 1 is not differentiated.
     """
-    dq = f.den.derivative(var)
+    dn = num.derivative(var)
+    if den.is_one():
+        return dn, den
+    dq = den.derivative(var)
     if dq.is_zero():
-        return f.num.derivative(var), f.den
-    return f.num.derivative(var) * f.den - f.num * dq, f.den * f.den
+        return dn, den
+    return dn * den - num * dq, den * den

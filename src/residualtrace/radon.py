@@ -16,6 +16,14 @@ because both sides are the same substituted derivative of r/p.  All of this
 is exact rational arithmetic; denominators only ever involve the a
 variables (powers of the leading fiber coefficient after substitution).
 
+`closedness_check` compares both sides as unreduced quotients, by
+cross-multiplication, and on integers wherever it can.  A chart trace with
+a denominator, R_k / c^{e_k} in canonical form, has a denominator with
+leading coefficient 1, so both its parts carry Fractions; the check scales
+them by one common integer first, once per trace, and the quotient rule and
+the products that follow build no Fraction.  A polynomial trace, or any
+whose denominator is one term, enters as it is.
+
 One subtlety: when p has total degree above its fiber degree, substituting
 x_i = a_i y + b_i raises the y-degree, and the chart traces sum over more
 poles than the fiber traces do.  Specializing every a_i to 0 then need not
@@ -35,10 +43,11 @@ call: mutating a returned list cannot change a later result.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .algebra import MPoly, RatFunc, as_fraction
+from .algebra import MPoly, RatFunc, as_fraction, dense
+from .algebra.poly import _trusted
 from .algebra.ratfunc import derivative_pair
 from .currents import ResidualCurrent, ZeroCurrent
 from .errors import DomainError
@@ -180,21 +189,42 @@ def _cross_equal(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly) -> bool:
     return n1 * d2 == n2 * d1
 
 
+def _integer_pair(f: RatFunc) -> tuple[MPoly, MPoly]:
+    """(m num, m den) of f, m the lcm of every coefficient denominator of both.
+
+    One m for both parts keeps the quotient f; the canonical denominator has
+    leading coefficient 1, so the parts of a chart trace carry Fractions that
+    m clears, and what is built from the pair stays on ints.
+    """
+    num, den = f.num.terms, f.den.terms
+    m, values = dense.clear(chain(num.values(), den.values()))
+    if m == 1:
+        return f.num, f.den
+    split = len(num)
+    return (_trusted(f.vars, dict(zip(num, values[:split]))),
+            _trusted(f.vars, dict(zip(den, values[split:]))))
+
+
 def closedness_check(u: Sequence[RatFunc], k_range: Iterable[int]) -> list[tuple[int, int]]:
     """Violations (i, k) of d/db_i u_{k+n} = d/da_i u_{k+n-1}; empty when closed.
 
     Both sides are compared as unreduced quotients, by cross-multiplication.
+    A trace with a denominator enters as its `_integer_pair`, which has the
+    same quotient, built once per call though the trace serves two windows.
+    One whose denominator is one term (1 or a monomial, which normalisation
+    never scales) enters as it is.
     """
     n, variables = _chart_shape(u)
     a_names, b_names = variables[:n], variables[n:]
+    pairs = [(f.num, f.den) if len(f.den.terms) == 1 else _integer_pair(f) for f in u]
     bad = []
     for k in k_range:
         if k < 0 or k + n >= len(u):
             raise DomainError(
                 f"k = {k} needs chart traces up to u_{k + n}, have {len(u)}")
         for i in range(n):
-            lhs = derivative_pair(u[k + n], b_names[i])
-            rhs = derivative_pair(u[k + n - 1], a_names[i])
+            lhs = derivative_pair(*pairs[k + n], b_names[i])
+            rhs = derivative_pair(*pairs[k + n - 1], a_names[i])
             if not _cross_equal(*lhs, *rhs):
                 bad.append((i + 1, k))
     return bad

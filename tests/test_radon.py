@@ -348,3 +348,65 @@ def test_closed_potential_roundtrip_on_chart_traces():
     f = closed_potential(u[0], u[1])
     assert RatFunc(f.derivative("a")) == u[1]
     assert RatFunc(f.derivative("b")) == u[0]
+
+
+def reference_violations(u, k_range):
+    """The closedness identities on reduced quotients: `RatFunc.diff` and `==`."""
+    n = len(u[0].vars) // 2
+    a_names, b_names = u[0].vars[:n], u[0].vars[n:]
+    return [(i + 1, k) for k in k_range for i in range(n)
+            if u[k + n].diff(b_names[i]) != u[k + n - 1].diff(a_names[i])]
+
+
+def _lifted_currents(seed, n, count):
+    """Seeded currents whose chart traces carry denominators."""
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        c = random_current(rng, n=n, max_degree=2, coeff_degree=1, max_abs=3)
+        if not all(f.is_polynomial() for f in radon(c, 2 * c.degree + n)):
+            out.append(c)
+    return out
+
+
+def _ci_current_n2():
+    # the n = 2 current of the CI's `radon --check-closedness` run
+    W = ("x1", "x2", "y")
+    x1, x2, y = (MPoly.variable(W, v) for v in W)
+    p = (x1 * y * y).scale(-3) + y ** 3 - x1 * y + x1.scale(2) + x2.scale(2) + 1
+    r = (x1 * x1 * y * y).scale(4) + x1 * x2 * y + (x1 * x1).scale(2) - 1
+    return validate(p, r)
+
+
+@pytest.mark.parametrize("c", _lifted_currents(6161, 1, 4) + _lifted_currents(6262, 2, 2)
+                         + [_ci_current_n2()], ids=["n1a", "n1b", "n1c", "n1d", "n2a", "n2b", "ci"])
+def test_cleared_closedness_matches_ratfunc_reference(c):
+    # closedness_check clears each trace with a denominator to integer
+    # coefficients, numerator and denominator by one lcm; the reference
+    # differentiates the reduced quotients themselves
+    n, k_top = c.n, 2 * c.degree
+    u = radon(c, k_top + n)
+    windows = range(k_top + 1)
+    assert closedness_check(u, windows) == []
+    chart = line_chart(n)
+    a = RatFunc.variable(chart.vars, chart.a_names[0])
+    b = RatFunc.variable(chart.vars, chart.b_names[-1])
+    lift = a + 1
+    corruptions = [
+        lambda f: f + b / lift,
+        lambda f: f + a / (lift * lift),
+        lambda f: RatFunc(f.num.scale(2), f.den),
+        lambda f: RatFunc(f.num),  # a polynomial entry among traces with denominators
+        lambda f: RatFunc(f.num, (a * a).num),  # a one-term denominator, used uncleared
+    ]
+    # the CI current's references take longest: corrupt two entries there
+    spots = range(len(u)) if c.n == 1 else (1, len(u) - 2)
+    seen = set()
+    for j in spots:
+        for corrupt in corruptions:
+            bad = list(u)
+            bad[j] = corrupt(u[j])
+            expected = reference_violations(bad, windows)
+            assert closedness_check(bad, windows) == expected
+            seen.update(expected)
+    assert seen

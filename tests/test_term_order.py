@@ -9,7 +9,8 @@ key whose sum cancels and re-inserting it at the end if it comes back; a
 sum keeps one side's order and appends the other's new terms; a quotient
 takes grlex leading terms off a remainder dict; a substitution adds, term
 by term, the coefficient times the product of repeated-product powers of
-the images.  Every comparison includes the stored type of each value.
+the images; a scaling multiplies each term.  Every comparison includes the
+stored type of each value.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from residualtrace.algebra import MPoly, try_div  # noqa: E402
@@ -236,6 +237,37 @@ def substitutions(draw):
 def test_substitution_order(case):
     p, variables, images = case
     assert raw(p.subs(variables, images).terms) == raw(ref_subs(p, variables, images))
+
+
+@st.composite
+def free_term_substitutions(draw):
+    """A substitution whose polynomial has terms free of every substituted,
+    non-renamed variable: their product of image powers is the unit."""
+    p, variables, images = draw(substitutions())
+    renamed = [name not in images or (isinstance(images[name], MPoly)
+                                      and list(images[name].terms.values()) == [1]
+                                      and sum(next(iter(images[name].terms))) == 1)
+               for name in p.vars]
+    keys = st.tuples(*[st.integers(0, 2) if keep else st.just(0) for keep in renamed])
+    free = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=4))
+    return p + MPoly(p.vars, free), variables, images
+
+
+@SETTINGS
+@given(free_term_substitutions())
+def test_substitution_of_free_terms_keeps_their_stored_values(case):
+    p, variables, images = case
+    assert raw(p.subs(variables, images).terms) == raw(ref_subs(p, variables, images))
+
+
+@SETTINGS
+@given(st.integers(0, 4).flatmap(lambda n: polys(NAMES[:n])), coeffs | st.just(0))
+@example(MPoly(("x", "y"), {(1, 0): 3, (0, 1): Fraction(1, 2), (0, 0): -6}), Fraction(2, 3))
+def test_scale_order_and_stored_form(p, c):
+    # the reference is the per-term product in stored form; an integral
+    # product (3 * 2/3 above) is an int, never a Fraction
+    ref = {e: canon(v * c) for e, v in p.terms.items()} if c else {}
+    assert raw(p.scale(c).terms) == raw(ref)
 
 
 def test_quotient_by_one_is_the_dividend():
