@@ -1,9 +1,10 @@
 """Exact linear algebra over the rational function field.
 
 Determinants use Bareiss fraction-free elimination after clearing row
-denominators, so all intermediate work stays in the polynomial ring: a row
-of polynomials is its own numerators, and a step whose previous pivot is
-1, the first one included, divides by nothing.  The same elimination,
+denominators, so all intermediate work stays in the polynomial ring:
+`clear_denominators` hands back a row of polynomials as its own
+numerators, with multiplier 1, and a step whose previous pivot is 1, the
+first one included, divides by nothing.  The same elimination,
 `_bareiss`, drives `solve_linear`.  Back substitution runs on `MPoly` too,
 from the last unknown up, while each quotient acc / a_ii is exact
 (`try_div`); then a `RatFunc` is built only for the values returned.  At
@@ -76,7 +77,10 @@ class FracMatrix:
 
 
 def clear_denominators(fs: list[RatFunc]) -> tuple[list[MPoly], MPoly]:
-    """(polys, mult): mult is the lcm of the denominators, polys[i] = fs[i] * mult."""
+    """(polys, mult): mult is the lcm of the denominators, polys[i] = fs[i] * mult.
+
+    When every denominator is 1, polys are the numerators themselves.
+    """
     mult = MPoly.constant(fs[0].vars, 1)
     for f in fs:
         if not f.den.is_one():
@@ -90,17 +94,14 @@ def _cleared_rows(m: FracMatrix, rhs: list[RatFunc] | None = None):
     """Multiply each row by the lcm of its denominators.
 
     Returns (rows of MPoly, rhs column of MPoly or None, the row multipliers
-    other than 1).  A row of polynomials is its numerators.
+    other than 1).
     """
     out_rows = []
     out_rhs = [] if rhs is not None else None
     multipliers = []
     for i, row in enumerate(m.entries):
-        fs = list(row) + ([rhs[i]] if rhs is not None else [])
-        if all(f.is_polynomial() for f in fs):
-            cleared = [f.num for f in fs]
-        else:
-            cleared, mult = clear_denominators(fs)
+        cleared, mult = clear_denominators(list(row) + ([rhs[i]] if rhs is not None else []))
+        if not mult.is_one():
             multipliers.append(mult)
         if rhs is not None:
             out_rhs.append(cleared.pop())

@@ -45,12 +45,14 @@ matrix read coefficients from this view, over the smaller ring.  A caller
 that needs a result in the full ring lifts one polynomial back with
 ``from_univariate(vars, var, [g])``: `_content_in` its content,
 `sylvester_resultant` its determinant, `currents.from_weighted_points` its
-roots and weights.
+roots and weights, `radon.pencil_projection` its line offsets.
 
 Pseudo-division in one variable has two implementations.  `mod_monic`, on
-lists of `MPoly` coefficients, reduces the trace stream of `residues`, and
+lists of `MPoly` coefficients, is every step of the trace stream of
+`residues` (the first reduction and each multiply-by-y step after it), and
 through `pseudo_rem` serves `currents.validate` and the multivariate PRS of
-the gcd.  `dense.prem`, on int lists, serves the gcd's one-variable base
+the gcd; it forms no product by a zero coefficient of the divisor.
+`dense.prem`, on int lists, serves the gcd's one-variable base
 case, a dense integer PRS that keeps the chart path about 12% faster than
 the `MPoly` PRS would; one shared version would branch on int or `MPoly`.
 
@@ -677,7 +679,7 @@ def mod_monic(num: list[MPoly], power: MPoly,
     Returns (rem, power') with rem / power' the remainder, rem padded to
     length d = len(den) - 1.  Each step is the pseudo-reduction
     R <- lead * R - R_k * y^(k-d) * den, which scales power by lead; with
-    lead = 1 that factor is skipped.
+    lead = 1 that factor is skipped, and so is the product by a zero den[j].
     """
     d = len(den) - 1
     lead = den[d]
@@ -691,7 +693,8 @@ def mod_monic(num: list[MPoly], power: MPoly,
             r[:k] = [x * lead for x in r[:k]]
             power = power * lead
         for j in range(d):
-            r[k - d + j] = r[k - d + j] - c * den[j]
+            if den[j].terms:
+                r[k - d + j] = r[k - d + j] - c * den[j]
     r = r[:d]
     if len(r) < d:
         r = r + [MPoly.zero(lead.vars)] * (d - len(r))

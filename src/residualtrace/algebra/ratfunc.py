@@ -7,7 +7,10 @@ with mathematical equality, and hashing is consistent with it.
 
 The denominator 1 of a polynomial is one shared `MPoly` per variable
 tuple, from `_one`; `MPoly` values are never mutated, so sharing it is
-safe and saves building a constant for each polynomial.
+safe and saves building a constant for each polynomial.  Sums, differences
+and products of polynomials take the general formulas: their denominator
+is 1, so normalisation runs no gcd, and a product by the one-term 1 keeps
+the other factor's terms in their order.
 """
 
 from __future__ import annotations
@@ -113,8 +116,6 @@ class RatFunc:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.num + o.num)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -126,8 +127,6 @@ class RatFunc:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.num - o.num)
         return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
@@ -140,8 +139,6 @@ class RatFunc:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.num * o.num)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__

@@ -246,9 +246,7 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
     n = current.n
     if len(apex) != n + 1:
         raise DomainError(f"apex needs {n + 1} coordinates, got {len(apex)}")
-    assign = dict(zip(current.base_vars, apex[:n]))
-    assign[current.fiber] = apex[n]
-    if current.p.eval_exact(assign) == 0:
+    if current.p.eval_exact(dict(zip(current.p.vars, apex))) == 0:
         raise DomainError("apex lies on the support of the current")
     d = current.degree
     if count is None:
@@ -256,28 +254,25 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
     if count < 1:
         raise DomainError("count must be at least 1")
     chart = line_chart(n)
-    y0 = apex[n]
+    slopes = chart.a_names
+    offsets = [MPoly.constant(slopes, x) - MPoly.variable(slopes, a).scale(apex[n])
+               for x, a in zip(apex, slopes)]
 
     # direct route: substitute x_i = a_i y + (x_i0 - a_i y0) and reduce
-    pencil_vars = chart.a_names + (_FIBER,)
-    direct = _line_traces(current, [
-        MPoly.constant(pencil_vars, apex[i]) - MPoly.variable(pencil_vars, a).scale(y0)
-        for i, a in enumerate(chart.a_names)], count)
+    pencil_vars = slopes + (_FIBER,)
+    direct = _line_traces(current, [MPoly.from_univariate(pencil_vars, _FIBER, [b])
+                                    for b in offsets], count)
 
     # chart route: specialize b_i = x_i0 - a_i y0 in the chart traces
     u = radon(current, count - 1)
-    offsets = {
-        chart.b_names[i]: MPoly.constant(chart.a_names, apex[i])
-        - MPoly.variable(chart.a_names, chart.a_names[i]).scale(y0)
-        for i in range(n)
-    }
+    images = dict(zip(chart.b_names, offsets))
 
     def specialize(f: MPoly) -> MPoly:
         # a constant or zero carries over as it is: `subs` would only check
         # the images again, and they are built just above
         if f.is_constant():
-            return MPoly.constant(chart.a_names, next(iter(f.terms.values()), 0))
-        return f.subs(chart.a_names, offsets)
+            return MPoly.constant(slopes, next(iter(f.terms.values()), 0))
+        return f.subs(slopes, images)
 
     specialized = [(specialize(f.num), specialize(f.den)) for f in u]
     if any(den.is_zero() for _, den in specialized):

@@ -15,10 +15,11 @@ coefficient: the remainder of num / c is R / c^e.  A reduction step
 multiplies R by c instead of dividing den by it, so the loop is `MPoly`
 arithmetic with no gcd, and each sum is normalised once, as the
 `RatFunc` R_{d-1} / c^e.  When c = 1 (every monic p) the power stays 1.
-The first reduction is `mod_monic`, on the coefficient lists of
-`MPoly.as_univariate`; it lives in `algebra.poly`, where the multivariate
-gcd and `currents.validate` use the same pseudo-division, and is
-re-exported here.  Each later step is `shift_mod_monic`.
+Every step is one `mod_monic` call, on the coefficient lists of
+`MPoly.as_univariate`: the first reduces num, each later one the list
+[0] + R, which is R times y.  `mod_monic` lives in `algebra.poly`, where
+the multivariate gcd and `currents.validate` use the same pseudo-division,
+and is re-exported here; `shift_mod_monic` names one later step.
 
 Two numeric paths act as oracles for it: residues at numerically computed
 poles (companion-matrix roots) and trapezoidal contour quadrature of
@@ -51,28 +52,17 @@ def shift_mod_monic(rem: list[MPoly], power: MPoly,
                     den: list[MPoly]) -> tuple[list[MPoly], MPoly]:
     """Multiply rem / power by the fiber variable, modulo the monic den / lead.
 
-    R'_j = lead * R_{j-1} - R_{d-1} * den_j, with power scaled by lead;
-    a zero R_{d-1} is a plain shift, lead = 1 skips the scaling, and a
-    zero den_j skips its product.
+    One step of `trace_stream`: `mod_monic` of the shifted list [0] + rem.
     """
-    d = len(den) - 1
-    top = rem[d - 1]
-    out = [MPoly.zero(top.vars)] + rem[:d - 1]
-    if top.is_zero():
-        return out, power
-    lead = den[d]
-    if not lead.is_one():
-        out = [x * lead for x in out]
-        power = power * lead
-    return [x - top * c if c.terms else x for x, c in zip(out, den)], power
+    return mod_monic([MPoly.zero(rem[-1].vars)] + rem, power, den)
 
 
 def trace_stream(num: MPoly, den: MPoly, count: int) -> list[RatFunc]:
     """Residue sums of num * y^k / den over the fiber y, for k = 0 .. count - 1.
 
-    The fiber y is the last variable.  The numerator is reduced modulo den
-    once, then each step multiplies the remainder by y modulo den and reads
-    off its top coefficient.  A denominator without fiber poles gives zeros.
+    The fiber y is the last variable.  The first step reduces num modulo
+    den; each later one reduces the remainder times y, and every step reads
+    off the top coefficient.  A denominator without fiber poles gives zeros.
     """
     fiber = den.vars[-1]
     den_coeffs = den.as_univariate(fiber)
@@ -80,11 +70,13 @@ def trace_stream(num: MPoly, den: MPoly, count: int) -> list[RatFunc]:
     if d <= 0:
         return [RatFunc.zero(den.vars[:-1])] * count
     # the remainder of num / lead, kept as rem / power
-    rem, power = mod_monic(num.as_univariate(fiber), den_coeffs[d], den_coeffs)
-    out = [RatFunc(rem[d - 1], power)]
-    for _ in range(count - 1):
-        rem, power = shift_mod_monic(rem, power, den_coeffs)
+    coeffs, power = num.as_univariate(fiber), den_coeffs[d]
+    zero = [MPoly.zero(power.vars)]
+    out = []
+    for _ in range(count):
+        rem, power = mod_monic(coeffs, power, den_coeffs)
         out.append(RatFunc(rem[d - 1], power))
+        coeffs = zero + rem
     return out
 
 

@@ -47,6 +47,11 @@ def cases():
     num = num - MPoly.from_univariate(V, "y", {4: num.as_univariate("y")[4]})
     assert num.as_univariate("y")[4].is_zero()
     yield num, fiber_poly(rng, 2, x1 + 3)
+    # a zero interior coefficient of den: its products are skipped
+    den = fiber_poly(rng, 3, x1 - 2)
+    den = den - MPoly.from_univariate(V, "y", {1: den.as_univariate("y")[1]})
+    assert den.as_univariate("y")[1].is_zero()
+    yield fiber_poly(rng, 6), den
 
 
 @pytest.mark.parametrize("num, den", list(cases()))

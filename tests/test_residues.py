@@ -13,6 +13,8 @@ from residualtrace.residues import (
     oracle_report,
     pointwise_residues,
     residue_sum,
+    shift_mod_monic,
+    trace_stream,
 )
 from residualtrace.sampling import random_current
 from residualtrace.traces import traces
@@ -161,3 +163,67 @@ def test_residue_sum_matches_traces():
             assert residue_sum(RationalForm1D(yk, c.p)) == u[k]
             scaled = RationalForm1D(yk, c.p.scale(Fraction(-3, 2)))
             assert residue_sum(scaled) == u[k] * Fraction(-2, 3)
+
+
+def test_trace_stream_of_no_sums_is_empty():
+    # count 0 asks for no sums, whether or not den has fiber poles
+    assert trace_stream(Y, Y * Y - X, 0) == []
+    assert trace_stream(Y, X + 1, 0) == []
+    assert len(trace_stream(Y, Y * Y - X, 3)) == 3
+
+
+def reference_shift(rem, power, den):
+    """The stream's step loop before it became `mod_monic` of [0] + rem."""
+    d = len(den) - 1
+    top = rem[d - 1]
+    out = [MPoly.zero(top.vars)] + rem[:d - 1]
+    if top.is_zero():
+        return out, power
+    lead = den[d]
+    if not lead.is_one():
+        out = [x * lead for x in out]
+        power = power * lead
+    return [x - top * c if c.terms else x for x, c in zip(out, den)], power
+
+
+def raw(p: MPoly) -> list:
+    return [(e, c, type(c)) for e, c in p.terms.items()]
+
+
+def random_coefficient(rng: Random, base) -> MPoly:
+    """A polynomial over `base` with int and Fraction coefficients, in drawn order."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 2) for _ in base)
+        c = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.choice([2, 3, 6]))])
+        terms[exps] = c
+    return MPoly(base, terms)
+
+
+def test_shift_mod_monic_matches_the_reference_step():
+    rng = Random(2525)
+    base = ("x1", "x2")
+    one = MPoly.constant(base, 1)
+    leads = [one, MPoly.constant(base, 2), MPoly.constant(base, Fraction(-3, 2)),
+             MPoly.variable(base, "x1") + 1]
+    seen = {"zero interior": 0, "zero top": 0, "lead not 1": 0}
+    for trial in range(40):
+        d = rng.randint(1, 4)
+        den = [random_coefficient(rng, base) for _ in range(d)] + [leads[trial % len(leads)]]
+        if d > 1:
+            den[rng.randint(1, d - 1)] = MPoly.zero(base)
+            seen["zero interior"] += 1
+        seen["lead not 1"] += not den[d].is_one()
+        rem = [random_coefficient(rng, base) for _ in range(d)]
+        power = one
+        for step in range(4):
+            if step == 1:
+                rem[d - 1] = MPoly.zero(base)
+                seen["zero top"] += 1
+            got, got_power = shift_mod_monic(rem, power, den)
+            want, want_power = reference_shift(rem, power, den)
+            assert got == want and got_power == want_power
+            assert [raw(c) for c in got] == [raw(c) for c in want]
+            assert raw(got_power) == raw(want_power)
+            rem, power = got, got_power
+    assert all(seen.values())

@@ -24,7 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from residualtrace.algebra import MPoly, try_div  # noqa: E402
+from residualtrace.algebra import MPoly, RatFunc, try_div  # noqa: E402
 
 NAMES = ("x", "y", "z", "w")
 TARGET = ("a", "b")
@@ -268,6 +268,18 @@ def test_scale_order_and_stored_form(p, c):
     # product (3 * 2/3 above) is an int, never a Fraction
     ref = {e: canon(v * c) for e, v in p.terms.items()} if c else {}
     assert raw(p.scale(c).terms) == raw(ref)
+
+
+@SETTINGS
+@given(pairs())
+def test_polynomial_ratfunc_arithmetic_keeps_the_mpoly_order(pq):
+    # a sum, difference or product of two polynomial RatFuncs has
+    # denominator 1 and the MPoly result as its numerator, order included
+    p, q = pq
+    for got, want in ((RatFunc(p) + RatFunc(q), p + q), (RatFunc(p) - RatFunc(q), p - q),
+                      (RatFunc(p) * RatFunc(q), p * q)):
+        assert got.is_polynomial()
+        assert raw(got.num.terms) == raw(want.terms)
 
 
 def test_quotient_by_one_is_the_dividend():
