@@ -7,7 +7,6 @@ from .linalg import (
     determinant,
     kernel_vector,
     solve_linear,
-    sylvester_resultant,
 )
 from .poly import (
     MPoly,
@@ -34,6 +33,5 @@ __all__ = [
     "poly_gcd_fiber",
     "poly_lcm",
     "solve_linear",
-    "sylvester_resultant",
     "try_div",
 ]

@@ -20,18 +20,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DomainError, SingularSystemError
+from ..record import Record, _set
 from . import dense
 from .poly import MPoly, as_fraction, exact_div, poly_lcm, try_div
 from .ratfunc import RatFunc
 
 
-class FracMatrix:
+class FracMatrix(Record):
     """Immutable rectangular matrix of RatFunc entries over one variable tuple."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, rows):
-        entries = tuple(tuple(map(self._coerce, row)) for row in rows)
+    def __init__(self, entries):
+        entries = tuple(tuple(map(self._coerce, row)) for row in entries)
         if not entries or not entries[0]:
             raise DomainError("matrix must have at least one row and column")
         width = len(entries[0])
@@ -42,7 +43,7 @@ class FracMatrix:
             for e in row:
                 if e.vars != variables:
                     raise DomainError("matrix entries live over different variable lists")
-        self.entries = entries
+        _set(self, "entries", entries)
 
     @staticmethod
     def _coerce(e):
@@ -69,11 +70,6 @@ class FracMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, FracMatrix):
-            return NotImplemented
-        return self.entries == other.entries
 
 
 def clear_denominators(fs: list[RatFunc]) -> tuple[list[MPoly], MPoly]:
@@ -145,8 +141,8 @@ def _bareiss(a: list[list[MPoly]], c: list[MPoly] | None = None) -> int:
 def det_poly_grid(rows: list[list[MPoly]]) -> MPoly:
     """Bareiss determinant of a square MPoly matrix."""
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DomainError("determinant requires a square matrix")
+    if not n or any(len(r) != n for r in rows):
+        raise DomainError("determinant requires a nonempty square matrix")
     a = [list(r) for r in rows]
     sign = _bareiss(a)
     if sign == 0:
@@ -245,33 +241,3 @@ def kernel_vector(rows: list[list[Fraction]], ncols: int) -> list[Fraction] | No
     for r, c in pivots:
         v[c] = Fraction(-a[r][free], a[r][c])
     return v
-
-
-def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
-    """Resultant of p and q with respect to `var`, over the remaining ring.
-
-    Computed as the Bareiss determinant of the Sylvester matrix; the result
-    has `var`-degree 0 but keeps the full variable tuple.
-    """
-    p._check_same_ring(q)
-    if p.is_zero() or q.is_zero():
-        return MPoly.zero(p.vars)
-    mdeg = p.degree(var)
-    ndeg = q.degree(var)
-    if mdeg == 0 and ndeg == 0:
-        return MPoly.constant(p.vars, 1)
-    if ndeg == 0:
-        return q ** mdeg
-    if mdeg == 0:
-        return p ** ndeg
-    pc = p.as_univariate(var)[::-1]
-    qc = q.as_univariate(var)[::-1]
-    size = mdeg + ndeg
-    zero = MPoly.zero(pc[0].vars)
-    rows = []
-    for i in range(ndeg):
-        rows.append([zero] * i + pc + [zero] * (ndeg - 1 - i))
-    for i in range(mdeg):
-        rows.append([zero] * i + qc + [zero] * (mdeg - 1 - i))
-    assert all(len(r) == size for r in rows)
-    return MPoly.from_univariate(p.vars, var, [det_poly_grid(rows)])

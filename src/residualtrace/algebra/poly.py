@@ -40,12 +40,12 @@ A polynomial viewed in one variable has one implementation,
 coefficient a polynomial over the other variables (the zero polynomial
 gives `[]`).  `MPoly.from_univariate` is its exact inverse; it also takes a
 dict {k: coefficient} from a caller that fixes its own term order.
-Pseudo-division, the trace stream, `currents.validate` and the Sylvester
-matrix read coefficients from this view, over the smaller ring.  A caller
-that needs a result in the full ring lifts one polynomial back with
+Pseudo-division, the trace stream and `currents.validate` read
+coefficients from this view, over the smaller ring.  A caller that needs a
+result in the full ring lifts one polynomial back with
 ``from_univariate(vars, var, [g])``: `_content_in` its content,
-`sylvester_resultant` its determinant, `currents.from_weighted_points` its
-roots and weights, `radon.pencil_projection` its line offsets.
+`currents.from_weighted_points` its roots and weights,
+`radon.pencil_projection` its line offsets.
 
 Pseudo-division in one variable has two implementations.  `mod_monic`, on
 lists of `MPoly` coefficients, is every step of the trace stream of
@@ -565,11 +565,6 @@ class MPoly:
         return _trusted(self.vars, terms)
 
     # ---- normal forms --------------------------------------------------
-
-    def rational_content(self) -> Fraction:
-        """Positive rational c with self/c integer-coefficient and coprime."""
-        den, nums = dense.clear(self.terms.values())
-        return Fraction(_int_gcd(*nums), den)
 
     def primitive_int(self) -> "MPoly":
         """Divide out the rational content: integer coefficients with gcd 1."""

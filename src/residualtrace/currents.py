@@ -13,16 +13,11 @@ from __future__ import annotations
 from math import prod
 from typing import Sequence
 
-from .algebra import (
-    MPoly,
-    RatFunc,
-    exact_div,
-    poly_gcd,
-    sylvester_resultant,
-)
+from .algebra import MPoly, RatFunc, det_poly_grid, exact_div, poly_gcd
 from .algebra.poly import pseudo_rem
 from .errors import DomainError
 from .record import Record, _set
+from .residues import trace_stream
 
 WeightedPoints = Sequence[tuple[RatFunc, RatFunc]]
 
@@ -155,9 +150,14 @@ def support_discriminant(current: ResidualCurrent) -> MPoly:
 
     Vanishes exactly where fiber poles collide; away from its zero set the
     pointwise residue oracle is well defined.  With p monic of fiber degree
-    d this is (-1)^(d(d-1)/2) times the discriminant of p.
+    d this is (-1)^(d(d-1)/2) times the discriminant of p, taken from the
+    traces: the residue sums s_k of p' y^k / p are the power sums of the
+    fiber roots, polynomial because p is monic, and the Hankel determinant
+    det(s_(i+j)), i, j < d, is prod_(i<j) (y_i - y_j)^2, the discriminant
+    (Hermite's trace form).
     """
     p = current.p
-    fiber = current.fiber
-    res = sylvester_resultant(p, p.derivative(fiber), fiber)
-    return res.as_univariate(fiber)[0] if res.terms else MPoly.zero(current.base_vars)
+    d = current.degree
+    s = [u.as_poly() for u in trace_stream(p.derivative(current.fiber), p, 2 * d - 1)]
+    disc = det_poly_grid([s[i:i + d] for i in range(d)])
+    return -disc if d * (d - 1) // 2 % 2 else disc

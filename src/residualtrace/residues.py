@@ -7,7 +7,8 @@ that value is the coefficient of y^(d-1) in the remainder of (num/c) modulo
 den_monic, a rational function of the base variables.  This is the exact
 path; no root is ever computed.  `trace_stream` walks the whole sequence
 of such sums for num * y^k, k = 0, 1, ..., one multiply-by-y reduction per
-step; traces, chart traces and single residue sums all read from it.
+step; traces, chart traces, single residue sums and
+`currents.support_discriminant` all read from it.
 
 The stream is fraction-free.  It keeps the remainder as polynomials R_j
 over the base ring with one denominator, a power c^e of the leading fiber

@@ -162,9 +162,25 @@ def test_support_discriminant_nonzero_for_split_points():
     disc = support_discriminant(c)
     assert not disc.is_zero()
     assert disc.vars == c.base_vars
-    # res(y^2-2y, 2y-2) = -4: the Sylvester determinant keeps its sign,
-    # matching res(y^2-x, 2y) = -4x
+    # roots 0 and 2: res(y^2-2y, 2y-2) = (-1)^1 (0 - 2)^2 = -4, with the
+    # sign of res(y^2-x, 2y) = -4x
     assert disc == MPoly(B, {(0,): Fraction(-4)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_support_discriminant_is_the_signed_product_of_root_differences(n):
+    # res(p, p') = (-1)^(d(d-1)/2) prod_(i<j) (root_i - root_j)^2 for p monic
+    rng = Random(2600 + n)
+    for d in range(1, 5):
+        for _ in range(5):
+            c, points = random_weighted_current(rng, n=n, count=d)
+            assert c.degree == d
+            roots = [root for root, _ in points]
+            want = RatFunc.constant(c.base_vars, -1 if d * (d - 1) // 2 % 2 else 1)
+            for i in range(d):
+                for j in range(i + 1, d):
+                    want = want * (roots[i] - roots[j]) ** 2
+            assert support_discriminant(c) == want.as_poly()
 
 
 def test_zero_current_sentinel():

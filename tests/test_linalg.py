@@ -1,4 +1,4 @@
-"""Exact determinants, linear solving, kernels, and resultants."""
+"""Exact determinants, linear solving and kernels."""
 
 import importlib
 from fractions import Fraction
@@ -11,10 +11,10 @@ from residualtrace.algebra import (
     FracMatrix,
     MPoly,
     RatFunc,
+    det_poly_grid,
     determinant,
     kernel_vector,
     solve_linear,
-    sylvester_resultant,
 )
 from residualtrace.algebra.linalg import _bareiss, _cleared_rows
 from residualtrace.currents import ResidualCurrent
@@ -66,6 +66,14 @@ def test_matrix_shape_checks():
         FracMatrix([])
     with pytest.raises(DomainError):
         FracMatrix([[RatFunc(X)], [RatFunc(X), RatFunc(X)]])
+
+
+def test_det_poly_grid_refuses_an_empty_or_ragged_matrix():
+    # like FracMatrix([]): a DomainError, not an IndexError from the elimination
+    with pytest.raises(DomainError, match="nonempty square"):
+        det_poly_grid([])
+    with pytest.raises(DomainError, match="nonempty square"):
+        det_poly_grid([[X], [X, X]])
 
 
 def test_determinant_against_cofactor_oracle():
@@ -441,33 +449,3 @@ def test_kernel_vector_hand_case():
             [2, Fraction(2, 3), Fraction(-2, 3)],
             [Fraction(5, 2), Fraction(5, 3), Fraction(5, 6)]]
     assert kernel_vector(rows, 3) == [Fraction(1), Fraction(-2), Fraction(1)]
-
-
-def test_sylvester_resultant_discriminant_example():
-    W = ("x", "y")
-    x = MPoly.variable(W, "x")
-    y = MPoly.variable(W, "y")
-    p = y * y - x
-    res = sylvester_resultant(p, p.derivative("y"), "y")
-    assert res == (-4) * x
-
-
-def test_sylvester_resultant_multiplicative():
-    W = ("x", "y")
-    x = MPoly.variable(W, "x")
-    y = MPoly.variable(W, "y")
-    f = y - x
-    g = y + 1
-    h = y * y + x
-    lhs = sylvester_resultant(f * g, h, "y")
-    rhs = sylvester_resultant(f, h, "y") * sylvester_resultant(g, h, "y")
-    assert lhs == rhs
-
-
-def test_sylvester_resultant_root_detection():
-    # res(p, q) = 0 exactly when p and q share a root; here both vanish at y = x
-    W = ("x", "y")
-    x = MPoly.variable(W, "x")
-    y = MPoly.variable(W, "y")
-    assert sylvester_resultant((y - x) * (y + 1), (y - x) * (y + 2), "y").is_zero()
-    assert not sylvester_resultant(y - x, y + x + 1, "y").is_zero()

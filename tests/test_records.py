@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from residualtrace.algebra import MPoly, RatFunc
+from residualtrace.algebra import FracMatrix, MPoly, RatFunc
 from residualtrace.currents import ResidualCurrent, ZeroCurrent, validate
 from residualtrace.errors import DomainError
 from residualtrace.radon import LineChart, RadonForm, line_chart
@@ -47,6 +47,7 @@ RECORDS = {
     "LineChart": (("n", "a_names", "b_names"), lambda i: line_chart(1 + i)),
     "RadonForm": (("n", "components"),
                   lambda i: RadonForm(1, {frozenset(): U[i], frozenset({1}): U[0]})),
+    "FracMatrix": (("entries",), lambda i: FracMatrix([[U[i], U[0]], [U[1], U[1]]])),
 }
 HASHABLE = [name for name in RECORDS if name != "RadonForm"]
 
