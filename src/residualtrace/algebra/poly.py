@@ -63,8 +63,10 @@ other variables; `_gcd_all` takes that list fewest terms first and stops at
 a constant, and contents use the same loop.  In a chart, where c^e lies in
 the slopes alone, no PRS step ever runs in the other chart variables.  When
 the supports are equal, a primitive PRS runs in the last shared variable;
-one shared variable is the dense integer PRS of `dense.gcd`.  A one-term
-argument takes neither path: its divisors are monomials.
+one shared variable is the dense integer PRS of `dense.gcd`.  `poly_gcd`
+runs that PRS only when no cheaper route decides: it strips the monomial
+content, and then images modulo 2^61 - 1 usually prove the cofactors
+coprime (its docstring lists the routes and why the proof is sound).
 
 Substitution has one implementation, `MPoly.subs`.  An image that is a bare
 target variable (one term, coefficient 1, total degree 1) is a rename: it
@@ -738,6 +740,14 @@ def _content_in(f: MPoly, vi: int) -> MPoly:
     return MPoly.from_univariate(f.vars, var, [g.primitive_int()])
 
 
+def _gcd_dense(f: MPoly, g: MPoly, vi: int) -> MPoly:
+    """gcd of f and g in variable vi alone, by the dense integer PRS of `dense.gcd`."""
+    coeffs = dense.gcd(dense.from_terms(f.terms, vi)[1], dense.from_terms(g.terms, vi)[1])
+    zero = (0,) * len(f.vars)
+    return _trusted(f.vars, {zero[:vi] + (k,) + zero[vi + 1:]: c
+                             for k, c in enumerate(coeffs) if c})
+
+
 def _gcd_rec(f: MPoly, g: MPoly) -> MPoly:
     """gcd of nonzero f and g, not both constant, up to a rational factor."""
     support, other = _support(f), _support(g)
@@ -754,10 +764,7 @@ def _gcd_rec(f: MPoly, g: MPoly) -> MPoly:
         return _gcd_all([_trusted(f.vars, t) for t in pieces.values()])
     vi = max(support)
     if len(support) == 1:
-        coeffs = dense.gcd(dense.from_terms(f.terms, vi)[1], dense.from_terms(g.terms, vi)[1])
-        zero = (0,) * len(f.vars)
-        return _trusted(f.vars, {zero[:vi] + (k,) + zero[vi + 1:]: c
-                                 for k, c in enumerate(coeffs) if c})
+        return _gcd_dense(f, g, vi)
     # equal supports: the primitive PRS in the last shared variable
     var = f.vars[vi]
     cf, cg = _content_in(f, vi), _content_in(g, vi)
@@ -775,12 +782,74 @@ def _gcd_rec(f: MPoly, g: MPoly) -> MPoly:
         a, b = b, exact_div(r, _content_in(r, vi)).primitive_int()
 
 
+# the coprimality certificate evaluates at dense.point(_CERTIFICATE_SEED, n)
+_CERTIFICATE_SEED = 101
+
+
+def _constant_lead(p: MPoly, vi: int) -> bool:
+    """Whether p's leading coefficient in variable vi is a constant."""
+    d = max(e[vi] for e in p.terms)
+    top = [e for e in p.terms if e[vi] == d]
+    return len(top) == 1 and sum(top[0]) == d
+
+
+def _image_coprime(f: MPoly, g: MPoly, vi: int) -> bool:
+    """Whether the images of f and g in variable vi keep their degrees and are coprime mod P."""
+    x0 = dense.point(_CERTIFICATE_SEED, len(f.vars))
+    a, b = dense.at(f.terms, x0, vi)[1], dense.at(g.terms, x0, vi)[1]
+    return bool(a[-1] and b[-1]) and len(dense.gcd_mod(a, b)) == 1
+
+
+def _coprime(f: MPoly, g: MPoly) -> bool:
+    """True when modular images prove gcd(f, g) = 1; False proves nothing.
+
+    f and g are nonzero and not constant.  A non-constant common factor h
+    involves a variable v that both contain.  Take every other variable to
+    its coordinate of a fixed integer point, modulo P: when neither
+    leading coefficient in v vanishes there, neither image loses v-degree,
+    so the image of h keeps its v-degree and divides both images.  Images
+    with a gcd of degree 0 in v therefore rule out any h in v.  Every
+    factor of a polynomial whose leading coefficient in v is a constant
+    involves v, so then that one image decides, and the other polynomial
+    lacking v decides with none; otherwise every shared v must pass.
+    """
+    support, other = _support(f), _support(g)
+    for p, mine, rest in ((f, support, other), (g, other, support)):
+        for vi in sorted(mine, reverse=True):
+            if _constant_lead(p, vi):
+                return vi not in rest or _image_coprime(f, g, vi)
+    return all(_image_coprime(f, g, vi) for vi in support & other)
+
+
+def _shift_down(p: MPoly, low: list[int]) -> MPoly:
+    """p divided by the monomial of exponents low, which divides it."""
+    if not any(low):
+        return p
+    return _trusted(p.vars, {tuple([a - b for a, b in zip(e, low)]): c
+                             for e, c in p.terms.items()})
+
+
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Full multivariate gcd, normalized integer-primitive with positive lead.
 
     gcd with the zero polynomial returns the other argument normalized;
-    gcd(0, 0) is undefined and raises.  When either argument is one term
-    the gcd is the monomial of the least exponents, with no PRS.
+    gcd(0, 0) is undefined and raises.  The routes, in order:
+
+    - one variable: f and g in the same single variable take the dense
+      integer PRS of `dense.gcd`, which is faster there than the images;
+    - monomial content: with lf and lg the least exponents of f and g, the
+      gcd is x^min(lf, lg) times the gcd of the cofactors f / x^lf and
+      g / x^lg, so a one-term argument needs nothing more;
+    - disjoint support: cofactors that share no variable are coprime;
+    - certificate (`_coprime`): images modulo P = 2^61 - 1 in each shared
+      variable, or in one where a leading coefficient is constant, that
+      keep their degree and have a gcd of degree 0 prove the cofactors
+      coprime, because a common factor would keep its degree in the
+      images and divide both;
+    - otherwise the primitive PRS of `_gcd_rec` runs on f and g themselves.
+
+    The certificate never proves a false 1, and a cofactor gcd other than
+    1 always comes from the PRS.
     """
     f._check_same_ring(g)
     if f.is_zero() and g.is_zero():
@@ -791,12 +860,16 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
         return f.primitive_int().sign_normalized()
     if f.is_constant() or g.is_constant():
         return MPoly.constant(f.vars, 1)
-    if len(f.terms) == 1 or len(g.terms) == 1:
-        # a monomial's divisors are monomials: take the least exponent of
-        # each variable over the terms of both
-        low = [min(e) for e in zip(*f.terms, *g.terms)]
-        return _trusted(f.vars, {tuple(low): 1})
-    h = _gcd_rec(f.primitive_int(), g.primitive_int())
+    support = _support(f)
+    if len(support) == 1 and support == _support(g):
+        # one variable: the dense integer PRS beats the images on these
+        h = _gcd_dense(f, g, *support)
+    else:
+        lf, lg = [min(e) for e in zip(*f.terms)], [min(e) for e in zip(*g.terms)]
+        a, b = _shift_down(f, lf), _shift_down(g, lg)
+        if a.is_constant() or b.is_constant() or _coprime(a, b):
+            return _trusted(f.vars, {tuple(map(min, lf, lg)): 1})
+        h = _gcd_rec(f.primitive_int(), g.primitive_int())
     return h.primitive_int().sign_normalized()
 
 

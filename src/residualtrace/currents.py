@@ -73,6 +73,12 @@ def validate(p: MPoly, r: MPoly) -> ResidualCurrent:
     any common fiber factor, rescaling so p stays monic.  Degenerate input
     (zero numerator, non-monic p, no base variable) raises DomainError with
     the violated invariant named.
+
+    p is monic in the fiber, so every non-constant factor of p involves the
+    fiber, and one fiber image suffices for the gcd: `poly_gcd` takes p and
+    r, less their monomial content, to an integer point of the base
+    variables mod 2^61 - 1, and coprime images prove that content is the
+    whole gcd.  Its PRS runs only when the images are not coprime.
     """
     p._check_same_ring(r)
     if len(p.vars) < 2:

@@ -42,6 +42,7 @@ from fractions import Fraction
 from operator import mul
 
 from .algebra import MPoly, RatFunc, as_fraction, dense, kernel_vector, solve_linear
+from .algebra.dense import P as _P
 from .algebra.poly import _div, _trusted
 from .currents import ResidualCurrent, ZeroCurrent
 from .errors import (
@@ -104,42 +105,13 @@ class ReconstructionReport(Record):
         _set(self, "numerator_coefficients", numerator_coefficients)
 
 
-# The modular filter of degree detection works modulo the prime 2^61 - 1 at
-# the first usable base point of a short fixed sequence: seed s stands for
-# the point (s, s + 1009, s + 2 * 1009, ...).
-_P = (1 << 61) - 1
+# The modular filter of degree detection works modulo the prime
+# _P = 2^61 - 1 at the first usable base point dense.point(s, n) of a
+# short fixed sequence of seeds s.
 _POINT_SEEDS = (101, 211, 307)
-_POINT_STEP = 1009
 
 # the variable of the rational functions `detect_rational` returns
 _SERIES_VAR = "x"
-
-
-def _at(f: MPoly, x0) -> tuple[int, int]:
-    """f(x0) mod p as (numerator, denominator), with f = nums / den over Z.
-
-    Each term is evaluated on ints and reduced once, at the end.
-    """
-    den, nums = dense.clear(f.terms.values())
-    total = 0
-    for exps, c in zip(f.terms, nums):
-        for x, e in zip(x0, exps):
-            if e:
-                c *= pow(x, e, _P)
-        total += c
-    return total % _P, den % _P
-
-
-def _residue(f: RatFunc, x0) -> int | None:
-    """f(x0) mod p, or None when a denominator of f vanishes there mod p.
-
-    A polynomial's denominator 1 is not evaluated.
-    """
-    nn, nd = _at(f.num, x0)
-    dn, dd = (1, 1) if f.is_polynomial() else _at(f.den, x0)
-    if nd * dn * dd % _P == 0:
-        return None
-    return nn * dd * pow(nd * dn, -1, _P) % _P
 
 
 def _modular_failures(t: TraceSequence, top: int) -> list[int | None]:
@@ -159,10 +131,10 @@ def _modular_failures(t: TraceSequence, top: int) -> list[int | None]:
     mod p is passed over; with no usable point every entry is None.
     """
     for s in _POINT_SEEDS:
-        x0 = [s + _POINT_STEP * i for i in range(len(t.vars))]
+        x0 = dense.point(s, len(t.vars))
         u = []
         for f in t.entries:
-            v = _residue(f, x0)
+            v = dense.residue(f.num.terms, None if f.is_polynomial() else f.den.terms, x0)
             if v is None:
                 break
             u.append(v)

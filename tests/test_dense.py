@@ -1,11 +1,12 @@
 """Dense integer list kernels against sympy as an independent oracle.
 
-`algebra.dense` holds the gcd's one-variable base case and the series
-layer's list helpers; the other tests reach them only through `poly_gcd`
-and `reconstruct`.  Here each is checked directly: the PRS gcd and the
-pseudo-remainder against sympy's, the Taylor shift against sympy's
-expansion, and `clear`, `primitive`, `from_terms` and `strip` against
-their definitions.
+`algebra.dense` holds the gcd's one-variable base case, the series
+layer's list helpers and the images modulo P = 2^61 - 1; the other tests
+reach them only through `poly_gcd` and `reconstruct`.  Here each is
+checked directly: the PRS gcd and the pseudo-remainder against sympy's,
+the gcd modulo P against sympy's over GF(P), the Taylor shift against
+sympy's expansion, the images against exact evaluation, and `clear`,
+`primitive`, `from_terms` and `strip` against their definitions.
 """
 
 from fractions import Fraction
@@ -68,6 +69,38 @@ def test_gcd_edge_cases():
     assert dense.gcd([6], [4, 2]) == [1]
     assert dense.gcd([-2, 2], [-2, 2]) == [-1, 1]
     assert dense.gcd([0, 0, 5], [0, 3]) == [0, 1]
+
+
+@SETTINGS
+@given(nonzero_lists, int_lists, int_lists)
+@example([1], [], [])  # both zero
+@example([1], [0, 0, 3], [5])  # a constant
+@example([-1, 1], [0, 1], [0, 1])  # equal inputs
+def test_gcd_mod_matches_sympy_over_gf_p(common, f, g):
+    a, b = product(common, f), product(common, g)
+    got = dense.gcd_mod([c % dense.P for c in a], [c % dense.P for c in b])
+    if not a and not b:
+        assert got == []
+        return
+    expected = sympy.gcd(sympy.Poly(list(reversed(a)) or [0], T, modulus=dense.P),
+                         sympy.Poly(list(reversed(b)) or [0], T, modulus=dense.P))
+    monic = [c * pow(got[-1], -1, dense.P) % dense.P for c in got]
+    assert monic == [int(c) % dense.P for c in reversed(expected.monic().all_coeffs())]
+
+
+def test_at_keeps_one_variable_and_flags_a_vanishing_lead():
+    # (x - 101) y^2 + x y / 2 + 3 at the point (101, 1110)
+    terms = {(1, 2): 1, (0, 2): -101, (1, 1): Fraction(1, 2), (0, 0): 3}
+    x0 = dense.point(101, 2)
+    assert x0 == [101, 1110]
+    den, nums = dense.at(terms, x0, keep=1)
+    assert den == 2 and nums == [6, 101, 0]
+    assert dense.at(terms, x0, keep=0) == (2, [(6 - 202 * 1110 ** 2) % dense.P,
+                                             (2 * 1110 ** 2 + 1110) % dense.P])
+    value = Fraction(101 * 1110, 2) + 3
+    assert dense.at(terms, x0) == (2, [2 * value % dense.P])
+    assert dense.residue(terms, None, x0) == value % dense.P
+    assert dense.residue({(0, 0): 1}, {(1, 0): 1, (0, 0): -101}, x0) is None
 
 
 @SETTINGS

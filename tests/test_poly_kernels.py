@@ -8,6 +8,7 @@ Fraction; sympy's `Poly` over QQ computes the same results by its own code.
 from fractions import Fraction
 from math import gcd
 from random import Random
+from time import perf_counter
 
 import pytest
 
@@ -17,8 +18,16 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from residualtrace.algebra import MPoly, poly_gcd  # noqa: E402
-from residualtrace.algebra.poly import _gcd_rec, grlex_key  # noqa: E402
+from residualtrace.algebra import FracMatrix, MPoly, RatFunc, dense, poly_gcd  # noqa: E402
+from residualtrace.algebra.linalg import _bareiss, _cleared_rows  # noqa: E402
+from residualtrace.algebra.poly import (  # noqa: E402
+    _CERTIFICATE_SEED,
+    _coprime,
+    _gcd_rec,
+    _image_coprime,
+    grlex_key,
+    try_div,
+)
 
 V = ("x", "y", "z")
 SYMS = sympy.symbols(V)
@@ -232,6 +241,82 @@ def test_gcd_of_many_terms_and_a_monomial_power_matches_sympy():
                 sympy.Poly.from_dict({e: int(v) for e, v in c.terms.items()}, *syms))
             assert ours.terms == {tuple(theirs.monic().monoms()[0]): 1}
             assert ours == poly_gcd(c, r)
+
+
+def test_certificate_does_not_prove_a_collision_coprime():
+    # x y + 1 and x y + 1 + P are coprime over Q, but their images mod P agree
+    f = MPoly(V, {(1, 1, 0): 1, (0, 0, 0): 1})
+    g = MPoly(V, {(1, 1, 0): 1, (0, 0, 0): 1 + dense.P})
+    x0 = dense.point(_CERTIFICATE_SEED, len(V))
+    for vi in (0, 1):
+        assert dense.at(f.terms, x0, vi) == dense.at(g.terms, x0, vi)
+    assert not _coprime(f, g)
+    assert poly_gcd(f, g).is_one()
+    assert sympy.gcd(to_sympy(f), to_sympy(g)).is_ground
+
+
+def test_a_lead_vanishing_at_the_point_falls_back_to_the_prs():
+    # leading coefficient x - 101 in y vanishes at the certificate's point,
+    # and neither polynomial has a constant leading coefficient in x or y
+    x, y = (MPoly.variable(V, v) for v in ("x", "y"))
+    x0 = dense.point(_CERTIFICATE_SEED, len(V))
+    assert x0[0] == 101
+    f0 = (x - 101) * y + x + 1
+    g0 = (x - 101) * y ** 2 + x * y + 2
+    for h in (MPoly.constant(V, 1), x * y + 1):
+        f, g = f0 * h, g0 * h
+        assert not _image_coprime(f, g, 1)
+        assert dense.at(f.terms, x0, 1)[1][-1] == 0
+        assert not _coprime(f, g)
+        ours = poly_gcd(f, g)
+        assert ours == h
+        assert to_sympy(ours).monic() == sympy.gcd(to_sympy(f), to_sympy(g)).monic()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(factors, factors, factors)
+def test_certificate_proofs_hold_in_sympy(g, a, b):
+    # whenever the images prove coprimality, the exact gcd is 1
+    f, h = g * a, g * b
+    if f.is_constant() or h.is_constant():
+        return
+    if _coprime(f, h):
+        assert sympy.gcd(to_sympy(f), to_sympy(h)).is_ground
+
+
+def test_gcd_of_the_three_by_three_systems_first_quotient():
+    # `solve_linear` on this system leaves the polynomial ring at unknown 2:
+    # RatFunc(acc, a_22) takes the gcd of a 69- and a 56-term polynomial of
+    # degree 9 in x and y.  It is x, the monomial content, and the
+    # cofactors' images are coprime; the primitive PRS ran past 60 s on it.
+    V2 = ("x", "y")
+    x, y = (MPoly.variable(V2, v) for v in V2)
+    F = Fraction
+    m = FracMatrix([
+        [RatFunc(F(-1, 2) * x * y + y), RatFunc(4 * x * y - F(3, 2) * x),
+         RatFunc(x * y ** 2 + F(5, 3) * x)],
+        [RatFunc(x ** 2 * y + F(1, 2)), RatFunc(5 * x ** 2), RatFunc(4 * x * y + F(1, 2) * y)],
+        [RatFunc(F(-5, 3) * x * y ** 2 + F(2, 3) * y ** 2, x ** 2 * y + F(5, 3) * x ** 2),
+         RatFunc(F(1, 2) * x ** 2 * y + F(1, 4) * x, x * y + y),
+         RatFunc(MPoly.constant(V2, F(1, 2)), y ** 2 + F(1, 3))]])
+    rhs = [RatFunc(F(5, 3) * x ** 2 - 2 * x * y),
+           RatFunc(MPoly.constant(V2, F(2, 3)), x * y ** 2 - F(1, 2) * x),
+           RatFunc(-5 * x * y ** 2 - 3 * y - 3, x ** 2 * y)]
+    a, c, _ = _cleared_rows(m, rhs)
+    _bareiss(a, c)
+    f, g = c[2], a[2][2]
+    assert try_div(f, g) is None
+    assert (len(f.terms), len(g.terms)) == (69, 56)
+    assert f.degree("x") == f.degree("y") == 9
+    start = perf_counter()
+    ours = poly_gcd(f, g)
+    assert perf_counter() - start < 5
+    assert ours == x
+    syms = sympy.symbols(V2)
+    theirs = sympy.gcd(*(sympy.Poly.from_dict(
+        {e: sympy.Rational(v.numerator, v.denominator) for e, v in p.terms.items()},
+        *syms, domain="QQ") for p in (f, g)))
+    assert theirs.monic() == sympy.Poly(syms[0], *syms, domain="QQ")
 
 
 @SETTINGS
