@@ -32,13 +32,17 @@ could pass only if q / t were a kernel vector of lower degree; so the
 answer is None, returned before the certificate is checked.
 The series layer runs on integer coefficient lists over one denominator:
 shifts to and from the base point, the series division of sample_series
-and the certificate are fraction-free, and a Fraction is built only for
-an output coefficient.
+and the certificate are fraction-free.  A SeriesSample stores its
+coefficients the same way, as integer numerators in lowest terms over one
+positive denominator, so sample_series builds no Fraction and
+detect_rational reads the integers it needs as they are stored; a Fraction
+is built only when a sample's `coefficients` are read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .algebra import MPoly, RatFunc, as_fraction, dense, kernel_vector, solve_linear
@@ -66,16 +70,40 @@ __all__ = [
 
 
 class SeriesSample(Record):
-    """Taylor coefficients of one trace at a rational base point."""
+    """Taylor coefficients of one trace at a rational base point.
 
-    __slots__ = ("base_point", "coefficients")
+    The fields are `base_point` and `coefficients`, a tuple of Fractions.
+    The coefficients are stored cleared, as one positive denominator `_den`
+    and a tuple of integer numerators `_nums` in lowest terms (the pair
+    `dense.clear` gives), and `coefficients` is built from them when read.
+    """
+
+    __slots__ = ("base_point", "_den", "_nums")
+    _fields = ("base_point", "coefficients")
 
     def __init__(self, base_point: Fraction, coefficients: tuple[Fraction, ...]):
-        _set(self, "base_point", as_fraction(base_point))
-        _set(self, "coefficients", tuple(map(as_fraction, coefficients)))
+        den, nums = dense.clear(map(as_fraction, coefficients))
+        self._store(as_fraction(base_point), den, nums)
+
+    @classmethod
+    def _cleared(cls, base_point: Fraction, den: int, nums: list[int]) -> SeriesSample:
+        """The sample of coefficients nums[k] / den, for den > 0 and nums in lowest terms."""
+        sample = cls.__new__(cls)
+        sample._store(base_point, den, nums)
+        return sample
+
+    def _store(self, base_point: Fraction, den: int, nums: list[int]):
+        _set(self, "base_point", base_point)
+        _set(self, "_den", den)
+        _set(self, "_nums", tuple(nums))
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple([Fraction(v, den) for v in self._nums])
 
     def __len__(self):
-        return len(self.coefficients)
+        return len(self._nums)
 
 
 class ReconstructionReport(Record):
@@ -279,13 +307,13 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int) ->
     base point (in particular when the only algebraic candidates would have
     a pole there).
 
-    The sample c is cleared to integers C = D c.  The Pade kernel gives q
-    of minimal degree, and p = q C is truncated to degree max_num_deg, all
-    over Z.  Minimality makes p and q coprime unless q(0) = 0, and then
-    the answer is None (see the module docstring).  The certificate is
-    q C == p (mod t^L) for the L = len(sample) coefficients: with q(0) != 0
-    that says the series of p / (D q) reproduces every supplied
-    coefficient, without a division.
+    The sample c is read as `SeriesSample` stores it: integers C = D c over
+    one denominator D.  The Pade kernel gives q of minimal degree, and
+    p = q C is truncated to degree max_num_deg, all over Z.  Minimality
+    makes p and q coprime unless q(0) = 0, and then the answer is None
+    (see the module docstring).  The certificate is q C == p (mod t^L) for
+    the L = len(sample) coefficients: with q(0) != 0 that says the series
+    of p / (D q) reproduces every supplied coefficient, without a division.
     """
     big_l = len(sample)
     m, nn = max_num_deg, max_den_deg
@@ -294,7 +322,7 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int) ->
     if big_l < m + nn + 2:
         raise DomainError(
             f"need at least {m + nn + 2} coefficients for bounds ({m}, {nn}), have {big_l}")
-    den, c = dense.clear(sample.coefficients)
+    den, c = sample._den, sample._nums
     rows = [[c[k - j] if k >= j else 0 for j in range(nn + 1)]
             for k in range(m + 1, m + nn + 1)]
     q = kernel_vector(rows, nn + 1)
@@ -332,7 +360,9 @@ def sample_series(f: RatFunc, x0, count: int) -> SeriesSample:
     x0 + t over a common power of the denominator of x0, giving f(x0 + t) =
     (dd P) / (dn Q).  The division P / Q runs fraction-free: S_k = Q_0^k P_k
     - sum_{j>=1} Q_j Q_0^(j-1) S_{k-j} makes coefficient k equal to
-    dd S_k / (dn Q_0^(k+1)), one Fraction per output coefficient.
+    dd S_k / (dn Q_0^(k+1)).  Over the common denominator dn Q_0^count, and
+    divided by one gcd, these are the sample's integer numerators: no
+    Fraction is built.
     """
     if len(f.vars) != 1:
         raise DomainError("series sampling needs a univariate rational function")
@@ -348,14 +378,17 @@ def sample_series(f: RatFunc, x0, count: int) -> SeriesSample:
         raise DomainError(f"base point {x0} lies on the polar set")
     weights = [q[j] * q0 ** (j - 1) for j in range(1, len(q))]
     s: list[int] = []
-    out = []
     power = 1  # q0^k
     for k in range(count):
-        sk = (power * p[k] if k < len(p) else 0) - sum(map(mul, weights, s[::-1]))
-        s.append(sk)
+        s.append((power * p[k] if k < len(p) else 0) - sum(map(mul, weights, s[::-1])))
         power *= q0
-        out.append(Fraction(dd * sk, dn * power))
-    return SeriesSample(base_point=x0, coefficients=tuple(out))
+    # coefficient k is dd S_k / (dn q0^(k+1)) = dd S_k q0^(count-1-k) / (dn q0^count)
+    nums = [dd * sk * q0 ** (count - 1 - k) for k, sk in enumerate(s)]
+    common = dn * power
+    g = gcd(common, *nums)
+    if common < 0:
+        g = -g
+    return SeriesSample._cleared(x0, common // g, [v // g for v in nums])
 
 
 def continue_current(series: list[SeriesSample], d_max: int,

@@ -41,7 +41,7 @@ def random_base_poly(rng: Random, n: int, max_deg: int, max_abs: int = 4) -> MPo
         if c:
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + c
-    return MPoly(variables, {k: Fraction(v) for k, v in terms.items() if v})
+    return MPoly(variables, terms)
 
 
 def random_current(rng: Random, n: int = 1, max_degree: int = 5,

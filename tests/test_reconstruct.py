@@ -410,6 +410,12 @@ def test_detect_rational_roundtrip():
             continue
         g = detect_rational(s, 2, 2)
         assert g == f
+        # the same answer from the sample rebuilt from its Fraction coefficients
+        h = detect_rational(SeriesSample(x0, s.coefficients), 2, 2)
+        assert h == g
+        for mine, theirs in ((h.num, g.num), (h.den, g.den)):
+            assert [(k, type(v)) for k, v in mine.terms.items()] == \
+                [(k, type(v)) for k, v in theirs.terms.items()]
         done += 1
 
 

@@ -4,9 +4,12 @@ The fraction-free sampler clears denominators, shifts over a power of the
 denominator of x0 and divides over powers of the shifted constant term;
 sympy.series expands the same rational function by its own code.  The
 cases have non-integral coefficients, non-integral base points and
-constant, linear and quadratic denominators.
+constant, linear and quadratic denominators.  Each sample, stored as
+integers over one denominator, must also equal, hash, print and pickle as
+the SeriesSample built from sympy's Fraction coefficients.
 """
 
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -14,8 +17,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from residualtrace.algebra import MPoly, RatFunc  # noqa: E402
-from residualtrace.reconstruct import sample_series  # noqa: E402
+from residualtrace.algebra import MPoly, RatFunc, dense  # noqa: E402
+from residualtrace.reconstruct import SeriesSample, sample_series  # noqa: E402
 from sympy_expr import to_sympy  # noqa: E402
 
 X = sympy.Symbol("x")
@@ -38,7 +41,8 @@ def test_sample_series_matches_sympy():
         if f.den.eval_exact({"x": x0}) == 0:
             continue
         count = 7
-        ours = sample_series(f, x0, count).coefficients
+        sample = sample_series(f, x0, count)
+        ours = sample.coefficients
         expansion = sympy.series(to_sympy(f.num) / to_sympy(f.den), X,
                                  sympy.Rational(x0.numerator, x0.denominator), count)
         poly = expansion.removeO().subs(X, X + sympy.Rational(x0.numerator, x0.denominator))
@@ -46,3 +50,10 @@ def test_sample_series_matches_sympy():
         expected = [Fraction(int(c.p), int(c.q))
                     for c in (poly.coeff_monomial(X ** k) for k in range(count))]
         assert list(ours) == expected, (f, x0)
+        # the integer sample is the record its Fraction coefficients build
+        assert all(type(c) is Fraction for c in ours)
+        assert (sample._den, list(sample._nums)) == dense.clear(expected)
+        parsed = SeriesSample(x0, expected)
+        assert sample == parsed and hash(sample) == hash(parsed)
+        assert repr(sample) == repr(parsed)
+        assert pickle.loads(pickle.dumps(sample)) == sample
