@@ -50,23 +50,25 @@ result in the full ring lifts one polynomial back with
 Pseudo-division in one variable has two implementations.  `mod_monic`, on
 lists of `MPoly` coefficients, is every step of the trace stream of
 `residues` (the first reduction and each multiply-by-y step after it), and
-through `pseudo_rem` serves `currents.validate` and the multivariate PRS of
+through `pseudo_rem` serves `currents.validate` and the subresultant PRS of
 the gcd; it forms no product by a zero coefficient of the divisor.
 `dense.prem`, on int lists, serves the gcd's one-variable base
 case, a dense integer PRS that keeps the chart path about 12% faster than
 the `MPoly` PRS would; one shared version would branch on int or `MPoly`.
 
-The gcd has one rule: a common divisor of f and g involves only the
-variables that both contain.  So when their supports differ, gcd(f, g) is
-the gcd of every coefficient of f and of g taken as polynomials in the
-other variables; `_gcd_all` takes that list fewest terms first and stops at
-a constant, and contents use the same loop.  In a chart, where c^e lies in
-the slopes alone, no PRS step ever runs in the other chart variables.  When
-the supports are equal, a primitive PRS runs in the last shared variable;
-one shared variable is the dense integer PRS of `dense.gcd`.  `poly_gcd`
-runs that PRS only when no cheaper route decides: it strips the monomial
-content, and then images modulo 2^61 - 1 usually prove the cofactors
-coprime (its docstring lists the routes and why the proof is sound).
+The gcd has one function, `poly_gcd`, and every gcd in this module is a
+call of it: a content (`_content_in`) and a coefficient list (`_gcd_all`,
+fewest terms first, stopping at a constant) call it again, so every depth
+takes the same routes in the same order (its docstring lists them and why
+the certificate is sound).  One shared variable is the dense integer PRS of
+`dense.gcd`.  Otherwise the monomial content is stripped, and images modulo
+2^61 - 1 usually prove the cofactors coprime.  A common divisor involves
+only the variables that both cofactors contain, so when their supports
+differ their gcd is that of every coefficient of both taken as polynomials
+in the other variables; in a chart, where c^e lies in the slopes alone, no
+PRS step ever runs in the other chart variables.  When the supports are
+equal, the subresultant PRS runs in the last shared variable, and only its
+last remainder has its content taken.
 
 Substitution has one implementation, `MPoly.subs`.  An image that is a bare
 target variable (one term, coefficient 1, total degree 1) is a rename: it
@@ -100,10 +102,12 @@ _ZERO = Fraction(0)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int, string, or Fraction to Fraction. Floats are refused."""
+    """Coerce an int, string, or Fraction to Fraction. Floats and bools are refused."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
+        if isinstance(value, bool):
+            raise DomainError(f"{value!r} is a boolean, not a rational number")
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -699,14 +703,19 @@ def mod_monic(num: list[MPoly], power: MPoly,
 
 
 def pseudo_rem(a: MPoly, b: MPoly, var: str) -> MPoly:
-    """lead^e * a modulo b in var, lead the leading coefficient of b in var.
+    """lead^(d+1) * a modulo b in var: the classical pseudo-remainder.
 
-    e >= 0 counts the reduction steps; it is 0 when b is monic in var, so
-    the result is then the remainder itself.
+    lead is the leading coefficient of b in var and d = deg a - deg b >= 0.
+    `mod_monic` scales by lead only at a nonzero step, so its remainder is
+    lead^e * a mod b for some e <= d + 1; it is multiplied here by the
+    lead^(d+1-e) it saved, since the subresultant PRS of `poly_gcd` divides
+    exactly this remainder.  With b monic in var the result is the
+    remainder itself.
     """
-    den = b.as_univariate(var)
-    rem, _ = mod_monic(a.as_univariate(var), MPoly.constant(den[0].vars, 1), den)
-    return MPoly.from_univariate(a.vars, var, rem)
+    den, num = b.as_univariate(var), a.as_univariate(var)
+    rem, power = mod_monic(num, MPoly.constant(den[0].vars, 1), den)
+    unit = exact_div(den[-1] ** (len(num) - len(den) + 1), power)
+    return MPoly.from_univariate(a.vars, var, [c * unit for c in rem])
 
 
 # ---- gcd ----------------------------------------------------------------
@@ -720,19 +729,19 @@ def _support(p: MPoly) -> set[int]:
 def _gcd_all(polys: list[MPoly]) -> MPoly:
     """gcd of nonzero polynomials, up to a rational factor.
 
-    Takes them fewest terms first and stops at a constant.
+    Takes them fewest terms first through `poly_gcd` and stops at a constant.
     """
     polys = sorted(polys, key=lambda p: len(p.terms))
     g = polys[0]
     for p in polys[1:]:
         if g.is_constant():
             break
-        g = _gcd_rec(g, p)
+        g = poly_gcd(g, p)
     return g
 
 
 def _content_in(f: MPoly, vi: int) -> MPoly:
-    """gcd of f's coefficients in variable vi: integer-primitive, or 1 when constant."""
+    """gcd of f's coefficients in variable vi, by `_gcd_all`: integer-primitive, or 1 when constant."""
     var = f.vars[vi]
     g = _gcd_all([c for c in f.as_univariate(var) if c.terms])
     if g.is_constant():
@@ -746,40 +755,6 @@ def _gcd_dense(f: MPoly, g: MPoly, vi: int) -> MPoly:
     zero = (0,) * len(f.vars)
     return _trusted(f.vars, {zero[:vi] + (k,) + zero[vi + 1:]: c
                              for k, c in enumerate(coeffs) if c})
-
-
-def _gcd_rec(f: MPoly, g: MPoly) -> MPoly:
-    """gcd of nonzero f and g, not both constant, up to a rational factor."""
-    support, other = _support(f), _support(g)
-    if support != other:
-        # a common divisor lies in the shared variables: take every
-        # coefficient of f and of g as polynomials in the others
-        shared = support & other
-        pieces: dict[Exponents, dict[Exponents, Coefficient]] = {}
-        for k, p in enumerate((f, g)):
-            for exps, c in p.terms.items():
-                outer = (k,) + tuple([e for i, e in enumerate(exps) if i not in shared])
-                inner = tuple([e if i in shared else 0 for i, e in enumerate(exps)])
-                pieces.setdefault(outer, {})[inner] = c
-        return _gcd_all([_trusted(f.vars, t) for t in pieces.values()])
-    vi = max(support)
-    if len(support) == 1:
-        return _gcd_dense(f, g, vi)
-    # equal supports: the primitive PRS in the last shared variable
-    var = f.vars[vi]
-    cf, cg = _content_in(f, vi), _content_in(g, vi)
-    c = _gcd_all([cf, cg])
-    a, b = exact_div(f, cf), exact_div(g, cg)
-    if a.degree(var) < b.degree(var):
-        a, b = b, a
-    while True:
-        # the PRS needs each remainder only up to a unit such as lead^e
-        r = pseudo_rem(a, b, var)
-        if r.is_zero():
-            return c * b
-        if r.degree(var) == 0:
-            return c
-        a, b = b, exact_div(r, _content_in(r, vi)).primitive_int()
 
 
 # the coprimality certificate evaluates at dense.point(_CERTIFICATE_SEED, n)
@@ -833,44 +808,80 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Full multivariate gcd, normalized integer-primitive with positive lead.
 
     gcd with the zero polynomial returns the other argument normalized;
-    gcd(0, 0) is undefined and raises.  The routes, in order:
+    gcd(0, 0) is undefined and raises.  Every call, the inner ones of
+    `_gcd_all` and `_content_in` included, takes these routes in order:
 
     - one variable: f and g in the same single variable take the dense
       integer PRS of `dense.gcd`, which is faster there than the images;
     - monomial content: with lf and lg the least exponents of f and g, the
       gcd is x^min(lf, lg) times the gcd of the cofactors f / x^lf and
       g / x^lg, so a one-term argument needs nothing more;
-    - disjoint support: cofactors that share no variable are coprime;
-    - certificate (`_coprime`): images modulo P = 2^61 - 1 in each shared
-      variable, or in one where a leading coefficient is constant, that
-      keep their degree and have a gcd of degree 0 prove the cofactors
-      coprime, because a common factor would keep its degree in the
-      images and divide both;
-    - otherwise the primitive PRS of `_gcd_rec` runs on f and g themselves.
+    - certificate (`_coprime`): cofactors that share no variable are
+      coprime, and images modulo P = 2^61 - 1 in each shared variable, or
+      in one where a leading coefficient is constant, that keep their
+      degree and have a gcd of degree 0 prove them coprime, because a
+      common factor would keep its degree in the images and divide both;
+    - shared variables: a common divisor involves only the variables that
+      both cofactors contain, so when their supports differ it is the gcd
+      of every coefficient of both taken as polynomials in the others;
+    - otherwise the subresultant PRS (Collins 1967; Brown and Traub 1971)
+      runs on the primitive parts of the cofactors in their last variable,
+      times the gcd of their contents in it.  Each pseudo-remainder is
+      divided by a factor known in advance, so only the last one has its
+      content taken: a content per step, as the primitive PRS takes, can
+      cost seconds on products of 6-term factors in three variables.
 
     The certificate never proves a false 1, and a cofactor gcd other than
-    1 always comes from the PRS.
+    1 always comes from the last two routes.
     """
     f._check_same_ring(g)
-    if f.is_zero() and g.is_zero():
-        raise DomainError("gcd(0, 0) is undefined")
-    if f.is_zero():
-        return g.primitive_int().sign_normalized()
-    if g.is_zero():
-        return f.primitive_int().sign_normalized()
+    if f.is_zero() or g.is_zero():
+        if f.is_zero() and g.is_zero():
+            raise DomainError("gcd(0, 0) is undefined")
+        return (f + g).primitive_int().sign_normalized()
     if f.is_constant() or g.is_constant():
         return MPoly.constant(f.vars, 1)
     support = _support(f)
     if len(support) == 1 and support == _support(g):
         # one variable: the dense integer PRS beats the images on these
-        h = _gcd_dense(f, g, *support)
+        return _gcd_dense(f, g, *support).primitive_int().sign_normalized()
+    lf, lg = [min(e) for e in zip(*f.terms)], [min(e) for e in zip(*g.terms)]
+    m = _trusted(f.vars, {tuple(map(min, lf, lg)): 1})
+    a, b = _shift_down(f, lf), _shift_down(g, lg)
+    if a.is_constant() or b.is_constant() or _coprime(a, b):
+        return m
+    support, other = _support(a), _support(b)
+    if support != other:
+        # a common divisor lies in the shared variables: take every
+        # coefficient of a and of b as polynomials in the others
+        shared = support & other
+        pieces: dict[Exponents, dict[Exponents, Coefficient]] = {}
+        for k, p in enumerate((a, b)):
+            for exps, c in p.terms.items():
+                outer = (k,) + tuple([e for i, e in enumerate(exps) if i not in shared])
+                inner = tuple([e if i in shared else 0 for i, e in enumerate(exps)])
+                pieces.setdefault(outer, {})[inner] = c
+        h = _gcd_all([_trusted(f.vars, t) for t in pieces.values()])
     else:
-        lf, lg = [min(e) for e in zip(*f.terms)], [min(e) for e in zip(*g.terms)]
-        a, b = _shift_down(f, lf), _shift_down(g, lg)
-        if a.is_constant() or b.is_constant() or _coprime(a, b):
-            return _trusted(f.vars, {tuple(map(min, lf, lg)): 1})
-        h = _gcd_rec(f.primitive_int(), g.primitive_int())
-    return h.primitive_int().sign_normalized()
+        # equal supports: the subresultant PRS in the last shared variable
+        vi = max(support)
+        var = f.vars[vi]
+        cf, cg = _content_in(a, vi), _content_in(b, vi)
+        h = _gcd_all([cf, cg])
+        a, b = exact_div(a, cf).primitive_int(), exact_div(b, cg).primitive_int()
+        if a.degree(var) < b.degree(var):
+            a, b = b, a
+        s = t = MPoly.constant(f.vars, 1)
+        while (r := pseudo_rem(a, b, var)).degree(var) > 0:
+            # r is divisible by s t^d, and the quotient is the next
+            # subresultant, up to sign
+            d = a.degree(var) - b.degree(var)
+            lead = MPoly.from_univariate(f.vars, var, [b.as_univariate(var)[-1]])
+            a, b = b, exact_div(r, s * t ** d)
+            s, t = lead, exact_div(lead ** d, t ** (d - 1)) if d else t
+        if r.is_zero():
+            h = h * exact_div(b, _content_in(b, vi))
+    return (m * h).primitive_int().sign_normalized()
 
 
 def poly_gcd_fiber(f: MPoly, g: MPoly) -> MPoly:

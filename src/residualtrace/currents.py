@@ -78,7 +78,9 @@ def validate(p: MPoly, r: MPoly) -> ResidualCurrent:
     fiber, and one fiber image suffices for the gcd: `poly_gcd` takes p and
     r, less their monomial content, to an integer point of the base
     variables mod 2^61 - 1, and coprime images prove that content is the
-    whole gcd.  Its PRS runs only when the images are not coprime.
+    whole gcd.  Only when they are not does it reduce to shared variables or
+    run the subresultant PRS on the cofactors, and each inner gcd of those
+    takes the same routes, the images included.
     """
     p._check_same_ring(r)
     if len(p.vars) < 2:

@@ -36,6 +36,9 @@ def test_construction_merges_and_drops_zero_terms():
 def test_float_coefficients_rejected():
     with pytest.raises(DomainError):
         MPoly(V, {(0, 0): 0.5})
+    # bool is an int subclass, but no more exact a coefficient than a float
+    with pytest.raises(DomainError, match="boolean"):
+        MPoly(("x",), {(0,): True})
 
 
 def test_negative_exponent_rejected():

@@ -113,6 +113,10 @@ def test_series_sample_coerces_and_refuses_floats():
         SeriesSample(0.5, (1,))
     with pytest.raises(DomainError, match="floating point"):
         SeriesSample(0, (1, 0.25))
+    with pytest.raises(DomainError, match="boolean"):
+        SeriesSample(True, [False, True])
+    with pytest.raises(DomainError, match="boolean"):
+        SeriesSample(True, (0, 1))
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
