@@ -203,9 +203,14 @@ class MPoly:
         items = terms.items() if isinstance(terms, dict) else terms
         for exps, coeff in items:
             try:
-                exps = tuple(map(_index, exps))
+                exps = tuple(exps)
+                ints = tuple(map(_index, exps))
             except TypeError:
-                raise DomainError(f"exponent vector {exps!r} has a non-integer entry") from None
+                ints = None
+            # bool passes operator.index, but is no more an exponent than a coefficient
+            if ints is None or bool in map(type, exps):
+                raise DomainError(f"exponent vector {exps!r} has a non-integer entry")
+            exps = ints
             if len(exps) != nv:
                 raise DomainError(
                     f"exponent vector {exps} does not match variables {self.vars}")

@@ -179,7 +179,8 @@ class RatFunc:
         return RatFunc(self.num ** k, self.den ** k)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, MPoly)):
+        # a bool is no rational number, but comparing with one is no error
+        if isinstance(other, (int, Fraction, MPoly)) and not isinstance(other, bool):
             other = self._lift(other)
         if not isinstance(other, RatFunc):
             return NotImplemented

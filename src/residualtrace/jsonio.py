@@ -11,9 +11,12 @@ Current: {"n": 1, "P": <poly>, "r": <poly>}  or  {"n": 1, "zero": true}
 Traces: {"u": [<ratfunc>, ...]}
 Series batch: {"series": [{"x0": "1/2", "coeffs": ["1", "0", ...]}, ...]}
 
-Parsing rejects a key that its object does not define, naming it, a
-fraction string in exponent notation ("1e9"), whose value can take
-unbounded work to build, and an exponent above `FLAG_LIMIT`.  An output
+Every parse error names the offending field.  A missing key is named as
+its own field (`poly.terms[0].exps: missing`); a value that is not an
+object, or an object with a key its kind does not define, names the
+object (`current: unknown keys ['typo']`).  Parsing rejects a fraction
+string in exponent notation ("1e9"), whose value can take unbounded work
+to build, and an exponent above `FLAG_LIMIT`.  An output
 coefficient with more digits than Python converts between int and
 str raises DomainError naming its term, before anything is written.
 """
@@ -56,10 +59,21 @@ def loads(text: str, where: str = "document"):
         raise SchemaError(where, "holds an integer with too many digits to parse") from None
 
 
-def _check_keys(obj: dict, allowed: set, field: str):
-    extra = set(obj) - allowed
+def _object(obj, field: str, required: tuple[str, ...]) -> dict:
+    """obj, checked to be an object with exactly the keys `required`.
+
+    A non-object or an unknown key names `field`; a missing key names
+    `field.key`.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(field, f"expected an object with keys {list(required)}")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{field}.{key}", "missing")
+    extra = obj.keys() - required
     if extra:
         raise SchemaError(field, f"unknown keys {sorted(extra)}")
+    return obj
 
 
 def _is_int(value) -> bool:
@@ -97,13 +111,7 @@ def poly_to_obj(p: MPoly) -> dict:
 
 
 def poly_from_obj(obj, field: str = "poly") -> MPoly:
-    if not isinstance(obj, dict):
-        raise SchemaError(field, "expected an object with 'vars' and 'terms'")
-    if "vars" not in obj:
-        raise SchemaError(f"{field}.vars", "missing")
-    if "terms" not in obj:
-        raise SchemaError(f"{field}.terms", "missing")
-    _check_keys(obj, {"vars", "terms"}, field)
+    _object(obj, field, ("vars", "terms"))
     variables = obj["vars"]
     if (not isinstance(variables, list) or not all(isinstance(v, str) for v in variables)
             or len(set(variables)) != len(variables)):
@@ -115,9 +123,7 @@ def poly_from_obj(obj, field: str = "poly") -> MPoly:
     pairs = []
     for i, t in enumerate(terms_obj):
         here = f"{field}.terms[{i}]"
-        if not isinstance(t, dict) or "coeff" not in t or "exps" not in t:
-            raise SchemaError(here, "expected an object with 'coeff' and 'exps'")
-        _check_keys(t, {"coeff", "exps"}, here)
+        _object(t, here, ("coeff", "exps"))
         c = parse_fraction(t["coeff"], f"{here}.coeff")
         if c == 0:
             raise SchemaError(f"{here}.coeff", "zero terms are not stored")
@@ -143,9 +149,7 @@ def ratfunc_to_obj(f: RatFunc) -> dict:
 
 
 def ratfunc_from_obj(obj, field: str = "ratfunc") -> RatFunc:
-    if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
-        raise SchemaError(field, "expected an object with 'num' and 'den'")
-    _check_keys(obj, {"num", "den"}, field)
+    _object(obj, field, ("num", "den"))
     num = poly_from_obj(obj["num"], f"{field}.num")
     den = poly_from_obj(obj["den"], f"{field}.den")
     if den.is_zero():
@@ -163,21 +167,15 @@ def current_to_obj(c: ResidualCurrent | ZeroCurrent) -> dict:
 
 
 def current_from_obj(obj, field: str = "current") -> ResidualCurrent | ZeroCurrent:
-    if not isinstance(obj, dict):
-        raise SchemaError(field, "expected an object")
-    if "n" not in obj:
-        raise SchemaError(f"{field}.n", "missing")
+    zero = isinstance(obj, dict) and "zero" in obj
+    if zero and obj["zero"] is not True:
+        raise SchemaError(f"{field}.zero", "must be true when present")
+    _object(obj, field, ("n", "zero") if zero else ("n", "P", "r"))
     n = obj["n"]
     if not _is_int(n) or n < 1:
         raise SchemaError(f"{field}.n", "must be a positive integer")
-    if "zero" in obj:
-        if obj["zero"] is not True:
-            raise SchemaError(f"{field}.zero", "must be true when present")
-        _check_keys(obj, {"n", "zero"}, field)
+    if zero:
         return ZeroCurrent(n)
-    if "P" not in obj or "r" not in obj:
-        raise SchemaError(field, "expected keys 'P' and 'r' (or 'zero': true)")
-    _check_keys(obj, {"n", "P", "r"}, field)
     p = poly_from_obj(obj["P"], f"{field}.P")
     r = poly_from_obj(obj["r"], f"{field}.r")
     if p.vars != r.vars:
@@ -196,10 +194,7 @@ def traces_to_obj(t: TraceSequence) -> dict:
 
 
 def traces_from_obj(obj, field: str = "traces") -> TraceSequence:
-    if not isinstance(obj, dict) or "u" not in obj:
-        raise SchemaError(field, "expected an object with key 'u'")
-    _check_keys(obj, {"u"}, field)
-    u = obj["u"]
+    u = _object(obj, field, ("u",))["u"]
     if not isinstance(u, list) or not u:
         raise SchemaError(f"{field}.u", "must be a nonempty list")
     entries = tuple(ratfunc_from_obj(e, f"{field}.u[{i}]") for i, e in enumerate(u))
@@ -209,18 +204,13 @@ def traces_from_obj(obj, field: str = "traces") -> TraceSequence:
 
 
 def series_from_obj(obj, field: str = "series") -> list[SeriesSample]:
-    if not isinstance(obj, dict) or "series" not in obj:
-        raise SchemaError(field, "expected an object with key 'series'")
-    _check_keys(obj, {"series"}, field)
-    batch = obj["series"]
+    batch = _object(obj, field, ("series",))["series"]
     if not isinstance(batch, list) or not batch:
         raise SchemaError(f"{field}.series", "must be a nonempty list")
     out = []
     for i, s in enumerate(batch):
         here = f"{field}.series[{i}]"
-        if not isinstance(s, dict) or "x0" not in s or "coeffs" not in s:
-            raise SchemaError(here, "expected an object with 'x0' and 'coeffs'")
-        _check_keys(s, {"x0", "coeffs"}, here)
+        _object(s, here, ("x0", "coeffs"))
         x0 = parse_fraction(s["x0"], f"{here}.x0")
         coeffs = s["coeffs"]
         if not isinstance(coeffs, list) or not coeffs:

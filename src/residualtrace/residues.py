@@ -117,6 +117,11 @@ def residue_sum(form: RationalForm1D) -> RatFunc:
 
 
 def _specialize(form: RationalForm1D, x_values: Sequence[complex]):
+    """The fiber coefficient lists of num and den at one base point, ascending.
+
+    The den list is stripped of its zero top coefficients; a den left of
+    degree < 1 raises DomainError.
+    """
     if len(x_values) != len(form.base_vars):
         raise DomainError(
             f"expected {len(form.base_vars)} base values, got {len(x_values)}")
@@ -125,7 +130,10 @@ def _specialize(form: RationalForm1D, x_values: Sequence[complex]):
     def coeffs(p: MPoly) -> list[complex]:
         return [c.eval_numeric(assign) for c in p.as_univariate(form.fiber)] or [0j]
 
-    return coeffs(form.num), coeffs(form.den)
+    den = dense.strip(coeffs(form.den))
+    if len(den) < 2:
+        raise DomainError("specialized denominator dropped degree")
+    return coeffs(form.num), den
 
 
 def _horner(cs: list[complex], z: complex) -> complex:
@@ -147,10 +155,7 @@ def pointwise_residues(form: RationalForm1D, x_values: Sequence[complex]):
     if form.den.degree(form.fiber) == 0:
         return []
     ncoeffs, dcoeffs = _specialize(form, x_values)
-    dcoeffs = dense.strip(dcoeffs)
     d = len(dcoeffs) - 1
-    if d < 1:
-        raise DomainError("specialized denominator dropped degree")
     import numpy as np
     roots = np.roots(dcoeffs[::-1])
     dprime = [k * dcoeffs[k] for k in range(1, d + 1)]
@@ -179,10 +184,7 @@ def contour_oracle(form: RationalForm1D, x_values: Sequence[complex]) -> complex
     if form.den.degree(form.fiber) == 0:
         return 0j
     ncoeffs, dcoeffs = _specialize(form, x_values)
-    dstripped = dense.strip(list(dcoeffs))
-    if len(dstripped) < 2:
-        raise DomainError("specialized denominator dropped degree")
-    radius = 2.0 * (1.0 + max(abs(c / dstripped[-1]) for c in dstripped))
+    radius = 2.0 * (1.0 + max(abs(c / dcoeffs[-1]) for c in dcoeffs))
     import numpy as np
     n = QUADRATURE_POINTS
     total = 0j

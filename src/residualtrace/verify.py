@@ -53,30 +53,25 @@ def _suite(name: str, instances: int, failures: list[int], **extra) -> dict:
             "failed_indices": failures, **extra, "pass": not failures}
 
 
+def _family_suite(name: str, family: list, holds) -> dict:
+    """One suite's report over a drawn family: member idx fails unless holds(member)."""
+    return _suite(name, len(family),
+                  [idx for idx, member in enumerate(family) if not holds(member)])
+
+
 def check_roundtrip(seed: int, count: int = 40) -> dict:
     """traces then reconstruct must reproduce every current exactly."""
-    rng = Random(seed)
-    family = _mixed_family(rng, count)
-    failures = []
-    for idx, c in enumerate(family):
-        t = traces(c, 2 * c.degree + 2)
-        report = reconstruct(t, c.degree)
-        if report.current != c or report.residual_violations != 0:
-            failures.append(idx)
-    return _suite("roundtrip-inversion", len(family), failures)
+    def holds(c):
+        report = reconstruct(traces(c, 2 * c.degree + 2), c.degree)
+        return report.current == c and report.residual_violations == 0
+    return _family_suite("roundtrip-inversion", _mixed_family(Random(seed), count), holds)
 
 
 def check_recurrence(seed: int, count: int = 40) -> dict:
     """The monic recurrence annihilates every trace window up to k = 2d."""
-    rng = Random(seed)
-    family = _mixed_family(rng, count)
-    failures = []
-    for idx, c in enumerate(family):
-        d = c.degree
-        t = traces(c, 3 * d + 1)
-        if recurrence_check(t, c.p):
-            failures.append(idx)
-    return _suite("trace-recurrence", len(family), failures)
+    return _family_suite(
+        "trace-recurrence", _mixed_family(Random(seed), count),
+        lambda c: not recurrence_check(traces(c, 3 * c.degree + 1), c.p))
 
 
 def check_hankel_identity(seed: int, count: int = 30) -> dict:
@@ -88,13 +83,11 @@ def check_hankel_identity(seed: int, count: int = 30) -> dict:
     determinant by (-1)^(d(d-1)/2).
     """
     rng = Random(seed)
-    failures = []
-    instances = 0
-    for idx in range(count):
-        d = rng.randint(1, 4)
-        n = 1 if idx % 3 else 2
-        current, points = random_weighted_current(rng, n=n, count=d)
-        instances += 1
+    family = [random_weighted_current(rng, n=1 if idx % 3 else 2, count=rng.randint(1, 4))
+              for idx in range(count)]
+
+    def holds(member):
+        current, points = member
         d = current.degree
         t = traces(current, 2 * d + 1)
         h = hankel(t, d)
@@ -110,25 +103,17 @@ def check_hankel_identity(seed: int, count: int = 30) -> dict:
         reversed_rows = FracMatrix(list(reversed(h.entries)))
         anti = FracMatrix([[t[d + i - j - 1] for j in range(d)] for i in range(d)])
         sign = Fraction(-1) ** ((d * (d - 1) // 2) % 2)
-        ok = (det_h == expected
-              and determinant(reversed_rows) == det_h * sign
-              and determinant(anti) == det_h * sign)
-        if not ok:
-            failures.append(idx)
-    return _suite("hankel-determinant", instances, failures)
+        return (det_h == expected
+                and determinant(reversed_rows) == det_h * sign
+                and determinant(anti) == det_h * sign)
+    return _family_suite("hankel-determinant", family, holds)
 
 
 def check_closedness(seed: int, count: int = 25) -> dict:
     """d/db_i u_{k+n} = d/da_i u_{k+n-1} exactly, k up to 2d."""
-    rng = Random(seed)
-    family = _mixed_family(rng, count, (4, 2), (2, 1))
-    failures = []
-    for idx, c in enumerate(family):
-        k_top = 2 * c.degree
-        u = radon(c, k_top + c.n)
-        if closedness_check(u, range(k_top + 1)):
-            failures.append(idx)
-    return _suite("radon-closedness", len(family), failures)
+    return _family_suite(
+        "radon-closedness", _mixed_family(Random(seed), count, (4, 2), (2, 1)),
+        lambda c: not closedness_check(radon(c, 2 * c.degree + c.n), range(2 * c.degree + 1)))
 
 
 def _oracle_one(form: RationalForm1D, point: dict) -> tuple[float | None, str | None]:

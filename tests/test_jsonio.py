@@ -81,7 +81,7 @@ def test_poly_schema_errors_name_fields():
     assert exc.value.field == "poly.vars"
     with pytest.raises(SchemaError) as exc:
         poly_from_obj({"vars": ["x"], "terms": [{"coeff": "1"}]})
-    assert exc.value.field == "poly.terms[0]"
+    assert exc.value.field == "poly.terms[0].exps"
     with pytest.raises(SchemaError) as exc:
         poly_from_obj({"vars": ["x"], "terms": [{"coeff": "0", "exps": [1]}]})
     assert exc.value.field == "poly.terms[0].coeff"
@@ -176,7 +176,7 @@ def test_series_parsing():
 def test_series_schema_checks():
     with pytest.raises(SchemaError) as exc:
         series_from_obj({"series": [{"coeffs": ["1"]}]})
-    assert exc.value.field == "series.series[0]"
+    assert exc.value.field == "series.series[0].x0"
     with pytest.raises(SchemaError) as exc:
         series_from_obj({"series": [{"x0": "1", "coeffs": []}]})
     assert exc.value.field == "series.series[0].coeffs"
@@ -203,6 +203,24 @@ def test_series_schema_checks():
 ])
 def test_unknown_keys_are_named(parse, obj, field, key):
     with pytest.raises(SchemaError, match=key) as exc:
+        parse(obj)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("parse, obj, field, message", [
+    (poly_from_obj, {"terms": []}, "poly.vars", "missing"),
+    (poly_from_obj, {"vars": ["x"], "terms": [{"exps": [1]}]}, "poly.terms[0].coeff", "missing"),
+    (ratfunc_from_obj, {"num": poly_to_obj(X)}, "ratfunc.den", "missing"),
+    (current_from_obj, {"n": 1, "P": poly_to_obj(Y - X)}, "current.r", "missing"),
+    (current_from_obj, {"zero": True}, "current.n", "missing"),
+    (traces_from_obj, {}, "traces.u", "missing"),
+    (series_from_obj, {}, "series.series", "missing"),
+    (series_from_obj, {"series": [{"x0": "1"}]}, "series.series[0].coeffs", "missing"),
+    # a value that is not an object names its own field
+    (ratfunc_from_obj, {"num": [], "den": poly_to_obj(Y)}, "ratfunc.num", "expected an object"),
+])
+def test_missing_keys_are_named(parse, obj, field, message):
+    with pytest.raises(SchemaError, match=message) as exc:
         parse(obj)
     assert exc.value.field == field
 

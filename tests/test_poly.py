@@ -41,6 +41,12 @@ def test_float_coefficients_rejected():
         MPoly(("x",), {(0,): True})
 
 
+def test_bool_exponent_rejected():
+    # operator.index takes True as 1; the error names the vector
+    with pytest.raises(DomainError, match=re.escape("(True,)")):
+        MPoly(("x",), {(True,): 1})
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(DomainError):
         MPoly(V, {(-1, 0): 1})

@@ -35,6 +35,16 @@ def test_structural_equality_is_mathematical():
     assert hash(a) == hash(b)
 
 
+def test_comparing_with_a_bool_is_unequal_and_arithmetic_refuses_it():
+    one = RatFunc.one(V)
+    assert not (one == True)  # noqa: E712
+    assert one != False  # noqa: E712
+    assert True not in [one]
+    assert one == 1
+    with pytest.raises(DomainError, match="boolean"):
+        one + True
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(DomainError):
         rf(X, MPoly.zero(V))
