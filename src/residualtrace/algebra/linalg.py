@@ -1,29 +1,31 @@
 """Exact linear algebra over the rational function field.
 
-Determinants use Bareiss fraction-free elimination after clearing row
-denominators, so all intermediate work stays in the polynomial ring:
-`clear_denominators` hands back a row of polynomials as its own
-numerators, with multiplier 1, and a step whose previous pivot is 1, the
-first one included, divides by nothing.  The same elimination,
-`_bareiss`, drives `solve_linear`.  Back substitution runs on `MPoly` too,
-from the last unknown up, while each quotient acc / a_ii is exact
-(`try_div`); then a `RatFunc` is built only for the values returned.  At
-the first inexact quotient it falls back to `RatFunc` arithmetic for that
-unknown and every one above it, with the polynomial unknowns already
-solved wrapped as they are.  The products, sums and quotients are the ones
-an all-`RatFunc` loop would form, so the values and their term order are
-too.
+There is one elimination, `_bareiss`: Bareiss fraction-free elimination
+after each row is cleared of its denominators, so all intermediate work
+stays in the polynomial ring.  `clear_denominators` hands back a row of
+polynomials as its own numerators, with multiplier 1, and a step whose
+previous pivot is 1, the first one included, divides by nothing.
+`determinant` eliminates the square rows.  `solve_linear` eliminates the
+augmented rows [A | b], so the right-hand side is just their last column.
+Back substitution runs on `MPoly` too, from the last unknown up, while
+each quotient acc / a_ii is exact (`try_div`); then a `RatFunc` is built
+only for the values returned.  At the first inexact quotient it falls
+back to `RatFunc` arithmetic for that unknown and every one above it,
+with the polynomial unknowns already solved wrapped as they are.  The
+products, sums and quotients are the ones an all-`RatFunc` loop would
+form, so the values and their term order are too.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import DomainError, SingularSystemError
 from ..record import Record, _set
 from . import dense
 from .poly import MPoly, as_fraction, exact_div, poly_lcm, try_div
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, _one
 
 
 class FracMatrix(Record):
@@ -47,7 +49,7 @@ class FracMatrix(Record):
 
     @staticmethod
     def _coerce(e):
-        """An entry of the matrix or of a right-hand side, as a RatFunc."""
+        """An entry of the matrix, as a RatFunc."""
         if isinstance(e, RatFunc):
             return e
         if isinstance(e, MPoly):
@@ -75,9 +77,10 @@ class FracMatrix(Record):
 def clear_denominators(fs: list[RatFunc]) -> tuple[list[MPoly], MPoly]:
     """(polys, mult): mult is the lcm of the denominators, polys[i] = fs[i] * mult.
 
-    When every denominator is 1, polys are the numerators themselves.
+    When every denominator is 1, polys are the numerators themselves and
+    mult is the polynomial 1 that `RatFunc` shares.
     """
-    mult = MPoly.constant(fs[0].vars, 1)
+    mult = _one(fs[0].vars)
     for f in fs:
         if not f.den.is_one():
             mult = poly_lcm(mult, f.den)
@@ -86,32 +89,25 @@ def clear_denominators(fs: list[RatFunc]) -> tuple[list[MPoly], MPoly]:
     return [f.num * exact_div(mult, f.den) for f in fs], mult
 
 
-def _cleared_rows(m: FracMatrix, rhs: list[RatFunc] | None = None):
-    """Multiply each row by the lcm of its denominators.
-
-    Returns (rows of MPoly, rhs column of MPoly or None, the row multipliers
-    other than 1).
-    """
-    out_rows = []
-    out_rhs = [] if rhs is not None else None
-    multipliers = []
-    for i, row in enumerate(m.entries):
-        cleared, mult = clear_denominators(list(row) + ([rhs[i]] if rhs is not None else []))
-        if not mult.is_one():
-            multipliers.append(mult)
-        if rhs is not None:
-            out_rhs.append(cleared.pop())
-        out_rows.append(cleared)
-    return out_rows, out_rhs, multipliers
+def _cleared_rows(m: FracMatrix):
+    """Multiply each row by the lcm of its denominators: (rows of MPoly, multipliers)."""
+    rows, multipliers = [], []
+    for row in m.entries:
+        cleared, mult = clear_denominators(list(row))
+        rows.append(cleared)
+        multipliers.append(mult)
+    return rows, multipliers
 
 
-def _bareiss(a: list[list[MPoly]], c: list[MPoly] | None = None) -> int:
-    """Bareiss fraction-free elimination of the square rows `a`, in place.
+def _bareiss(a: list[list[MPoly]]) -> int:
+    """Bareiss fraction-free elimination of the n rows `a`, in place.
 
-    A right-hand side column `c` is swapped and eliminated alongside.  Each
-    step divides exactly by the previous pivot, so a[n-1][n-1] ends up as
-    the determinant up to sign.  Returns the sign of the row permutation, or
-    0 when a pivot column has no nonzero entry (the determinant is 0).
+    The first n columns are square; any further ones, such as the
+    right-hand side of an augmented system, are swapped and eliminated
+    with them.  Each step divides exactly by the previous pivot, so
+    a[n-1][n-1] ends up as the determinant up to sign.  Returns the sign of
+    the row permutation, or 0 when a pivot column has no nonzero entry (the
+    determinant is 0).
     """
     n = len(a)
     variables = a[0][0].vars
@@ -123,16 +119,11 @@ def _bareiss(a: list[list[MPoly]], c: list[MPoly] | None = None) -> int:
             if pivot_row is None:
                 return 0
             a[k], a[pivot_row] = a[pivot_row], a[k]
-            if c is not None:
-                c[k], c[pivot_row] = c[pivot_row], c[k]
             sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(a[i])):
                 v = a[i][j] * a[k][k] - a[i][k] * a[k][j]
                 a[i][j] = v if prev is None else exact_div(v, prev)
-            if c is not None:
-                v = c[i] * a[k][k] - a[i][k] * c[k]
-                c[i] = v if prev is None else exact_div(v, prev)
             a[i][k] = MPoly.zero(variables)
         prev = None if a[k][k].is_one() else a[k][k]
     return 0 if a[n - 1][n - 1].is_zero() else sign
@@ -152,33 +143,27 @@ def det_poly_grid(rows: list[list[MPoly]]) -> MPoly:
 
 
 def determinant(m: FracMatrix) -> RatFunc:
-    if m.rows != m.cols:
-        raise DomainError("determinant requires a square matrix")
-    rows, _, mults = _cleared_rows(m)
-    det = det_poly_grid(rows)
-    denom = MPoly.constant(m.vars, 1)
-    for mult in mults:
-        denom = denom * mult
-    return RatFunc(det, denom)
+    rows, mults = _cleared_rows(m)
+    return RatFunc(det_poly_grid(rows), math.prod(mults))
 
 
 def solve_linear(m: FracMatrix, rhs) -> list[RatFunc]:
-    """Solve m x = rhs exactly; raises SingularSystemError when det m = 0."""
-    if m.rows != m.cols:
-        raise DomainError("solve requires a square matrix")
-    rhs = [FracMatrix._coerce(e) for e in rhs]
-    if len(rhs) != m.rows:
-        raise DomainError(f"right-hand side has {len(rhs)} entries for {m.rows} rows")
-    for e in rhs:
-        if e.vars != m.vars:
-            raise DomainError("right-hand side lives over a different variable list")
+    """Solve m x = rhs exactly; raises SingularSystemError when det m = 0.
+
+    The system is eliminated as the augmented matrix [m | rhs], whose last
+    column holds the cleared right-hand side.
+    """
     n = m.rows
-    a, c, _ = _cleared_rows(m, rhs)
-    if _bareiss(a, c) == 0:
+    if n != m.cols:
+        raise DomainError("solve requires a square matrix")
+    if len(rhs) != n:
+        raise DomainError(f"right-hand side has {len(rhs)} entries for {n} rows")
+    a, _ = _cleared_rows(FracMatrix([row + (e,) for row, e in zip(m.entries, rhs)]))
+    if _bareiss(a) == 0:
         raise SingularSystemError("coefficient matrix is singular")
     x: list = [None] * n
     for i in range(n - 1, -1, -1):
-        acc = c[i]
+        acc = a[i][n]
         for j in range(i + 1, n):
             acc = acc - a[i][j] * x[j]
         q = try_div(acc, a[i][i])
@@ -192,7 +177,7 @@ def solve_linear(m: FracMatrix, rhs) -> list[RatFunc]:
     x[i + 1:] = map(RatFunc, x[i + 1:])
     x[i] = RatFunc(acc, a[i][i])
     for i in range(i - 1, -1, -1):
-        acc = RatFunc(c[i])
+        acc = RatFunc(a[i][n])
         for j in range(i + 1, n):
             acc = acc - RatFunc(a[i][j]) * x[j]
         x[i] = acc / RatFunc(a[i][i])

@@ -86,11 +86,13 @@ def cmd_radon(args) -> int:
     if isinstance(current, ZeroCurrent):
         raise DomainError("the zero current transforms to zero; nothing to emit")
     k_max = args.kmax if args.kmax is not None else 2 * current.degree + current.n
+    if args.check_closedness and k_max < current.n:
+        raise SchemaError("kmax", f"--kmax {k_max} is below n = {current.n}, so "
+                                  "--check-closedness would check no window")
     u = radon(current, k_max)
     payload = {"u_ab": [jsonio.ratfunc_to_obj(f) for f in u]}
     if args.check_closedness:
-        top = k_max - current.n
-        violations = closedness_check(u, range(top + 1)) if top >= 0 else []
+        violations = closedness_check(u, range(k_max - current.n + 1))
         payload["closedness_violations"] = [[i, k] for i, k in violations]
     _write(args.output, jsonio.canonical_dumps(payload))
     return 0

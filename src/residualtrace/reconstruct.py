@@ -45,8 +45,9 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .algebra import MPoly, RatFunc, as_fraction, dense, kernel_vector, solve_linear
+from .algebra import MPoly, RatFunc, as_fraction, dense
 from .algebra.dense import P as _P
+from .algebra.linalg import clear_denominators, kernel_vector, solve_linear
 from .algebra.poly import _div, _trusted
 from .currents import ResidualCurrent, ZeroCurrent
 from .errors import (
@@ -56,7 +57,7 @@ from .errors import (
     SingularSystemError,
 )
 from .record import Record, _set
-from .traces import TraceSequence, hankel, recurrence_failures, traces
+from .traces import TraceSequence, _recurrence_sum, hankel, recurrence_failures, traces
 
 __all__ = [
     "SeriesSample",
@@ -196,33 +197,32 @@ def _modular_failures(t: TraceSequence, top: int) -> list[int | None]:
 def _candidate(t: TraceSequence, a: list[RatFunc]):
     """r's coefficients r_j = sum_{i<=j} a_i u_{j-i} (a_0 = 1) of y^{d-1-j}, and (p, r).
 
-    The pair is None when a coefficient is not polynomial: no current has them.
-    When a and u_0 .. u_{d-1} are polynomial the sums run on their MPoly
-    numerators, in the same order, so they give the same terms in the same
-    order as the RatFunc sums.
+    a and u_0 .. u_{d-1} are cleared of their denominators, by multipliers
+    m and m_u, and r_j is the cleared recurrence sum at j over m m_u.  The
+    pair is None exactly when m m_u != 1: r_j = u_j + sum_i a_i u_{j-i} is
+    unit-triangular in u, so a and r are polynomial iff a and u_0 .. u_{d-1}
+    are, and otherwise no current has them.  When m m_u = 1 the sums run on
+    the numerators in the order the RatFunc sums would, so they give the
+    same terms in the same order, and no product by 1 is formed.
     """
     d = len(a)
-    u = t.entries[:d]
-
-    def sums(a, u):  # r_j = u_j + a_1 u_{j-1} + ... + a_j u_0, left to right
-        return [sum((a[i - 1] * u[j - i] for i in range(1, j + 1)), u[j]) for j in range(d)]
-
-    if all(f.is_polynomial() for f in (*a, *u)):
-        r_coeffs = tuple(map(RatFunc, sums([f.num for f in a], [f.num for f in u])))
-    else:
-        r_coeffs = tuple(sums(a, u))
-        if any(not c.is_polynomial() for c in (*a, *r_coeffs)):
-            return r_coeffs, None
+    a, m = clear_denominators(a)
+    u, m_u = clear_denominators(list(t.entries[:d]))
+    sums = [_recurrence_sum(u, a, m, j) for j in range(d)]
+    den = m_u if m.is_one() else m * m_u
+    r_coeffs = tuple(RatFunc(s, den) for s in sums)
+    if not den.is_one():
+        return r_coeffs, None
     fiber = "y"
     while fiber in t.vars:
         fiber += "_"
     variables = t.vars + (fiber,)
 
     def pieces(coeffs):  # coeffs[j] multiplies fiber^(d - 1 - j)
-        return {d - 1 - j: c.as_poly() for j, c in enumerate(coeffs)}
+        return {d - 1 - j: c for j, c in enumerate(coeffs)}
 
     p = MPoly.from_univariate(variables, fiber, {d: MPoly.constant(t.vars, 1), **pieces(a)})
-    r = MPoly.from_univariate(variables, fiber, pieces(r_coeffs))
+    r = MPoly.from_univariate(variables, fiber, pieces(sums))
     return r_coeffs, ResidualCurrent(p=p, r=r)
 
 

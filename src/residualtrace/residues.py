@@ -120,7 +120,8 @@ def _specialize(form: RationalForm1D, x_values: Sequence[complex]):
     """The fiber coefficient lists of num and den at one base point, ascending.
 
     The den list is stripped of its zero top coefficients; a den left of
-    degree < 1 raises DomainError.
+    lower degree than the form's fiber degree raises DomainError, since a
+    pole has gone to infinity and the numeric sums would miss its residue.
     """
     if len(x_values) != len(form.base_vars):
         raise DomainError(
@@ -131,7 +132,7 @@ def _specialize(form: RationalForm1D, x_values: Sequence[complex]):
         return [c.eval_numeric(assign) for c in p.as_univariate(form.fiber)] or [0j]
 
     den = dense.strip(coeffs(form.den))
-    if len(den) < 2:
+    if len(den) <= form.den.degree(form.fiber):
         raise DomainError("specialized denominator dropped degree")
     return coeffs(form.num), den
 

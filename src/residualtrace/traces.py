@@ -80,23 +80,33 @@ def _fiber_traces(current: ResidualCurrent, count: int) -> tuple[RatFunc, ...]:
     return tuple(trace_stream(current.r, current.p, count))
 
 
+def _recurrence_sum(u, a, m, j):
+    """m u_j + a[0] u_{j-1} + ... + a[d-1] u_{j-d}, terms past u_0 left out.
+
+    The coefficient of t^j in (sum_k u_k t^k)(m + a[0] t + ... + a[d-1] t^d),
+    on polynomials: u and a cleared of their denominators, m the multiplier
+    that cleared a (a product by m = 1 is skipped).  Summed left to right.
+    """
+    acc = u[j] if m.is_one() else m * u[j]
+    for i in range(1, min(j, len(a)) + 1):
+        acc = acc + a[i - 1] * u[j - i]
+    return acc
+
+
 def recurrence_failures(t: TraceSequence, a):
     """Lazily yield each window k where u_{k+d} + sum_i a[i] u_{k+i} != 0.
 
     `a` holds the d = len(a) recurrence coefficients over the trace ring;
     a[i] multiplies u_{k+i}.  Both are cleared to the polynomial ring
-    first, a by its common denominator m and t by its own, so each window
-    is checked as m u_{k+d} + sum_i (m a[i]) u_{k+i} in MPoly arithmetic,
-    with no gcd.
+    first, a by its common denominator m and t by its own, so window k is
+    the cleared recurrence sum at j = k + d, with a in monic order, in
+    MPoly arithmetic and with no gcd.
     """
     d = len(a)
-    coeffs, m = clear_denominators(list(a))
+    coeffs, m = clear_denominators(list(a)[::-1])
     u, _ = clear_denominators(list(t.entries))
     for k in range(len(t) - d):
-        acc = u[k + d] if m.is_one() else m * u[k + d]
-        for i in range(d):
-            acc = acc + coeffs[i] * u[k + i]
-        if not acc.is_zero():
+        if not _recurrence_sum(u, coeffs, m, k + d).is_zero():
             yield k
 
 

@@ -255,6 +255,25 @@ def test_radon_with_closedness():
     assert payload["u_ab"][1]["num"]["terms"] == [{"coeff": "1", "exps": [1, 0]}]
 
 
+def test_radon_closedness_with_kmax_below_n_exits_2():
+    # closedness window k needs u_{k+n}: with --kmax below n there is no
+    # window to check, and an empty violation list would read as a pass
+    W = ("x1", "x2", "y")
+    x1, x2, y = (MPoly.variable(W, v) for v in W)
+    current = canonical_dumps(current_to_obj(validate(y * y - x1 - x2, MPoly.constant(W, 1))))
+    for args, text in ((["radon", "--kmax", "1", "--check-closedness"], current),
+                       (["radon", "--kmax", "0", "--check-closedness"], RUNNING_EXAMPLE)):
+        out = run_cli(args, text)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        [line] = out.stderr.splitlines()
+        assert "--kmax" in line and "n = " in line
+    # without the check the same --kmax still emits its chart traces
+    out = run_cli(["radon", "--kmax", "1"], current)
+    assert out.returncode == 0
+    assert len(json.loads(out.stdout)["u_ab"]) == 2
+
+
 def test_radon_with_a_fiber_named_like_a_chart_variable():
     # the fiber "a" is also the chart slope: same output as the fiber "y"
     W = ("x", "a")

@@ -134,6 +134,13 @@ def test_solve_rejects_bad_shapes():
         solve_linear(m, [RatFunc(X)])
 
 
+def test_solve_refuses_a_right_hand_side_over_other_variables():
+    m = FracMatrix([[RatFunc(X), RatFunc.one(V)], [RatFunc.one(V), RatFunc(X)]])
+    other = RatFunc.variable(("x", "z"), "x")
+    with pytest.raises(DomainError, match="different variable list"):
+        solve_linear(m, [RatFunc.one(V), other])
+
+
 @pytest.mark.parametrize("scalar", [1, "1"])
 def test_scalar_right_hand_side_is_refused_like_a_scalar_entry(scalar):
     name = type(scalar).__name__
@@ -145,13 +152,13 @@ def test_scalar_right_hand_side_is_refused_like_a_scalar_entry(scalar):
 
 def reference_solve(m, rhs):
     """Bareiss, then back substitution all in RatFunc, every quotient reduced by a gcd."""
-    a, c, _ = _cleared_rows(m, rhs)
-    assert _bareiss(a, c) != 0
+    a, _ = _cleared_rows(FracMatrix([row + (e,) for row, e in zip(m.entries, rhs)]))
+    assert _bareiss(a) != 0
     n = m.rows
     one = MPoly.constant(m.vars, 1)
     x = [None] * n
     for i in range(n - 1, -1, -1):
-        acc = RatFunc(c[i])
+        acc = RatFunc(a[i][n])
         for j in range(i + 1, n):
             acc = acc - RatFunc(a[i][j]) * x[j]
         x[i] = RatFunc(acc.num * one, acc.den * a[i][i])
@@ -232,20 +239,20 @@ def test_solving_monic_hankel_systems_needs_no_gcd(monkeypatch):
     # some pivots are not constants, so a quotient through the gcd would call it
     nonunit = 0
     for m, rhs in systems:
-        a, c, _ = _cleared_rows(m, rhs)
-        _bareiss(a, c)
+        a, _ = _cleared_rows(FracMatrix([row + (e,) for row, e in zip(m.entries, rhs)]))
+        _bareiss(a)
         nonunit += sum(not a[i][i].is_constant() for i in range(m.rows))
     assert nonunit > 0
 
 
 def ratfunc_loop_solve(m, rhs):
     """Bareiss, then back substitution all in RatFunc, each quotient by RatFunc `/`."""
-    a, c, _ = _cleared_rows(m, rhs)
-    assert _bareiss(a, c) != 0
+    a, _ = _cleared_rows(FracMatrix([row + (e,) for row, e in zip(m.entries, rhs)]))
+    assert _bareiss(a) != 0
     n = m.rows
     x = [None] * n
     for i in range(n - 1, -1, -1):
-        acc = RatFunc(c[i])
+        acc = RatFunc(a[i][n])
         for j in range(i + 1, n):
             acc = acc - RatFunc(a[i][j]) * x[j]
         x[i] = acc / RatFunc(a[i][i])

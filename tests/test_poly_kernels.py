@@ -322,9 +322,9 @@ def test_gcd_of_the_three_by_three_systems_first_quotient():
     rhs = [RatFunc(F(5, 3) * x ** 2 - 2 * x * y),
            RatFunc(MPoly.constant(V2, F(2, 3)), x * y ** 2 - F(1, 2) * x),
            RatFunc(-5 * x * y ** 2 - 3 * y - 3, x ** 2 * y)]
-    a, c, _ = _cleared_rows(m, rhs)
-    _bareiss(a, c)
-    f, g = c[2], a[2][2]
+    a, _ = _cleared_rows(FracMatrix([row + (e,) for row, e in zip(m.entries, rhs)]))
+    _bareiss(a)
+    f, g = a[2][3], a[2][2]
     assert try_div(f, g) is None
     assert (len(f.terms), len(g.terms)) == (69, 56)
     assert f.degree("x") == f.degree("y") == 9

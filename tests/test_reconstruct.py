@@ -302,6 +302,37 @@ def test_meromorphic_candidate_is_checked_window_by_window(trace_streams, recurr
         numerator_coefficients=(RatFunc.zero(B), RatFunc.one(B) / RatFunc(q)))
 
 
+def ratfunc_recurrence_sums(t, a):
+    """u_j + a_1 u_{j-1} + ... + a_j u_0 for j < d = len(a), in RatFunc arithmetic."""
+    return tuple(sum((a[i - 1] * t[j - i] for i in range(1, j + 1)), t[j])
+                 for j in range(len(a)))
+
+
+def test_candidate_matches_ratfunc_recurrence_sums():
+    # traces with and without denominators: u_k / q^k (meromorphic a),
+    # u_k / q (polynomial a, rational u) and the traces themselves
+    rng = Random(3232)
+    cases = [(seq(*(RatFunc.constant(B, 2 ** k) / RatFunc(XB + 1) for k in range(4))), 1)]
+    while len(cases) < 19:
+        c = random_current(rng, n=1, max_degree=3, coeff_degree=1)
+        if c.degree < 2:
+            continue
+        t = traces(c, 2 * c.degree + 2)
+        q = XB + rng.randint(1, 3) if len(cases) % 2 else XB * XB + rng.randint(1, 3)
+        cases += [(t, c.degree), (with_denominators(t, q), c.degree),
+                  (TraceSequence(entries=tuple(u / RatFunc(q) for u in t.entries)), c.degree)]
+    polynomial = meromorphic = 0
+    for t, d_max in cases:
+        report = reconstruct(t, d_max)
+        a, d = report.denominator_coefficients, report.degree
+        assert report.numerator_coefficients == ratfunc_recurrence_sums(t, a)
+        off_ring = any(not f.is_polynomial() for f in (*a, *t.entries[:d]))
+        assert (report.current is None) == off_ring == report.meromorphic_coefficients
+        polynomial += not off_ring
+        meromorphic += off_ring
+    assert polynomial >= 6 and meromorphic >= 6
+
+
 def test_wrong_reconstruction_misses_the_memo(monkeypatch, trace_streams):
     c = validate(Y * Y + X * Y - 1, Y.scale(2) + X.scale(3))
     t = traces(c, 2 * c.degree + 2)  # warms the memo

@@ -65,6 +65,20 @@ def test_pointwise_residues_example():
         assert abs(res - 1) < 1e-9
 
 
+def test_specialization_refuses_a_pole_gone_to_infinity():
+    # 1 / (x y^2 + y + 1): at x = 0 one pole escapes and the numeric sums
+    # would read 1 against the exact 0, so every numeric path refuses
+    form = RationalForm1D(MPoly.constant(V, 1), X * Y * Y + Y + 1)
+    assert residue_sum(form).is_zero()
+    for oracle in (pointwise_residues, contour_oracle):
+        with pytest.raises(DomainError, match="dropped degree"):
+            oracle(form, [0.0])
+    with pytest.raises(DomainError, match="dropped degree"):
+        oracle_report(form, [[0.0]])
+    [row] = oracle_report(form, [[1.0]])
+    assert row["contour_error"] < 1e-12
+
+
 def test_pointwise_repeated_root_raises():
     # triple pole: computed roots split ~eps^(1/3), so |den'| ~ eps^(2/3)
     form = RationalForm1D(MPoly.constant(V, 1), (Y - 1) * (Y - 1) * (Y - 1))
