@@ -30,14 +30,19 @@ poles than the fiber traces do.  Specializing every a_i to 0 then need not
 reproduce the plain traces; it does as soon as total degree and fiber
 degree agree (products of affine roots, for instance).
 
-Chart traces are memoised: `radon` keeps the traces of its last 8
+Chart traces are memoised: `_chart_traces` keeps the traces of the last 8
 (current, k_max) keys, equal currents sharing a key, in a
 `functools.lru_cache`, as `traces` memoises fiber traces, with the same
-bound and typed keys.  A caller that transforms a current and then
-projects it to a pencil therefore pays for the chart traces once.  The
-bound is far below the size of any batch of currents, so nothing else is
-reused.  The memo holds tuples, and `radon` returns a fresh list on every
-call: mutating a returned list cannot change a later result.
+bound and typed keys.  It holds each trace unreduced, as the stream's pair
+(R_k, c^{e_k}) (see `residues.trace_pairs`), and `radon` normalises the
+pairs into a fresh list of `RatFunc`s on every call: mutating a returned
+list cannot change a later result.  `pencil_projection` reads the pairs
+themselves and checks them against its own stream's pairs by
+cross-multiplication, with no gcd; since every u_k that `radon` returns is
+exactly R_k / c^{e_k}, that check covers the returned values.  A caller
+that transforms a current and then projects it to a pencil therefore pays
+for the chart traces once.  The bound is far below the size of any batch
+of currents, so nothing else is reused.
 """
 
 from __future__ import annotations
@@ -52,8 +57,8 @@ from .algebra.ratfunc import derivative_pair
 from .currents import ResidualCurrent, ZeroCurrent
 from .errors import DomainError
 from .record import Record, _set
-from .residues import trace_stream
-from .traces import _MEMO_SIZE, TraceSequence
+from .residues import trace_pairs
+from .traces import _MEMO_SIZE, TraceSequence, _check_count
 
 # The fiber variable of the chart, whatever the current's: no chart name is "y".
 _FIBER = "y"
@@ -115,8 +120,11 @@ class RadonForm(Record):
     __hash__ = None
 
 
-def _line_traces(current: ResidualCurrent, offsets: Sequence[MPoly], count: int) -> list[RatFunc]:
+def _line_traces(current: ResidualCurrent, offsets: Sequence[MPoly],
+                 count: int) -> list[tuple[MPoly, MPoly]]:
     """Traces u_0 .. u_{count-1} of a current along the lines x_i = a_i y + offsets[i].
+
+    Each trace is the unreduced pair (R_k, c^{e_k}) of `trace_pairs`.
 
     The offsets share one variable tuple, which holds the slopes a_i of
     `line_chart(n)` and ends with `_FIBER`, the image of the current's fiber
@@ -130,24 +138,23 @@ def _line_traces(current: ResidualCurrent, offsets: Sequence[MPoly], count: int)
     images = {x: MPoly.variable(variables, a) * y + b
               for x, a, b in zip(current.base_vars, slopes, offsets)}
     images[current.fiber] = y
-    return trace_stream(current.r.subs(variables, images),
-                        current.p.subs(variables, images), count)
+    return trace_pairs(current.r.subs(variables, images),
+                       current.p.subs(variables, images), count)
 
 
 def radon(current: ResidualCurrent, k_max: int) -> list[RatFunc]:
     """Chart traces u_0 .. u_{k_max} of a current in line coordinates.
 
-    The traces come from the chart-trace memo (see the module docstring),
-    and each call returns a fresh list, so a caller may mutate it without
-    changing what a later call returns.
+    Each call normalises the pairs of the chart-trace memo (see the module
+    docstring) into a fresh list, so a caller may mutate it without changing
+    what a later call returns.
     """
-    if k_max < 0:
-        raise DomainError("k_max must be nonnegative")
-    return list(_chart_traces(current, k_max))
+    _check_count(k_max, "k_max", 0)
+    return [RatFunc(r, c) for r, c in _chart_traces(current, k_max)]
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def _chart_traces(current: ResidualCurrent, k_max: int) -> tuple[RatFunc, ...]:
+def _chart_traces(current: ResidualCurrent, k_max: int) -> tuple[tuple[MPoly, MPoly], ...]:
     chart = line_chart(current.n)
     variables = chart.vars + (_FIBER,)
     offsets = [MPoly.variable(variables, b) for b in chart.b_names]
@@ -236,11 +243,13 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
     `apex` is (x_1 .. x_n, y); lines through it satisfy b_i = x_i - a_i y,
     which pins the offsets and leaves the slopes free.  The result is
     computed directly from the pinned substitution and cross-checked against
-    specializing the chart traces `radon(current, count - 1)`, compared by
-    cross-multiplication; the apex must avoid the support of the current.
-    Those chart traces come from the memo of `radon`, so after a
-    `radon(current, count - 1)` call on an equal current they cost nothing
-    here; the list is fresh, and the check sees exactly what `radon` returns.
+    specializing the chart traces of `radon(current, count - 1)`; the apex
+    must avoid the support of the current.  Both routes stay unreduced
+    pairs (R_k, c^{e_k}), compared by cross-multiplication, and only the
+    direct traces returned are normalised.  The chart pairs come from the
+    memo that `radon` normalises, so after a `radon(current, count - 1)`
+    call on an equal current they cost nothing here, and the check covers
+    exactly the traces `radon` returns.
     """
     apex = [as_fraction(v) for v in apex]
     n = current.n
@@ -251,8 +260,7 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
     d = current.degree
     if count is None:
         count = 2 * d + 2
-    if count < 1:
-        raise DomainError("count must be at least 1")
+    _check_count(count, "count", 1)
     chart = line_chart(n)
     slopes = chart.a_names
     offsets = [MPoly.constant(slopes, x) - MPoly.variable(slopes, a).scale(apex[n])
@@ -263,34 +271,31 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
     direct = _line_traces(current, [MPoly.from_univariate(pencil_vars, _FIBER, [b])
                                     for b in offsets], count)
 
-    # chart route: specialize b_i = x_i0 - a_i y0 in the chart traces
-    u = radon(current, count - 1)
+    # chart route: specialize b_i = x_i0 - a_i y0 in the chart pairs
     images = dict(zip(chart.b_names, offsets))
 
     def specialize(f: MPoly) -> MPoly:
-        # a constant or zero carries over as it is: `subs` would only check
-        # the images again, and they are built just above
-        if f.is_constant():
-            return MPoly.constant(slopes, next(iter(f.terms.values()), 0))
+        # a polynomial in the slopes alone, as every power c^e is, only drops
+        # its offset exponents: `subs` would check the images again, and they
+        # are built just above
+        if not any(any(e[n:]) for e in f.terms):
+            return _trusted(slopes, {e[:n]: v for e, v in f.terms.items()})
         return f.subs(slopes, images)
 
-    specialized = [(specialize(f.num), specialize(f.den)) for f in u]
+    specialized = [(specialize(r), specialize(c)) for r, c in _chart_traces(current, count - 1)]
     if any(den.is_zero() for _, den in specialized):
         raise DomainError("substitution lands on the polar set")
-    if not all(_cross_equal(num, den, g.num, g.den)
-               for (num, den), g in zip(specialized, direct)):
+    if not all(_cross_equal(*s, *g) for s, g in zip(specialized, direct)):
         raise DomainError("pencil traces disagree with specialized chart traces")
-    return TraceSequence(entries=tuple(direct))
+    return TraceSequence(entries=tuple(RatFunc(r, c) for r, c in direct))
 
 
 def is_radon_zero(current: ResidualCurrent | ZeroCurrent, k_probe: int) -> bool:
     """Whether every chart trace u_0 .. u_{k_probe + n} vanishes identically."""
+    _check_count(k_probe, "k_probe", 0)
     if isinstance(current, ZeroCurrent):
         return True
-    if k_probe < 0:
-        raise DomainError("k_probe must be nonnegative")
-    u = radon(current, k_probe + current.n)
-    return all(f.is_zero() for f in u)
+    return all(r.is_zero() for r, _ in _chart_traces(current, k_probe + current.n))
 
 
 def closed_potential(u0: RatFunc, u1: RatFunc) -> MPoly:

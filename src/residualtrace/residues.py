@@ -5,22 +5,26 @@ y, the sum of the residues over all poles in y equals minus the residue at
 infinity.  Writing den = c * den_monic with c the leading fiber coefficient,
 that value is the coefficient of y^(d-1) in the remainder of (num/c) modulo
 den_monic, a rational function of the base variables.  This is the exact
-path; no root is ever computed.  `trace_stream` walks the whole sequence
+path; no root is ever computed.  `trace_pairs` walks the whole sequence
 of such sums for num * y^k, k = 0, 1, ..., one multiply-by-y reduction per
-step; traces, chart traces, single residue sums and
-`currents.support_discriminant` all read from it.
+step, and `trace_stream` normalises each sum it yields; traces, chart
+traces, single residue sums and `currents.support_discriminant` all read
+from that one loop.
 
 The stream is fraction-free.  It keeps the remainder as polynomials R_j
 over the base ring with one denominator, a power c^e of the leading fiber
 coefficient: the remainder of num / c is R / c^e.  A reduction step
 multiplies R by c instead of dividing den by it, so the loop is `MPoly`
-arithmetic with no gcd, and each sum is normalised once, as the
-`RatFunc` R_{d-1} / c^e.  When c = 1 (every monic p) the power stays 1.
-Every step is one `mod_monic` call, on the coefficient lists of
-`MPoly.as_univariate`: the first reduces num, each later one the list
-[0] + R, which is R times y.  `mod_monic` lives in `algebra.poly`, where
-the multivariate gcd and `currents.validate` use the same pseudo-division,
-and is re-exported here; `shift_mod_monic` names one later step.
+arithmetic with no gcd.  `trace_pairs` returns the sums unreduced, as the
+pairs (R_{d-1}, c^e), and `trace_stream` normalises each once, as the
+`RatFunc` R_{d-1} / c^e; a caller that only compares sums can
+cross-multiply the pairs and skip the gcd.  When c = 1 (every monic p)
+the power stays 1.  Every step is one `mod_monic` call, on the
+coefficient lists of `MPoly.as_univariate`: the first reduces num, each
+later one the list [0] + R, which is R times y.  `mod_monic` lives in
+`algebra.poly`, where the multivariate gcd and `currents.validate` use the
+same pseudo-division, and is re-exported here; `shift_mod_monic` names one
+later step.
 
 Two numeric paths act as oracles for it: residues at numerically computed
 poles (companion-matrix roots) and trapezoidal contour quadrature of
@@ -58,27 +62,35 @@ def shift_mod_monic(rem: list[MPoly], power: MPoly,
     return mod_monic([MPoly.zero(rem[-1].vars)] + rem, power, den)
 
 
-def trace_stream(num: MPoly, den: MPoly, count: int) -> list[RatFunc]:
-    """Residue sums of num * y^k / den over the fiber y, for k = 0 .. count - 1.
+def trace_pairs(num: MPoly, den: MPoly, count: int) -> list[tuple[MPoly, MPoly]]:
+    """Residue sums of num * y^k / den over the fiber y, k = 0 .. count - 1, unreduced.
 
-    The fiber y is the last variable.  The first step reduces num modulo
-    den; each later one reduces the remainder times y, and every step reads
-    off the top coefficient.  A denominator without fiber poles gives zeros.
+    Each sum is the pair (R, c^e) of its quotient R / c^e, c the leading
+    fiber coefficient of den.  The fiber y is the last variable.  The first
+    step reduces num modulo den; each later one reduces the remainder times
+    y, and every step reads off the top coefficient.  A denominator without
+    fiber poles gives zeros over 1.
     """
     fiber = den.vars[-1]
     den_coeffs = den.as_univariate(fiber)
     d = len(den_coeffs) - 1
     if d <= 0:
-        return [RatFunc.zero(den.vars[:-1])] * count
+        base = den.vars[:-1]
+        return [(MPoly.zero(base), MPoly.constant(base, 1))] * count
     # the remainder of num / lead, kept as rem / power
     coeffs, power = num.as_univariate(fiber), den_coeffs[d]
     zero = [MPoly.zero(power.vars)]
     out = []
     for _ in range(count):
         rem, power = mod_monic(coeffs, power, den_coeffs)
-        out.append(RatFunc(rem[d - 1], power))
+        out.append((rem[d - 1], power))
         coeffs = zero + rem
     return out
+
+
+def trace_stream(num: MPoly, den: MPoly, count: int) -> list[RatFunc]:
+    """The sums of `trace_pairs`, each normalised once as a `RatFunc`."""
+    return [RatFunc(r, c) for r, c in trace_pairs(num, den, count)]
 
 
 class RationalForm1D:

@@ -70,9 +70,20 @@ def traces(current: ResidualCurrent, count: int) -> TraceSequence:
     the top coefficient, so the cost is linear in `count`.  The entries
     come from the fiber-trace memo (see the module docstring).
     """
-    if count < 1:
-        raise DomainError("count must be at least 1")
+    _check_count(count, "count", 1)
     return TraceSequence(entries=_fiber_traces(current, count))
+
+
+def _check_count(value, name: str, least: int):
+    """Refuse a count below `least`, or a bool, which `as_fraction` refuses too.
+
+    A float is left to fail where it is used, with a TypeError.
+    """
+    if isinstance(value, bool):
+        raise DomainError(f"{name} = {value!r} is a boolean, not a count")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise DomainError(f"{name} must be {bound}")
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)

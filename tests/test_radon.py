@@ -186,27 +186,95 @@ def test_pencil_projection_fires_on_corrupted_chart_route(monkeypatch):
     apex = (3, 1)
     t = pencil_projection(c, apex)
     assert not all(e.is_polynomial() for e in t.entries)
-    honest = module.radon
-    lift = RatFunc.one(C) + A
+    honest = module._chart_traces
+    a, b = MPoly.variable(C, "a"), MPoly.variable(C, "b")
+    lift = a + 1
 
     def corrupted(current, k_max):
-        u = honest(current, k_max)
-        u[2] = u[2] + BV / lift
-        return u
+        # u_2 + b / (1 + a), as a pair
+        pairs = list(honest(current, k_max))
+        r, power = pairs[2]
+        pairs[2] = (r * lift + b * power, power * lift)
+        return tuple(pairs)
 
-    monkeypatch.setattr(module, "radon", corrupted)
+    monkeypatch.setattr(module, "_chart_traces", corrupted)
     with pytest.raises(DomainError, match="disagree"):
         pencil_projection(c, apex)
 
     def polar(current, k_max):
-        # b = x0 - a y0 on the pencil, so b + a - 3 vanishes there
-        u = honest(current, k_max)
-        u[1] = u[1] / (BV + A - 3)
-        return u
+        # u_1 / (b + a - 3); b = x0 - a y0 on the pencil, so b + a - 3 vanishes there
+        pairs = list(honest(current, k_max))
+        r, power = pairs[1]
+        pairs[1] = (r, power * (b + a - 3))
+        return tuple(pairs)
 
-    monkeypatch.setattr(module, "radon", polar)
+    monkeypatch.setattr(module, "_chart_traces", polar)
     with pytest.raises(DomainError, match="polar set"):
         pencil_projection(c, apex)
+
+
+# y^2 + xy - 1 at x = a y + b leads with (1 + a) y^2: the stream's c, which
+# the pencil route shares, since c involves no offset
+_LIFTED = validate(Y * Y + X * Y - 1, MPoly.constant(V, 1))
+
+
+def _one_more_factor(pairs):
+    """The pairs with u_2's power times c = 1 + a, R_2 left alone."""
+    pairs = list(pairs)
+    r, power = pairs[2]
+    assert not r.is_zero()
+    pairs[2] = (r, power * (MPoly.variable(power.vars, "a") + 1))
+    return pairs
+
+
+def test_pencil_fires_on_a_chart_power_with_one_more_factor(monkeypatch):
+    module = importlib.import_module("residualtrace.radon")
+    honest = module._chart_traces
+    monkeypatch.setattr(module, "_chart_traces",
+                        lambda current, k_max: tuple(_one_more_factor(honest(current, k_max))))
+    with pytest.raises(DomainError, match="disagree"):
+        pencil_projection(_LIFTED, (3, 1))
+
+
+def test_pencil_fires_on_a_direct_power_with_one_more_factor(monkeypatch):
+    module = importlib.import_module("residualtrace.radon")
+    honest = module._line_traces
+    pencil_route = ("a", "y")
+
+    def corrupted(current, offsets, count):
+        pairs = honest(current, offsets, count)
+        if offsets[0].vars != pencil_route:
+            return pairs
+        return _one_more_factor(pairs)
+
+    monkeypatch.setattr(module, "_line_traces", corrupted)
+    with pytest.raises(DomainError, match="disagree"):
+        pencil_projection(_LIFTED, (3, 1))
+
+
+def test_radon_after_the_pencil_equals_a_cold_run():
+    module = importlib.import_module("residualtrace.radon")
+    k_max = 2 * _LIFTED.degree + 1
+    module._chart_traces.cache_clear()
+    cold = radon(_LIFTED, k_max)
+    module._chart_traces.cache_clear()
+    pencil_projection(_LIFTED, (3, 1))
+    warm = radon(_LIFTED, k_max)
+    assert warm == cold and [str(f) for f in warm] == [str(f) for f in cold]
+    assert radon(_LIFTED, k_max) is not warm
+    assert any(not f.is_polynomial() for f in warm)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_count_is_refused(flag):
+    c = validate(Y * Y - X, MPoly.constant(V, 1))
+    calls = [("count", lambda: traces(c, flag)),
+             ("k_max", lambda: radon(c, flag)),
+             ("count", lambda: pencil_projection(c, (3, 0), count=flag)),
+             ("k_probe", lambda: is_radon_zero(c, flag))]
+    for name, call in calls:
+        with pytest.raises(DomainError, match=f"{name} = {flag} is a boolean"):
+            call()
 
 
 def test_radon_returns_a_fresh_list_on_every_call():
