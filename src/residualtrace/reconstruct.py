@@ -21,10 +21,13 @@ recurrence holds on every window.
 
 Series-sampled traces go through a rationality test first: a kernel-based
 Pade candidate p / q within prescribed numerator and denominator degree
-bounds, accepted only if q c == p (mod t^L) for the L supplied
+bounds m and nn, accepted only if q c == p (mod t^L) for the L supplied
 coefficients c, that is, if its Taylor series reproduces every one of
-them.  If any valid candidate exists, every nonzero kernel vector reduces
-to the same one, so a failed certificate really means no candidate exists.
+them.  Coefficients k <= m of q c are p by construction, and the kernel
+vector makes those of m < k <= m + nn vanish, so the certificate reads
+only k > m + nn, the coefficients the candidate leaves free.  If any
+valid candidate exists, every nonzero kernel vector reduces to the same
+one, so a failed certificate really means no candidate exists.
 The kernel vector q is one of minimal degree, so p / q needs no gcd: a
 common factor g of p and q with g(0) != 0 would make q / g a kernel vector
 of lower degree.  When t divides q it divides p too, and the certificate
@@ -32,11 +35,12 @@ could pass only if q / t were a kernel vector of lower degree; so the
 answer is None, returned before the certificate is checked.
 The series layer runs on integer coefficient lists over one denominator:
 shifts to and from the base point, the series division of sample_series
-and the certificate are fraction-free.  A SeriesSample stores its
-coefficients the same way, as integer numerators in lowest terms over one
-positive denominator, so sample_series builds no Fraction and
-detect_rational reads the integers it needs as they are stored; a Fraction
-is built only when a sample's `coefficients` are read.
+and the certificate are fraction-free, and a polynomial, whose shifted
+denominator is a constant, takes no series division at all.  A
+SeriesSample stores its coefficients the same way, as integer numerators
+in lowest terms over one positive denominator, so sample_series builds no
+Fraction and detect_rational reads the integers it needs as they are
+stored; a Fraction is built only when a sample's `coefficients` are read.
 """
 
 from __future__ import annotations
@@ -57,7 +61,14 @@ from .errors import (
     SingularSystemError,
 )
 from .record import Record, _set
-from .traces import TraceSequence, _recurrence_sum, hankel, recurrence_failures, traces
+from .traces import (
+    TraceSequence,
+    _check_count,
+    _recurrence_sum,
+    hankel,
+    recurrence_failures,
+    traces,
+)
 
 __all__ = [
     "SeriesSample",
@@ -235,8 +246,7 @@ def _detect(t: TraceSequence, d_max: int):
     candidate off the polynomial ring (current None) is checked window by
     window with `recurrence_failures`.
     """
-    if d_max < 1:
-        raise DomainError("d_max must be at least 1")
+    _check_count(d_max, "d_max", 1)
     if t.is_zero():
         return 0, [], (), None
     top = min(d_max, len(t) // 2)
@@ -314,11 +324,14 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int) ->
     (see the module docstring).  The certificate is q C == p (mod t^L) for
     the L = len(sample) coefficients: with q(0) != 0 that says the series
     of p / (D q) reproduces every supplied coefficient, without a division.
+    It reads coefficients k > max_num_deg + max_den_deg of q C alone, each
+    the window C[k - w + 1 .. k] against q reversed, w = len(q); the
+    lower ones hold by the construction of p and q.
     """
     big_l = len(sample)
     m, nn = max_num_deg, max_den_deg
-    if m < 0 or nn < 0:
-        raise DomainError("degree bounds must be nonnegative")
+    _check_count(m, "degree bounds", 0)
+    _check_count(nn, "degree bounds", 0)
     if big_l < m + nn + 2:
         raise DomainError(
             f"need at least {m + nn + 2} coefficients for bounds ({m}, {nn}), have {big_l}")
@@ -338,8 +351,8 @@ def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int) ->
     if q[0] == 0:
         # pole at the base point: no bounded rational function matches
         return None
-    if any(sum(map(mul, q, c[k::-1])) != (p[k] if k < len(p) else 0)
-           for k in range(big_l)):
+    w, q_rev = len(q), q[::-1]
+    if any(sum(map(mul, q_rev, c[k - w + 1:k + 1])) for k in range(m + nn + 1, big_l)):
         return None
     # f(x) = p(x - x0) / (D q(x - x0)), normalised to den(x0) = 1
     a, b = -sample.base_point.numerator, sample.base_point.denominator
@@ -358,16 +371,17 @@ def sample_series(f: RatFunc, x0, count: int) -> SeriesSample:
 
     With f = (N / dn) / (M / dd) for integer N, M, both are shifted to
     x0 + t over a common power of the denominator of x0, giving f(x0 + t) =
-    (dd P) / (dn Q).  The division P / Q runs fraction-free: S_k = Q_0^k P_k
-    - sum_{j>=1} Q_j Q_0^(j-1) S_{k-j} makes coefficient k equal to
-    dd S_k / (dn Q_0^(k+1)).  Over the common denominator dn Q_0^count, and
-    divided by one gcd, these are the sample's integer numerators: no
-    Fraction is built.
+    (dd P) / (dn Q).  For a polynomial f, Q is the constant Q_0 and
+    coefficient k is dd P_k / (dn Q_0), with no division.  Otherwise the
+    division P / Q runs fraction-free: S_k = Q_0^k P_k - sum_{j>=1} Q_j
+    Q_0^(j-1) S_{k-j} makes coefficient k equal to dd S_k / (dn Q_0^(k+1)),
+    and they are put over the common denominator dn Q_0^count.  Divided by
+    one gcd, the numerators are the sample's integers in lowest terms, the
+    same on either route: no Fraction is built.
     """
     if len(f.vars) != 1:
         raise DomainError("series sampling needs a univariate rational function")
-    if count < 1:
-        raise DomainError("count must be at least 1")
+    _check_count(count, "count", 1)
     x0 = as_fraction(x0)
     (dn, num), (dd, den) = dense.from_terms(f.num.terms, 0), dense.from_terms(f.den.terms, 0)
     e = max(len(num), len(den)) - 1
@@ -376,15 +390,26 @@ def sample_series(f: RatFunc, x0, count: int) -> SeriesSample:
     q0 = q[0]
     if q0 == 0:
         raise DomainError(f"base point {x0} lies on the polar set")
-    weights = [q[j] * q0 ** (j - 1) for j in range(1, len(q))]
-    s: list[int] = []
-    power = 1  # q0^k
-    for k in range(count):
-        s.append((power * p[k] if k < len(p) else 0) - sum(map(mul, weights, s[::-1])))
-        power *= q0
-    # coefficient k is dd S_k / (dn q0^(k+1)) = dd S_k q0^(count-1-k) / (dn q0^count)
-    nums = [dd * sk * q0 ** (count - 1 - k) for k, sk in enumerate(s)]
-    common = dn * power
+    if len(q) == 1:
+        # a polynomial: coefficient k is dd p_k / (dn q0)
+        nums = [dd * v for v in p[:count]] + [0] * (count - len(p))
+        common = dn * q0
+    else:
+        weights = [q[j] * q0 ** (j - 1) for j in range(1, len(q))]
+        w = len(weights)
+        s: list[int] = []
+        power = 1  # q0^k
+        for k in range(count):
+            s.append((power * p[k] if k < len(p) else 0) - sum(map(mul, weights, s[:-w - 1:-1])))
+            power *= q0
+        # coefficient k is dd S_k / (dn q0^(k+1)) = dd S_k q0^(count-1-k) / (dn q0^count)
+        common = dn * power
+        nums = []
+        power = dd  # dd q0^(count-1-k)
+        for sk in reversed(s):
+            nums.append(sk * power)
+            power *= q0
+        nums.reverse()
     g = gcd(common, *nums)
     if common < 0:
         g = -g
@@ -399,8 +424,7 @@ def continue_current(series: list[SeriesSample], d_max: int,
     bounds; a failure raises ContinuationError naming the trace index.  The
     recovered rational traces then go through the usual reconstruction.
     """
-    if d_max < 1:
-        raise DomainError("d_max must be at least 1")
+    _check_count(d_max, "d_max", 1)
     if len(series) < 2 * d_max:
         raise DomainError(
             f"need at least {2 * d_max} trace series for d_max = {d_max}, have {len(series)}")

@@ -450,6 +450,25 @@ def test_detect_rational_roundtrip():
         done += 1
 
 
+@pytest.mark.parametrize("nn", [0, 1, 2])
+def test_detect_rational_certificate_reads_every_free_coefficient(nn):
+    # with bounds (m, nn) the candidate is fixed by c_0 .. c_{m+nn}; c_{m+nn+1}
+    # is the first coefficient it leaves free, and c_{L-1} the last
+    m = 2
+    one = MPoly.constant(B, 1)
+    num = MPoly(B, {(0,): Fraction(3, 2), (1,): Fraction(-1), (2,): Fraction(5)})
+    dens = [one, one - XB.scale(2), one - XB.scale(2) + (XB * XB).scale(3)][:nn + 1]
+    big_l = m + nn + 5
+    for den in dens:
+        f = RatFunc(num, den)
+        coeffs = list(sample_series(f, 0, big_l).coefficients)
+        assert detect_rational(SeriesSample(0, coeffs), m, nn) == f
+        for k in (m + nn + 1, big_l - 1):
+            changed = list(coeffs)
+            changed[k] += Fraction(1, 7)
+            assert detect_rational(SeriesSample(0, changed), m, nn) is None, (f, k)
+
+
 def test_sample_series_geometric():
     f = RatFunc(MPoly.constant(B, 1), MPoly.constant(B, 1) - XB)
     s = sample_series(f, 0, 5)
@@ -499,3 +518,30 @@ def test_continue_current_input_checks():
     for d_max in (0, -1):
         with pytest.raises(DomainError, match="d_max must be at least 1"):
             continue_current([], d_max, 1, 1)
+    t = seq(1, 2, 4, 8)
+    with pytest.raises(DomainError, match="count must be at least 1"):
+        sample_series(XR, 0, 0)
+    with pytest.raises(DomainError, match="degree bounds must be nonnegative"):
+        detect_rational(s, 3, -1)
+    with pytest.raises(DomainError, match="d_max must be at least 1"):
+        reconstruct(t, 0)
+    # a float count is no bool: it fails where it is used
+    for call in (lambda: sample_series(XR, 0, 3.0), lambda: detect_rational(s, 3.0, 0),
+                 lambda: detect_degree(t, 2.0), lambda: continue_current([s] * 4, 2.0, 3, 0)):
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_count_or_bound_is_refused(flag):
+    s = sample_series(RatFunc.one(B), 0, 8)
+    t = seq(1, 2, 4, 8)
+    calls = [("count", lambda: sample_series(XR, 0, flag)),
+             ("degree bounds", lambda: detect_rational(s, 3, flag)),
+             ("degree bounds", lambda: detect_rational(s, flag, 0)),
+             ("d_max", lambda: detect_degree(t, flag)),
+             ("d_max", lambda: reconstruct(t, flag)),
+             ("d_max", lambda: continue_current([s] * 4, flag, 3, 0))]
+    for name, call in calls:
+        with pytest.raises(DomainError, match=f"{name} = {flag} is a boolean"):
+            call()
