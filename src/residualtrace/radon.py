@@ -34,16 +34,15 @@ Chart traces are memoised: `_chart_traces` keeps the traces of the last 8
 (current, k_max) keys, equal currents sharing a key, in a
 `functools.lru_cache`, as `traces` memoises fiber traces, with the same
 bound and typed keys.  It holds each trace unreduced, as the stream's pair
-(R_k, c^{e_k}) (see `residues.trace_pairs`).  `_radon_traces`, a second
-memo of the same bound and keys, holds those pairs normalised, so only a
-cold `radon` call pays the gcds, and `radon` copies that tuple into a fresh
-list on every call: mutating a returned list cannot change a later result.
-`pencil_projection` reads the pairs themselves and checks them against its
-own stream's pairs by cross-multiplication, with no gcd; since every u_k
-that `radon` returns is exactly R_k / c^{e_k}, that check covers the
-returned values.  A caller that transforms a current and then projects it
-to a pencil therefore pays for the chart traces once.  The bound is far
-below the size of any batch of currents, so nothing else is reused.
+(R_k, c^{e_k}) (see `residues.trace_pairs`), and `radon` normalises the
+pairs into a fresh list of `RatFunc`s on every call: mutating a returned
+list cannot change a later result.  `pencil_projection` reads the pairs
+themselves and checks them against its own stream's pairs by
+cross-multiplication, with no gcd; since every u_k that `radon` returns is
+exactly R_k / c^{e_k}, that check covers the returned values.  A caller
+that transforms a current and then projects it to a pencil therefore pays
+for the chart traces once.  The bound is far below the size of any batch
+of currents, so nothing else is reused.
 """
 
 from __future__ import annotations
@@ -146,17 +145,12 @@ def _line_traces(current: ResidualCurrent, offsets: Sequence[MPoly],
 def radon(current: ResidualCurrent, k_max: int) -> list[RatFunc]:
     """Chart traces u_0 .. u_{k_max} of a current in line coordinates.
 
-    Each call returns the normalised traces of the memo (see the module
-    docstring) in a fresh list, so a caller may mutate it without changing
+    Each call normalises the pairs of the chart-trace memo (see the module
+    docstring) into a fresh list, so a caller may mutate it without changing
     what a later call returns.
     """
     _check_count(k_max, "k_max", 0)
-    return list(_radon_traces(current, k_max))
-
-
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def _radon_traces(current: ResidualCurrent, k_max: int) -> tuple[RatFunc, ...]:
-    return tuple(RatFunc(r, c) for r, c in _chart_traces(current, k_max))
+    return [RatFunc(r, c) for r, c in _chart_traces(current, k_max)]
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)

@@ -396,20 +396,14 @@ def sample_series(f: RatFunc, x0, count: int) -> SeriesSample:
         common = dn * q0
     else:
         weights = [q[j] * q0 ** (j - 1) for j in range(1, len(q))]
-        w = len(weights)
         s: list[int] = []
         power = 1  # q0^k
         for k in range(count):
-            s.append((power * p[k] if k < len(p) else 0) - sum(map(mul, weights, s[:-w - 1:-1])))
+            s.append((power * p[k] if k < len(p) else 0) - sum(map(mul, weights, s[::-1])))
             power *= q0
         # coefficient k is dd S_k / (dn q0^(k+1)) = dd S_k q0^(count-1-k) / (dn q0^count)
+        nums = [dd * sk * q0 ** (count - 1 - k) for k, sk in enumerate(s)]
         common = dn * power
-        nums = []
-        power = dd  # dd q0^(count-1-k)
-        for sk in reversed(s):
-            nums.append(sk * power)
-            power *= q0
-        nums.reverse()
     g = gcd(common, *nums)
     if common < 0:
         g = -g

@@ -13,7 +13,6 @@ RADON = importlib.import_module("residualtrace.radon")
 def empty_trace_memos():
     TRACES._fiber_traces.cache_clear()
     RADON._chart_traces.cache_clear()
-    RADON._radon_traces.cache_clear()
 
 
 @pytest.fixture

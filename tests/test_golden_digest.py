@@ -173,7 +173,6 @@ def test_golden_digest():
 def _clear_trace_memos():
     TRACES._fiber_traces.cache_clear()
     RADON._chart_traces.cache_clear()
-    RADON._radon_traces.cache_clear()
 
 
 def test_reversed_term_order_reaches_no_value():

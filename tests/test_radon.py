@@ -1,7 +1,6 @@
 """Chart traces in line coordinates, closedness, and pencil projections."""
 
 import importlib
-import sys
 from fractions import Fraction
 from random import Random
 
@@ -259,37 +258,11 @@ def test_radon_after_the_pencil_equals_a_cold_run():
     module._chart_traces.cache_clear()
     cold = radon(_LIFTED, k_max)
     module._chart_traces.cache_clear()
-    module._radon_traces.cache_clear()
     pencil_projection(_LIFTED, (3, 1))
     warm = radon(_LIFTED, k_max)
     assert warm == cold and [str(f) for f in warm] == [str(f) for f in cold]
     assert radon(_LIFTED, k_max) is not warm
     assert any(not f.is_polynomial() for f in warm)
-
-
-def test_a_warm_radon_call_builds_no_ratfunc(monkeypatch):
-    # `residualtrace.radon` is the function; the module is reached through sys.modules
-    module = sys.modules["residualtrace.radon"]
-    k_max = 2 * _LIFTED.degree + 1
-    cold = radon(_LIFTED, k_max)
-    honest = module.RatFunc
-    built = []
-
-    def counting(*args):
-        built.append(args)
-        return honest(*args)
-
-    monkeypatch.setattr(module, "RatFunc", counting)
-    warm = radon(_LIFTED, k_max)
-    assert built == []
-    assert warm == cold and [str(f) for f in warm] == [str(f) for f in cold]
-    assert warm is not cold
-    # an equal current built anew shares the memo entry
-    assert radon(validate(Y * Y + X * Y - 1, MPoly.constant(V, 1)), k_max) == cold
-    assert built == []
-    module._radon_traces.cache_clear()
-    assert radon(_LIFTED, k_max) == cold
-    assert len(built) == k_max + 1
 
 
 @pytest.mark.parametrize("flag", [True, False])
@@ -344,7 +317,6 @@ def test_chart_memo_is_small():
     module = importlib.import_module("residualtrace.radon")
     maxsize = module._chart_traces.cache_info().maxsize
     assert maxsize is not None and 1 <= maxsize <= 16
-    assert module._radon_traces.cache_info().maxsize == maxsize
 
 
 def test_pencil_projection_rejects_apex_on_support():
