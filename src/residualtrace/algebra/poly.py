@@ -70,18 +70,18 @@ PRS step ever runs in the other chart variables.  When the supports are
 equal, the subresultant PRS runs in the last shared variable, and only its
 last remainder has its content taken.
 
-Substitution has one implementation, `MPoly.subs`.  An image that is a bare
-target variable (one term, coefficient 1, total degree 1) is a rename: it
-moves exponents and multiplies nothing.  The other terms are grouped by
-their exponent vector in the remaining substituted variables, and each
-distinct vector costs one product of cached powers of the images, however
-many terms share it.  Each term then adds its coefficient times that
-product, shifted by the renames, so the result is the per-term sum, term
-order included.  A term whose exponents in those variables are all zero has
-the unit as its product and adds its stored coefficient with no
-multiplication; every term of a denominator c^e that involves no
-substituted variable, as in the pencil's specialisation of chart traces,
-takes this path.
+Substitution has one implementation, `MPoly.subs`, and one loop over the
+terms.  An image that is a bare target variable (one term, coefficient 1,
+total degree 1) is a rename: it moves exponents and multiplies nothing.
+The other terms are grouped by their exponent vector in the remaining
+substituted variables, and each distinct vector costs one product of
+cached powers of the images, however many terms share it.  Each term then
+adds its coefficient times that product, shifted by the renames (by zero
+when there are none), so the result is the per-term sum, term order
+included.  A term that involves no other substituted variable, a constant
+one included, has the product 1, and 1 times a stored coefficient is that
+coefficient in stored form; it takes the same loop.  Renames pay: treating
+them as general images made the chart workload slower.
 """
 
 from __future__ import annotations
@@ -423,7 +423,7 @@ class MPoly:
                                     for e, v in self.terms.items()})
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise DomainError("polynomial powers must be nonnegative integers")
         result = MPoly.constant(self.vars, 1)
         base = self
@@ -465,11 +465,11 @@ class MPoly:
         the target tuple.  Image values may be MPoly over `variables` or
         exact scalars.  A rename (an image that is one target variable, as
         is a carried-over one) moves exponents; see the module docstring.
-        A constant or zero polynomial checks the images the same way and is
-        then carried over as it is.
+        Every term, a constant one included, takes the one loop below, so a
+        constant or zero polynomial checks the images the same way and comes
+        back as the same constant over `variables`.
         """
         variables = tuple(map(str, variables))
-        constant = self.is_constant()  # zero included
         moves: list[tuple[int, int]] = []  # (source, target) positions of a rename
         positions: list[int] = []  # source positions of the other variables
         powers: list[list[MPoly]] = []  # powers[j][e - 1] = (image j) ** e
@@ -485,19 +485,14 @@ class MPoly:
             elif img.vars != variables:
                 raise DomainError(
                     f"image of {name!r} lives over {img.vars}, not {variables}")
-            if constant:
-                continue
             target = _bare_variable(img)
             if target is None:
                 positions.append(i)
                 powers.append([img])
             else:
                 moves.append((i, target))
-        if constant:
-            return _trusted(variables, {(0,) * len(variables): c for c in self.terms.values()})
         add = _adder(len(variables))
-        zero = (0,) * len(variables)
-        unit = {zero: 1}
+        unit = {(0,) * len(variables): 1}
         # products[key] is built once per exponent vector `key` at `positions`,
         # multiplying in variable order; each term adds c times it, shifted
         # by the renames, in place, so the terms land where repeated `+` of
@@ -515,18 +510,10 @@ class MPoly:
                             cache.append(cache[-1] * cache[0])
                         term = cache[e - 1] if term is None else term * cache[e - 1]
                 prod = products[key] = unit if term is None else term.terms
-            shift = zero
-            if moves:
-                shift = [0] * len(variables)
-                for i, t in moves:
-                    shift[t] += exps[i]
-            if prod is unit:  # c times the unit is c, already in stored form
-                scaled = {tuple(shift): c}
-            elif moves:
-                scaled = {add(e, shift): _canon(v * c) for e, v in prod.items()}
-            else:
-                scaled = {e: _canon(v * c) for e, v in prod.items()}
-            _accumulate(result, scaled)
+            shift = [0] * len(variables)
+            for i, t in moves:
+                shift[t] += exps[i]
+            _accumulate(result, {add(e, shift): _canon(v * c) for e, v in prod.items()})
         return _trusted(variables, result)
 
     def eval_exact(self, values: dict[str, Fraction]) -> Fraction:

@@ -229,12 +229,10 @@ def derivative_pair(num: MPoly, den: MPoly, var: str) -> tuple[MPoly, MPoly]:
 
     The one quotient rule: `RatFunc.diff` reduces its pair, and
     `radon.closedness_check` compares pairs cleared to integer coefficients,
-    which give the same quotient.  When den is 1 or does not involve var the
-    pair is (N_var, Q); the 1 is not differentiated.
+    which give the same quotient.  When den does not involve var, a constant
+    den included, the pair is (N_var, Q).
     """
     dn = num.derivative(var)
-    if den.is_one():
-        return dn, den
     dq = den.derivative(var)
     if dq.is_zero():
         return dn, den

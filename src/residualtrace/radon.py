@@ -17,12 +17,12 @@ is exact rational arithmetic; denominators only ever involve the a
 variables (powers of the leading fiber coefficient after substitution).
 
 `closedness_check` compares both sides as unreduced quotients, by
-cross-multiplication, and on integers wherever it can.  A chart trace with
-a denominator, R_k / c^{e_k} in canonical form, has a denominator with
-leading coefficient 1, so both its parts carry Fractions; the check scales
-them by one common integer first, once per trace, and the quotient rule and
-the products that follow build no Fraction.  A polynomial trace, or any
-whose denominator is one term, enters as it is.
+cross-multiplication, on integer coefficients.  Every trace enters scaled
+by the lcm of its coefficient denominators, once per trace: a chart trace
+R_k / c^{e_k} in canonical form has a denominator with leading coefficient
+1, so its parts carry Fractions that this integer clears, and the quotient
+rule and the products that follow build no Fraction.  A trace whose
+coefficients are all integers has lcm 1 and enters as it is.
 
 One subtlety: when p has total degree above its fiber degree, substituting
 x_i = a_i y + b_i raises the y-degree, and the chart traces sum over more
@@ -92,6 +92,8 @@ class LineChart(Record):
 
 
 def line_chart(n: int) -> LineChart:
+    if isinstance(n, bool):
+        raise DomainError(f"n = {n!r} is a boolean, not a count")
     if n < 1:
         raise DomainError("need at least one base variable")
     if n == 1:
@@ -216,14 +218,12 @@ def closedness_check(u: Sequence[RatFunc], k_range: Iterable[int]) -> list[tuple
     """Violations (i, k) of d/db_i u_{k+n} = d/da_i u_{k+n-1}; empty when closed.
 
     Both sides are compared as unreduced quotients, by cross-multiplication.
-    A trace with a denominator enters as its `_integer_pair`, which has the
-    same quotient, built once per call though the trace serves two windows.
-    One whose denominator is one term (1 or a monomial, which normalisation
-    never scales) enters as it is.
+    Every trace enters as its `_integer_pair`, which has the same quotient,
+    built once per call though the trace serves two windows.
     """
     n, variables = _chart_shape(u)
     a_names, b_names = variables[:n], variables[n:]
-    pairs = [(f.num, f.den) if len(f.den.terms) == 1 else _integer_pair(f) for f in u]
+    pairs = [_integer_pair(f) for f in u]
     bad = []
     for k in k_range:
         if k < 0 or k + n >= len(u):

@@ -146,8 +146,7 @@ def recurrence_check(t: TraceSequence, p) -> list[int]:
 
 def hankel(t: TraceSequence, d: int) -> FracMatrix:
     """Symmetric d x d Hankel matrix H[i][j] = u_{i+j} of a trace sequence."""
-    if d < 1:
-        raise DomainError("Hankel size must be at least 1")
+    _check_count(d, "Hankel size", 1)
     if len(t) < 2 * d - 1:
         raise DomainError(
             f"need at least {2 * d - 1} traces for a {d} x {d} Hankel matrix, have {len(t)}")

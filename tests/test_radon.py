@@ -19,7 +19,7 @@ from residualtrace.radon import (
     radon,
 )
 from residualtrace.sampling import random_current, random_weighted_current
-from residualtrace.traces import traces
+from residualtrace.traces import hankel, traces
 
 V = ("x", "y")
 X = MPoly.variable(V, "x")
@@ -277,6 +277,21 @@ def test_a_bool_count_is_refused(flag):
             call()
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("call, match", [
+    (lambda flag: hankel(traces(validate(Y * Y - X, MPoly.constant(V, 1)), 3), flag),
+     "Hankel size = {flag} is a boolean"),
+    (lambda flag: line_chart(flag), "n = {flag} is a boolean"),
+    (lambda flag: X ** flag, "nonnegative integers"),
+    (lambda flag: RatFunc(X) ** flag, "nonnegative integers"),
+], ids=["hankel", "line_chart", "MPoly.pow", "RatFunc.pow"])
+def test_a_bool_size_or_power_is_refused(call, match, flag):
+    # bool is an int subclass, so unchecked True passes as 1: a 1 x 1 Hankel
+    # matrix, the n = 1 chart, the first power
+    with pytest.raises(DomainError, match=match.format(flag=flag)):
+        call(flag)
+
+
 def test_radon_returns_a_fresh_list_on_every_call():
     c = validate(Y * Y + X * Y - 1, MPoly.constant(V, 1))
     apex = (3, 1)
@@ -447,7 +462,8 @@ def _ci_current_n2():
 
 
 @pytest.mark.parametrize("c", _lifted_currents(6161, 1, 4) + _lifted_currents(6262, 2, 2)
-                         + [_ci_current_n2()], ids=["n1a", "n1b", "n1c", "n1d", "n2a", "n2b", "ci"])
+                         + [_ci_current_n2(), validate(Y + (X * X).scale(2), MPoly.constant(V, 1))],
+                         ids=["n1a", "n1b", "n1c", "n1d", "n2a", "n2b", "ci", "monomial"])
 def test_cleared_closedness_matches_ratfunc_reference(c):
     # closedness_check clears each trace with a denominator to integer
     # coefficients, numerator and denominator by one lcm; the reference
@@ -465,7 +481,7 @@ def test_cleared_closedness_matches_ratfunc_reference(c):
         lambda f: f + a / (lift * lift),
         lambda f: RatFunc(f.num.scale(2), f.den),
         lambda f: RatFunc(f.num),  # a polynomial entry among traces with denominators
-        lambda f: RatFunc(f.num, (a * a).num),  # a one-term denominator, used uncleared
+        lambda f: RatFunc(f.num, (a * a).num),  # a one-term denominator, cleared like any other
     ]
     # the CI current's references take longest: corrupt two entries there
     spots = range(len(u)) if c.n == 1 else (1, len(u) - 2)
