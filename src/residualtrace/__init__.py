@@ -39,9 +39,6 @@ from .errors import (
 )
 from .radon import (
     LineChart,
-    RadonForm,
-    assemble_radon_form,
-    closed_potential,
     closedness_check,
     is_radon_zero,
     line_chart,
@@ -52,7 +49,6 @@ from .reconstruct import (
     ReconstructionReport,
     SeriesSample,
     continue_current,
-    detect_degree,
     detect_rational,
     reconstruct,
     sample_series,
@@ -60,7 +56,6 @@ from .reconstruct import (
 from .residues import (
     RationalForm1D,
     contour_oracle,
-    oracle_report,
     pointwise_residues,
     residue_sum,
 )
@@ -75,7 +70,6 @@ __all__ = [
     "FracMatrix",
     "LineChart",
     "MPoly",
-    "RadonForm",
     "RatFunc",
     "RationalForm1D",
     "ReconstructionReport",
@@ -86,12 +80,9 @@ __all__ = [
     "TraceSequence",
     "WeightedPoints",
     "ZeroCurrent",
-    "assemble_radon_form",
-    "closed_potential",
     "closedness_check",
     "continue_current",
     "contour_oracle",
-    "detect_degree",
     "detect_rational",
     "determinant",
     "exact_div",
@@ -99,7 +90,6 @@ __all__ = [
     "hankel",
     "is_radon_zero",
     "line_chart",
-    "oracle_report",
     "pencil_projection",
     "pointwise_residues",
     "poly_gcd",

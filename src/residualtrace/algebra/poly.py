@@ -554,14 +554,6 @@ class MPoly:
                 terms[exps[:vi] + (e - 1,) + exps[vi + 1:]] = _canon(c * e)
         return _trusted(self.vars, terms)
 
-    def antiderivative(self, var: str) -> "MPoly":
-        vi = self.vars.index(var)
-        terms = {}
-        for exps, c in self.terms.items():
-            e = exps[vi]
-            terms[exps[:vi] + (e + 1,) + exps[vi + 1:]] = _div(c, e + 1)
-        return _trusted(self.vars, terms)
-
     # ---- normal forms --------------------------------------------------
 
     def primitive_int(self) -> "MPoly":

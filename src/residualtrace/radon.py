@@ -1,4 +1,4 @@
-"""Trace data of a current in line coordinates, and the induced forms.
+"""Trace data of a current in line coordinates, and its closedness.
 
 Substituting x_i = a_i y + b_i turns the pair (p, r) into a one-variable
 rational form in y whose coefficients are rational in the chart variables
@@ -6,9 +6,9 @@ rational form in y whose coefficients are rational in the chart variables
 
     u_k(a, b) = residue sum over y of r(ay + b, y) y^k / p(ay + b, y)
 
-carry the whole transform: the degree-n form is assembled per subset I of
-{1..n} as u_|I| da^I wedge db^(complement), and the family satisfies the
-exact closedness identities
+carry the whole transform: its component on da^I wedge db^(complement),
+for a subset I of {1..n}, is u_|I|, and the family satisfies the exact
+closedness identities
 
     d/db_i u_{k+n} = d/da_i u_{k+n-1}
 
@@ -48,7 +48,7 @@ of currents, so nothing else is reused.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .algebra import MPoly, RatFunc, as_fraction, dense
@@ -58,21 +58,18 @@ from .currents import ResidualCurrent, ZeroCurrent
 from .errors import DomainError
 from .record import Record, _set
 from .residues import trace_pairs
-from .traces import _MEMO_SIZE, TraceSequence, _check_count
+from .traces import _MEMO_SIZE, TraceSequence, _check_count, _check_current
 
 # The fiber variable of the chart, whatever the current's: no chart name is "y".
 _FIBER = "y"
 
 __all__ = [
     "LineChart",
-    "RadonForm",
     "line_chart",
     "radon",
-    "assemble_radon_form",
     "closedness_check",
     "pencil_projection",
     "is_radon_zero",
-    "closed_potential",
 ]
 
 
@@ -105,23 +102,6 @@ def line_chart(n: int) -> LineChart:
     )
 
 
-class RadonForm(Record):
-    """Components of the transform, keyed by subset of line-slope indices.
-
-    components[I] is the coefficient of da^I wedge db^(complement of I),
-    with I a frozenset of indices in 1..n; its value is u_|I| in the chart
-    variables.  A RadonForm holds a dict, so it is unhashable.
-    """
-
-    __slots__ = ("n", "components")
-
-    def __init__(self, n: int, components: dict[frozenset[int], RatFunc]):
-        _set(self, "n", n)
-        _set(self, "components", components)
-
-    __hash__ = None
-
-
 def _line_traces(current: ResidualCurrent, offsets: Sequence[MPoly],
                  count: int) -> list[tuple[MPoly, MPoly]]:
     """Traces u_0 .. u_{count-1} of a current along the lines x_i = a_i y + offsets[i].
@@ -151,6 +131,7 @@ def radon(current: ResidualCurrent, k_max: int) -> list[RatFunc]:
     docstring) into a fresh list, so a caller may mutate it without changing
     what a later call returns.
     """
+    _check_current(current)
     _check_count(k_max, "k_max", 0)
     return [RatFunc(r, c) for r, c in _chart_traces(current, k_max)]
 
@@ -173,22 +154,6 @@ def _chart_shape(u: Sequence[RatFunc]) -> tuple[int, tuple[str, ...]]:
         raise DomainError(
             f"chart traces need paired slope/offset variables, got {variables}")
     return len(variables) // 2, variables
-
-
-def assemble_radon_form(u: Sequence[RatFunc]) -> RadonForm:
-    """Arrange chart traces into the full transform.
-
-    The component on da^I wedge db^(complement) is u_|I|, so the list needs
-    n + 1 entries at least; extras are ignored.
-    """
-    n, _ = _chart_shape(u)
-    if len(u) < n + 1:
-        raise DomainError(f"need chart traces u_0 .. u_{n}, have {len(u)}")
-    components = {}
-    for size in range(n + 1):
-        for subset in combinations(range(1, n + 1), size):
-            components[frozenset(subset)] = u[size]
-    return RadonForm(n=n, components=components)
 
 
 def _cross_equal(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly) -> bool:
@@ -226,7 +191,8 @@ def closedness_check(u: Sequence[RatFunc], k_range: Iterable[int]) -> list[tuple
     pairs = [_integer_pair(f) for f in u]
     bad = []
     for k in k_range:
-        if k < 0 or k + n >= len(u):
+        _check_count(k, "k", 0)
+        if k + n >= len(u):
             raise DomainError(
                 f"k = {k} needs chart traces up to u_{k + n}, have {len(u)}")
         for i in range(n):
@@ -251,6 +217,7 @@ def pencil_projection(current: ResidualCurrent, apex: Sequence, count: int | Non
     call on an equal current they cost nothing here, and the check covers
     exactly the traces `radon` returns.
     """
+    _check_current(current)
     apex = [as_fraction(v) for v in apex]
     n = current.n
     if len(apex) != n + 1:
@@ -297,23 +264,3 @@ def is_radon_zero(current: ResidualCurrent | ZeroCurrent, k_probe: int) -> bool:
         return True
     return all(r.is_zero() for r, _ in _chart_traces(current, k_probe + current.n))
 
-
-def closed_potential(u0: RatFunc, u1: RatFunc) -> MPoly:
-    """Polynomial potential F with dF = u1 da + u0 db, for one-variable charts.
-
-    Both inputs must be polynomial over ("a", "b").  Raises DomainError when
-    the form is not closed, which is the exactness obstruction here.
-    """
-    if u0.vars != u1.vars or len(u0.vars) != 2:
-        raise DomainError("potential assembly expects two chart variables")
-    if not (u0.is_polynomial() and u1.is_polynomial()):
-        raise DomainError("potential assembly needs polynomial components")
-    a_name, b_name = u0.vars
-    f = u1.as_poly().antiderivative(a_name)
-    gap = u0.as_poly() - f.derivative(b_name)
-    if gap.degree(a_name) > 0:
-        raise DomainError("the form u1 da + u0 db is not closed")
-    f = f + gap.antiderivative(b_name)
-    if f.derivative(a_name) != u1.as_poly() or f.derivative(b_name) != u0.as_poly():
-        raise DomainError("the form u1 da + u0 db is not closed")
-    return f

@@ -73,7 +73,6 @@ from .traces import (
 __all__ = [
     "SeriesSample",
     "ReconstructionReport",
-    "detect_degree",
     "reconstruct",
     "detect_rational",
     "continue_current",
@@ -124,25 +123,20 @@ class ReconstructionReport(Record):
     `current` is a ResidualCurrent on success, the ZeroCurrent sentinel for
     all-zero traces, and None when the recurrence or numerator coefficients
     fall outside the polynomial ring (then `meromorphic_coefficients` is
-    set and the raw coefficients are kept for inspection).
+    set).
 
     `residual_violations` is 0 by construction: degree detection accepts a
     recurrence only after it holds on every window of the traces.
     """
 
-    __slots__ = ("degree", "current", "residual_violations", "meromorphic_coefficients",
-                 "denominator_coefficients", "numerator_coefficients")
+    __slots__ = ("degree", "current", "residual_violations", "meromorphic_coefficients")
 
     def __init__(self, degree: int, current: ResidualCurrent | ZeroCurrent | None,
-                 residual_violations: int, meromorphic_coefficients: bool = False,
-                 denominator_coefficients: tuple[RatFunc, ...] = (),
-                 numerator_coefficients: tuple[RatFunc, ...] = ()):
+                 residual_violations: int, meromorphic_coefficients: bool = False):
         _set(self, "degree", degree)
         _set(self, "current", current)
         _set(self, "residual_violations", residual_violations)
         _set(self, "meromorphic_coefficients", meromorphic_coefficients)
-        _set(self, "denominator_coefficients", denominator_coefficients)
-        _set(self, "numerator_coefficients", numerator_coefficients)
 
 
 # The modular filter of degree detection works modulo the prime
@@ -205,25 +199,22 @@ def _modular_failures(t: TraceSequence, top: int) -> list[int | None]:
     return out
 
 
-def _candidate(t: TraceSequence, a: list[RatFunc]):
-    """r's coefficients r_j = sum_{i<=j} a_i u_{j-i} (a_0 = 1) of y^{d-1-j}, and (p, r).
+def _candidate(t: TraceSequence, a: list[RatFunc]) -> ResidualCurrent | None:
+    """The current (p, r) of recurrence coefficients a, or None off the polynomial ring.
 
-    a and u_0 .. u_{d-1} are cleared of their denominators, by multipliers
-    m and m_u, and r_j is the cleared recurrence sum at j over m m_u.  The
-    pair is None exactly when m m_u != 1: r_j = u_j + sum_i a_i u_{j-i} is
-    unit-triangular in u, so a and r are polynomial iff a and u_0 .. u_{d-1}
-    are, and otherwise no current has them.  When m m_u = 1 the sums run on
-    the numerators in the order the RatFunc sums would, so they give the
+    r's coefficient of y^{d-1-j} is r_j = sum_{i<=j} a_i u_{j-i} (a_0 = 1).
+    It is unit-triangular in u, so a and r are polynomial iff a and
+    u_0 .. u_{d-1} are.  When either has a denominator no current has them,
+    and None is returned before any sum is formed.  Otherwise the sums run
+    on the numerators in the order the RatFunc sums would, so they give the
     same terms in the same order, and no product by 1 is formed.
     """
     d = len(a)
     a, m = clear_denominators(a)
     u, m_u = clear_denominators(list(t.entries[:d]))
+    if not (m.is_one() and m_u.is_one()):
+        return None
     sums = [_recurrence_sum(u, a, m, j) for j in range(d)]
-    den = m_u if m.is_one() else m * m_u
-    r_coeffs = tuple(RatFunc(s, den) for s in sums)
-    if not den.is_one():
-        return r_coeffs, None
     fiber = "y"
     while fiber in t.vars:
         fiber += "_"
@@ -234,11 +225,11 @@ def _candidate(t: TraceSequence, a: list[RatFunc]):
 
     p = MPoly.from_univariate(variables, fiber, {d: MPoly.constant(t.vars, 1), **pieces(a)})
     r = MPoly.from_univariate(variables, fiber, pieces(sums))
-    return r_coeffs, ResidualCurrent(p=p, r=r)
+    return ResidualCurrent(p=p, r=r)
 
 
 def _detect(t: TraceSequence, d_max: int):
-    """(d, a, r_coeffs, current) for the minimal d whose candidate reproduces t.
+    """(d, current) for the minimal d whose candidate reproduces t; (0, None) for zero t.
 
     The traces of a polynomial candidate agree with t on u_0 .. u_{2d-1} and
     obey its recurrence, so they equal t iff the recurrence holds on every
@@ -248,7 +239,7 @@ def _detect(t: TraceSequence, d_max: int):
     """
     _check_count(d_max, "d_max", 1)
     if t.is_zero():
-        return 0, [], (), None
+        return 0, None
     top = min(d_max, len(t) // 2)
     # outcomes[d - 1]: a window where the depth-d recurrence fails, None if singular
     outcomes = _modular_failures(t, top)
@@ -260,8 +251,7 @@ def _detect(t: TraceSequence, d_max: int):
         except SingularSystemError:
             continue
         # sol[j] = a_{d-j}, so the recurrence reads u_{k+d} + sum_j sol[j] u_{k+j} = 0
-        a = sol[::-1]
-        r_coeffs, current = _candidate(t, a)
+        current = _candidate(t, sol[::-1])
         if current is None:
             k = next(recurrence_failures(t, sol), None)
         else:
@@ -269,14 +259,9 @@ def _detect(t: TraceSequence, d_max: int):
             k = None if rebuilt == t.entries else next(
                 j - d for j, (u, v) in enumerate(zip(rebuilt, t.entries)) if u != v)
         if k is None:
-            return d, a, r_coeffs, current
+            return d, current
         outcomes[d - 1] = k
     raise DegreeDetectionError(tuple(outcomes))
-
-
-def detect_degree(t: TraceSequence, d_max: int) -> int:
-    """Minimal fiber degree whose recurrence annihilates all of t; 0 for zero t."""
-    return _detect(t, d_max)[0]
 
 
 def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
@@ -298,14 +283,12 @@ def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
     """
     if not t.vars:
         raise DomainError("a current needs at least one base variable and one fiber variable")
-    d, a, r_coeffs, current = _detect(t, d_max)
+    d, current = _detect(t, d_max)
     if d == 0:
         return ReconstructionReport(degree=0, current=ZeroCurrent(len(t.vars)),
                                     residual_violations=0)
-    return ReconstructionReport(
-        degree=d, current=current, residual_violations=0,
-        meromorphic_coefficients=current is None,
-        denominator_coefficients=tuple(a), numerator_coefficients=r_coeffs)
+    return ReconstructionReport(degree=d, current=current, residual_violations=0,
+                                meromorphic_coefficients=current is None)
 
 
 def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int) -> RatFunc | None:

@@ -8,9 +8,8 @@ immutable: fields are set once through `_set` in `__init__`, and any later
 assignment or deletion raises AttributeError.  It equals only a record of
 its own class with an equal field tuple, hashes as that tuple, prints as
 `Type(field=value, ...)`, and copy and pickle rebuild it through its
-constructor.  A record holding a dict sets `__hash__ = None`.  Records are
-not dataclasses, so `dataclasses.fields` and `dataclasses.replace` do not
-apply to them.
+constructor.  Records are not dataclasses, so `dataclasses.fields` and
+`dataclasses.replace` do not apply to them.
 """
 
 _set = object.__setattr__

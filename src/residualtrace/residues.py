@@ -38,6 +38,7 @@ oracles use numpy, which is imported when they first run.
 
 from __future__ import annotations
 
+import cmath
 from typing import Sequence
 
 from .algebra import MPoly, RatFunc, dense, exact_div, poly_gcd
@@ -131,14 +132,20 @@ def residue_sum(form: RationalForm1D) -> RatFunc:
 def _specialize(form: RationalForm1D, x_values: Sequence[complex]):
     """The fiber coefficient lists of num and den at one base point, ascending.
 
-    The den list is stripped of its zero top coefficients; a den left of
-    lower degree than the form's fiber degree raises DomainError, since a
-    pole has gone to infinity and the numeric sums would miss its residue.
+    A base value that is not finite (nan or inf in either part) raises
+    DomainError naming its index.  The den list is stripped of its zero top
+    coefficients; a den left of lower degree than the form's fiber degree
+    raises DomainError, since a pole has gone to infinity and the numeric
+    sums would miss its residue.
     """
     if len(x_values) != len(form.base_vars):
         raise DomainError(
             f"expected {len(form.base_vars)} base values, got {len(x_values)}")
-    assign = {v: complex(x) for v, x in zip(form.base_vars, x_values)}
+    values = [complex(x) for x in x_values]
+    for i, x in enumerate(values):
+        if not cmath.isfinite(x):
+            raise DomainError(f"base value {i} = {x_values[i]!r} is not finite")
+    assign = dict(zip(form.base_vars, values))
 
     def coeffs(p: MPoly) -> list[complex]:
         return [c.eval_numeric(assign) for c in p.as_univariate(form.fiber)] or [0j]
@@ -213,28 +220,3 @@ def contour_oracle(form: RationalForm1D, x_values: Sequence[complex]) -> complex
         raise DomainError("contour quadrature diverged")
     return value
 
-
-def oracle_report(form: RationalForm1D,
-                  sample_points: Sequence[Sequence[complex]]) -> list[dict]:
-    """Compare the exact residue sum against both numeric paths per sample point."""
-    exact = residue_sum(form)
-    rows = []
-    for point in sample_points:
-        assign = {v: complex(x) for v, x in zip(form.base_vars, point)}
-        exact_val = exact.eval_numeric(assign)
-        quad = contour_oracle(form, point)
-        try:
-            point_sum = sum(res for _, res in pointwise_residues(form, point))
-            point_err = abs(point_sum - exact_val)
-        except DomainError:
-            point_sum = None
-            point_err = None
-        rows.append({
-            "x": [complex(x) for x in point],
-            "exact": exact_val,
-            "contour": quad,
-            "contour_error": abs(quad - exact_val),
-            "pointwise": point_sum,
-            "pointwise_error": point_err,
-        })
-    return rows

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import FracMatrix, RatFunc, clear_denominators
-from .currents import ResidualCurrent
+from .currents import ResidualCurrent, ZeroCurrent
 from .errors import DomainError
 from .record import Record, _set
 from .residues import trace_stream
@@ -70,8 +70,15 @@ def traces(current: ResidualCurrent, count: int) -> TraceSequence:
     the top coefficient, so the cost is linear in `count`.  The entries
     come from the fiber-trace memo (see the module docstring).
     """
+    _check_current(current)
     _check_count(count, "count", 1)
     return TraceSequence(entries=_fiber_traces(current, count))
+
+
+def _check_current(current):
+    """Refuse the zero current, which `reconstruct` returns for zero traces."""
+    if isinstance(current, ZeroCurrent):
+        raise DomainError("the zero current has no finite trace data")
 
 
 def _check_count(value, name: str, least: int):

@@ -10,7 +10,8 @@ reconstructed, continued and validated currents, gcds) also carries its raw
 term dict order, which the kernels keep.  A refactor that must keep the
 outputs byte-identical keeps the digest.  `VALUES` hashes the same document
 with every "order" key dropped: a change that reorders raw terms on
-purpose re-pins `GOLDEN` and must keep `VALUES`.
+purpose re-pins `GOLDEN` and must keep `VALUES`.  `VERIFY` holds the SHA-256
+of `verify --seed s` stdout, `canonical_dumps(verify_report(s))`, per seed.
 """
 
 import hashlib
@@ -18,6 +19,8 @@ import importlib
 import json
 from fractions import Fraction
 from random import Random
+
+import pytest
 
 from residualtrace.algebra import MPoly, poly_gcd
 from residualtrace.currents import ResidualCurrent, validate
@@ -38,6 +41,11 @@ RECONSTRUCT = importlib.import_module("residualtrace.reconstruct")
 SEED = 20240611
 GOLDEN = "04f568b0f67a54961ec2490d8ef665b2912cf51a2815546fcee170ab17e6a171"
 VALUES = "1b3880def0b04cb09a30755e2c0e441fef54c9b56dfebb8a60e04d8507402e01"
+VERIFY = {
+    1729: "b49c0aca5dfe2c3e4289b5eb11d2e97234c5476f5ade1e3bfe476c194215506e",
+    7: "e67507f9d806fd38734009e24937aa5e217014bc15775306d50f87bfafa6c877",
+    42: "5b8672dc61c8d5669b5c27a1cb0e90515d96e20eaf6e778829d87ccefd908ce2",
+}
 
 
 def _order(*polys):
@@ -168,6 +176,12 @@ def test_golden_digest():
     doc = corpus_document()
     assert _sha256(canonical_dumps(_without_order(json.loads(doc)))) == VALUES
     assert _sha256(doc) == GOLDEN
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY))
+def test_verify_stdout_digest(seed):
+    # exactly the bytes `cmd_verify` writes at the default tolerance
+    assert _sha256(canonical_dumps(verify_report(seed))) == VERIFY[seed]
 
 
 def _clear_trace_memos():

@@ -190,10 +190,9 @@ def test_eval_numeric_past_the_float_range_is_nan():
     assert math.isnan((x + y).eval_numeric({"x": 1e308, "y": 1e308, "z": 0}).real)
 
 
-def test_derivative_and_antiderivative():
+def test_derivative():
     p = X ** 3 * Y + 2 * Y
     assert p.derivative("x") == 3 * X ** 2 * Y
-    assert p.antiderivative("x").derivative("x") == p
 
 
 def exact_terms(p: MPoly) -> dict:
@@ -206,8 +205,6 @@ def test_dividing_operations_on_integer_inputs_store_no_floats():
     # Integral coefficients are stored as ints; every division below must
     # give exact values, never int / int floats.
     half = Fraction(1, 2)
-    assert exact_terms((3 * X ** 2 * Y + X).antiderivative("x")) == {
-        (3, 1): 1, (2, 0): half}
     assert exact_terms(exact_div(X ** 2 + 2 * X + 1, 2 * X + 2)) == {
         (1, 0): half, (0, 0): half}
     assert exact_terms(exact_div(4 * X ** 2 + 4 * X, 2 * X + 2)) == {(1, 0): 2}

@@ -1,7 +1,6 @@
 """Chart traces in line coordinates, closedness, and pencil projections."""
 
 import importlib
-from fractions import Fraction
 from random import Random
 
 import pytest
@@ -10,8 +9,6 @@ from residualtrace.algebra import MPoly, RatFunc
 from residualtrace.currents import ZeroCurrent, validate
 from residualtrace.errors import DomainError
 from residualtrace.radon import (
-    assemble_radon_form,
-    closed_potential,
     closedness_check,
     is_radon_zero,
     line_chart,
@@ -80,30 +77,6 @@ def test_radon_rejects_negative_kmax():
     c = validate(Y * Y - X, MPoly.constant(V, 1))
     with pytest.raises(DomainError):
         radon(c, -1)
-
-
-def test_assemble_form_n1():
-    form = assemble_radon_form([RatFunc.zero(C), RatFunc.one(C)])
-    assert form.n == 1
-    assert form.components[frozenset()] == RatFunc.zero(C)
-    assert form.components[frozenset({1})] == RatFunc.one(C)
-
-
-def test_assemble_form_n2_by_subset_size():
-    chart = ("a1", "a2", "b1", "b2")
-    u = [RatFunc.constant(chart, k) for k in (5, 6, 7)]
-    form = assemble_radon_form(u)
-    assert form.n == 2
-    assert len(form.components) == 4
-    for subset, value in form.components.items():
-        assert value == u[len(subset)]
-
-
-def test_assemble_form_needs_enough_entries():
-    with pytest.raises(DomainError):
-        assemble_radon_form([RatFunc.one(C)])
-    with pytest.raises(DomainError):
-        assemble_radon_form([RatFunc.one(("a",))])
 
 
 def test_closedness_running_examples():
@@ -277,6 +250,15 @@ def test_a_bool_count_is_refused(flag):
             call()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_zero_current_is_refused(n):
+    # `reconstruct` returns it for zero traces; it has no fiber or chart traces
+    for call in (lambda: traces(ZeroCurrent(n), 3), lambda: radon(ZeroCurrent(n), 3),
+                 lambda: pencil_projection(ZeroCurrent(n), [1] * (n + 1))):
+        with pytest.raises(DomainError, match="the zero current has no finite trace data"):
+            call()
+
+
 @pytest.mark.parametrize("flag", [True, False])
 @pytest.mark.parametrize("call, match", [
     (lambda flag: hankel(traces(validate(Y * Y - X, MPoly.constant(V, 1)), 3), flag),
@@ -284,10 +266,12 @@ def test_a_bool_count_is_refused(flag):
     (lambda flag: line_chart(flag), "n = {flag} is a boolean"),
     (lambda flag: X ** flag, "nonnegative integers"),
     (lambda flag: RatFunc(X) ** flag, "nonnegative integers"),
-], ids=["hankel", "line_chart", "MPoly.pow", "RatFunc.pow"])
+    (lambda flag: closedness_check(radon(validate(Y * Y - X, MPoly.constant(V, 1)), 3), [flag]),
+     "k = {flag} is a boolean"),
+], ids=["hankel", "line_chart", "MPoly.pow", "RatFunc.pow", "closedness_window"])
 def test_a_bool_size_or_power_is_refused(call, match, flag):
     # bool is an int subclass, so unchecked True passes as 1: a 1 x 1 Hankel
-    # matrix, the n = 1 chart, the first power
+    # matrix, the n = 1 chart, the first power, closedness window 1
     with pytest.raises(DomainError, match=match.format(flag=flag)):
         call(flag)
 
@@ -410,27 +394,6 @@ def test_chart_traces_see_poles_missed_by_fibers():
     assert u[0].is_zero()
     assert traces(c, 1)[0] == RatFunc.constant(("x",), 2)
     assert closedness_check(u, range(2)) == []
-
-
-def test_closed_potential_example():
-    # u = [1, a]: b db + ... gives d(b + a^2/2) = a da + db
-    f = closed_potential(RatFunc.one(C), A)
-    a_sym = MPoly.variable(C, "a")
-    b_sym = MPoly.variable(C, "b")
-    assert f == b_sym + a_sym * a_sym * Fraction(1, 2)
-
-
-def test_closed_potential_rejects_nonclosed():
-    with pytest.raises(DomainError, match="not closed"):
-        closed_potential(RatFunc.zero(C), BV)
-
-
-def test_closed_potential_roundtrip_on_chart_traces():
-    c = validate(Y * Y - X, Y)
-    u = radon(c, 1)
-    f = closed_potential(u[0], u[1])
-    assert RatFunc(f.derivative("a")) == u[1]
-    assert RatFunc(f.derivative("b")) == u[0]
 
 
 def reference_violations(u, k_range):

@@ -21,7 +21,6 @@ from residualtrace.reconstruct import (
     _detect,
     _modular_failures,
     continue_current,
-    detect_degree,
     detect_rational,
     reconstruct,
     sample_series,
@@ -48,35 +47,35 @@ def test_detect_degree_running_example():
     t = TraceSequence(entries=(
         RatFunc.zero(B), RatFunc.one(B), RatFunc.zero(B), XR,
         RatFunc.zero(B), XR * XR))
-    assert detect_degree(t, 3) == 2
+    assert reconstruct(t, 3).degree == 2
 
 
 def test_detect_degree_zero_sequence():
-    assert detect_degree(seq(0, 0, 0, 0), 2) == 0
+    assert reconstruct(seq(0, 0, 0, 0), 2).degree == 0
 
 
 def test_detect_degree_rejects_accidental_minor():
     # H_1 = [2] is nonsingular but its depth-1 recurrence fails on the tail
     t = seq(2, 1, 1, 1, 1, 1)
-    assert detect_degree(t, 3) == 2
+    assert reconstruct(t, 3).degree == 2
 
 
 def test_detect_degree_failure_reported():
     # factorial growth satisfies no fixed-depth constant recurrence
     t = seq(1, 1, 2, 6, 24, 120)
     with pytest.raises(DegreeDetectionError) as exc:
-        detect_degree(t, 2)
+        reconstruct(t, 2)
     # u_2 - u_1 = 1 and u_4 - 4 u_3 + 2 u_2 = 4 are the first nonzero windows
     assert exc.value.outcomes == (1, 2)
     assert "d=1 fails at window 1, d=2 fails at window 2" in str(exc.value)
     with pytest.raises(DomainError):
-        detect_degree(t, 0)
+        reconstruct(t, 0)
 
 
 def test_detect_degree_failure_names_singular_degrees():
     # H_1 = [0] and H_3 are singular; u_{k+2} = 0 breaks at u_5 = 1
     with pytest.raises(DegreeDetectionError) as exc:
-        detect_degree(seq(0, 1, 0, 0, 0, 1), 3)
+        reconstruct(seq(0, 1, 0, 0, 0, 1), 3)
     assert exc.value.outcomes == (None, 3, None)
     assert "d=1 singular, d=2 fails at window 3, d=3 singular" in str(exc.value)
 
@@ -103,12 +102,20 @@ def exact_detect(t, d_max):
     return None, None, outcomes
 
 
+def descending(f, fiber, d):
+    """The coefficients of fiber^(d-1) .. fiber^0 in f, as RatFuncs."""
+    coeffs = f.as_univariate(fiber)
+    return tuple(RatFunc(coeffs[k]) if k < len(coeffs) else RatFunc.zero(coeffs[0].vars)
+                 for k in range(d - 1, -1, -1))
+
+
 def assert_detect_matches_exact(t, d_max):
     d, a, outcomes = exact_detect(t, d_max)
     if d is not None:
-        got_d, got_a, _, candidate = _detect(t, d_max)
-        assert (got_d, got_a) == (d, a)
+        got_d, candidate = _detect(t, d_max)
+        assert got_d == d
         if candidate is not None:
+            assert descending(candidate.p, candidate.fiber, d) == tuple(a)
             assert traces(candidate, len(t)).entries == t.entries
         return
     with pytest.raises(DegreeDetectionError) as exc:
@@ -207,7 +214,7 @@ def test_detect_modular_fallback(monkeypatch, u0, solves):
     assert_detect_matches_exact(t, 1)
     monkeypatch.setattr(module, "solve_linear", counting_solve)
     with pytest.raises(DegreeDetectionError) as exc:
-        detect_degree(t, 1)
+        reconstruct(t, 1)
     assert exc.value.outcomes == (1,)
     assert len(calls) == solves
 
@@ -218,7 +225,7 @@ def test_polynomial_candidate_rejected_by_its_traces(trace_streams):
     # candidate p = y - 2, r = x - 101, whose u_3 differs from t's
     t = seq(XR - 101, 2 * XR - 202, 4 * XR - 404, 8 * XR - 807)
     with pytest.raises(DegreeDetectionError) as exc:
-        detect_degree(t, 2)
+        reconstruct(t, 2)
     # index 3 is the first that differs, so window 3 - d = 2 fails; H_2 is singular
     assert exc.value.outcomes == (2, None)
     assert trace_streams == [(Y - 2, X - 101, 4)]
@@ -295,11 +302,11 @@ def test_meromorphic_candidate_is_checked_window_by_window(trace_streams, recurr
     t = with_denominators(traces(c, 6), q)
     del trace_streams[:]
     report = reconstruct(t, 2)
-    assert len(recurrence_checks) == 1 and trace_streams == []
+    # the one window check runs on (a_2, a_1) = (-x / (x + 2)^2, 0)
+    assert recurrence_checks == [[-XR / RatFunc(q * q), RatFunc.zero(B)]]
+    assert trace_streams == []
     assert report == ReconstructionReport(
-        degree=2, current=None, residual_violations=0, meromorphic_coefficients=True,
-        denominator_coefficients=(RatFunc.zero(B), -XR / RatFunc(q * q)),
-        numerator_coefficients=(RatFunc.zero(B), RatFunc.one(B) / RatFunc(q)))
+        degree=2, current=None, residual_violations=0, meromorphic_coefficients=True)
 
 
 def ratfunc_recurrence_sums(t, a):
@@ -324,10 +331,14 @@ def test_candidate_matches_ratfunc_recurrence_sums():
     polynomial = meromorphic = 0
     for t, d_max in cases:
         report = reconstruct(t, d_max)
-        a, d = report.denominator_coefficients, report.degree
-        assert report.numerator_coefficients == ratfunc_recurrence_sums(t, a)
+        d, a, _ = exact_detect(t, d_max)
+        assert report.degree == d
         off_ring = any(not f.is_polynomial() for f in (*a, *t.entries[:d]))
         assert (report.current is None) == off_ring == report.meromorphic_coefficients
+        if not off_ring:
+            c = report.current
+            assert descending(c.p, c.fiber, d) == tuple(a)
+            assert descending(c.r, c.fiber, d) == ratfunc_recurrence_sums(t, a)
         polynomial += not off_ring
         meromorphic += off_ring
     assert polynomial >= 6 and meromorphic >= 6
@@ -382,7 +393,7 @@ def test_reconstruct_reduces_a_non_coprime_pair():
             assert report.current == c
 
 
-def test_reconstruct_flags_meromorphic_coefficients():
+def test_reconstruct_flags_meromorphic_coefficients(recurrence_checks):
     # u_k = 2^k / x: recurrence coefficient is polynomial but r_0 = 1/x is not
     entries = tuple(RatFunc.constant(B, 2 ** k) / XR for k in range(4))
     report = reconstruct(TraceSequence(entries=entries), 2)
@@ -390,8 +401,7 @@ def test_reconstruct_flags_meromorphic_coefficients():
     assert report.current is None
     assert report.meromorphic_coefficients
     assert report.residual_violations == 0
-    assert report.denominator_coefficients == (RatFunc.constant(B, -2),)
-    assert report.numerator_coefficients == (RatFunc.one(B) / XR,)
+    assert recurrence_checks == [[RatFunc.constant(B, -2)]]
 
 
 def test_detect_rational_geometric():
@@ -527,7 +537,7 @@ def test_continue_current_input_checks():
         reconstruct(t, 0)
     # a float count is no bool: it fails where it is used
     for call in (lambda: sample_series(XR, 0, 3.0), lambda: detect_rational(s, 3.0, 0),
-                 lambda: detect_degree(t, 2.0), lambda: continue_current([s] * 4, 2.0, 3, 0)):
+                 lambda: reconstruct(t, 2.0), lambda: continue_current([s] * 4, 2.0, 3, 0)):
         with pytest.raises(TypeError):
             call()
 
@@ -539,7 +549,6 @@ def test_a_bool_count_or_bound_is_refused(flag):
     calls = [("count", lambda: sample_series(XR, 0, flag)),
              ("degree bounds", lambda: detect_rational(s, 3, flag)),
              ("degree bounds", lambda: detect_rational(s, flag, 0)),
-             ("d_max", lambda: detect_degree(t, flag)),
              ("d_max", lambda: reconstruct(t, flag)),
              ("d_max", lambda: continue_current([s] * 4, flag, 3, 0))]
     for name, call in calls:

@@ -2,9 +2,9 @@
 
 Each record is an immutable value: it is built positionally or by keyword
 with the documented defaults, validates its input, compares equal only to
-an equal record of its own type, hashes equal values equally (RadonForm,
-which holds a dict, is unhashable), prints as `Type(field=value, ...)`,
-refuses attribute assignment and deletion, and survives copy and pickle.
+an equal record of its own type, hashes equal values equally, prints as
+`Type(field=value, ...)`, refuses attribute assignment and deletion, and
+survives copy and pickle.
 """
 
 import copy
@@ -16,7 +16,7 @@ import pytest
 from residualtrace.algebra import FracMatrix, MPoly, RatFunc
 from residualtrace.currents import ResidualCurrent, ZeroCurrent, validate
 from residualtrace.errors import DomainError
-from residualtrace.radon import LineChart, RadonForm, line_chart
+from residualtrace.radon import LineChart, line_chart
 from residualtrace.reconstruct import ReconstructionReport, SeriesSample
 from residualtrace.traces import TraceSequence
 
@@ -41,15 +41,11 @@ RECORDS = {
     "SeriesSample": (("base_point", "coefficients"),
                      lambda i: SeriesSample(Fraction(1, 2), (1, "2/3", Fraction(i)))),
     "ReconstructionReport": (
-        ("degree", "current", "residual_violations", "meromorphic_coefficients",
-         "denominator_coefficients", "numerator_coefficients"),
-        lambda i: ReconstructionReport(2, _current(i), 0, False, (U[0],), (U[1],))),
+        ("degree", "current", "residual_violations", "meromorphic_coefficients"),
+        lambda i: ReconstructionReport(2, _current(i), 0, False)),
     "LineChart": (("n", "a_names", "b_names"), lambda i: line_chart(1 + i)),
-    "RadonForm": (("n", "components"),
-                  lambda i: RadonForm(1, {frozenset(): U[i], frozenset({1}): U[0]})),
     "FracMatrix": (("entries",), lambda i: FracMatrix([[U[i], U[0]], [U[1], U[1]]])),
 }
-HASHABLE = [name for name in RECORDS if name != "RadonForm"]
 
 
 def test_positional_and_keyword_construction_with_defaults():
@@ -66,17 +62,12 @@ def test_positional_and_keyword_construction_with_defaults():
 
     r = ReconstructionReport(1, None, 0)
     assert r.meromorphic_coefficients is False
-    assert r.denominator_coefficients == () and r.numerator_coefficients == ()
     assert r == ReconstructionReport(degree=1, current=None, residual_violations=0,
-                                     meromorphic_coefficients=False,
-                                     denominator_coefficients=(), numerator_coefficients=())
+                                     meromorphic_coefficients=False)
 
     chart = LineChart(1, ("a",), ("b",))
     assert chart == LineChart(n=1, a_names=("a",), b_names=("b",)) == line_chart(1)
     assert chart.vars == ("a", "b")
-
-    form = RadonForm(1, {frozenset(): U[0]})
-    assert form == RadonForm(n=1, components={frozenset(): U[0]})
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -133,7 +124,7 @@ def test_equality_within_and_across_types(name):
     assert a != (a,) and a != None  # noqa: E711
 
 
-@pytest.mark.parametrize("name", HASHABLE)
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_equal_values_hash_equally(name):
     _, build = RECORDS[name]
     a, b = build(0), build(0)
@@ -141,17 +132,12 @@ def test_equal_values_hash_equally(name):
     assert len({a, b, build(1)}) == 2
 
 
-@pytest.mark.parametrize("name", HASHABLE)
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_hash_is_the_hash_of_the_field_tuple(name):
     # radon's memo keys are these hashes: they must not move
     fields, build = RECORDS[name]
     for value in (build(0), build(1)):
         assert hash(value) == hash(tuple(getattr(value, f) for f in fields))
-
-
-def test_radon_form_is_unhashable():
-    with pytest.raises(TypeError):
-        hash(RECORDS["RadonForm"][1](0))
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

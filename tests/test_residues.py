@@ -10,7 +10,6 @@ from residualtrace.errors import DomainError
 from residualtrace.residues import (
     RationalForm1D,
     contour_oracle,
-    oracle_report,
     pointwise_residues,
     residue_sum,
     shift_mod_monic,
@@ -73,10 +72,11 @@ def test_specialization_refuses_a_pole_gone_to_infinity():
     for oracle in (pointwise_residues, contour_oracle):
         with pytest.raises(DomainError, match="dropped degree"):
             oracle(form, [0.0])
-    with pytest.raises(DomainError, match="dropped degree"):
-        oracle_report(form, [[0.0]])
-    [row] = oracle_report(form, [[1.0]])
-    assert row["contour_error"] < 1e-12
+        # a base value that is not finite is refused by index, not left to numpy
+        for bad in (float("nan"), float("inf"), complex(0, float("inf"))):
+            with pytest.raises(DomainError, match="base value 0 = .* is not finite"):
+                oracle(RationalForm1D(X, Y * Y - X), [bad])
+    assert abs(contour_oracle(form, [1.0]) - residue_sum(form).eval_numeric({"x": 1.0})) < 1e-12
 
 
 def test_pointwise_repeated_root_raises():
@@ -104,14 +104,6 @@ def test_pointwise_double_pole_raises(name, xv):
         pointwise_residues(form, [xv])
 
 
-def test_oracle_report_double_pole_has_no_pointwise_value():
-    form = RationalForm1D(MPoly.constant(V, 1), (Y - X) ** 2)
-    (row,) = oracle_report(form, [[0.5]])
-    assert row["pointwise"] is None and row["pointwise_error"] is None
-    assert row["exact"] == 0
-    assert row["contour_error"] < 1e-9
-
-
 def test_pointwise_no_poles_empty():
     form = RationalForm1D(Y, X * X + 1)
     assert pointwise_residues(form, [2.0]) == []
@@ -124,21 +116,18 @@ def test_contour_matches_exact():
         got = contour_oracle(form, [xv])
         want = exact.eval_numeric({"x": xv})
         assert abs(got - want) < 1e-10
+        # the pointwise residues sum to the same value
+        assert abs(sum(res for _, res in pointwise_residues(form, [xv])) - want) < 1e-9
+    # a double pole, which the pointwise path refuses, integrates to its exact 0
+    double = RationalForm1D(MPoly.constant(V, 1), (Y - X) ** 2)
+    assert residue_sum(double).is_zero()
+    assert abs(contour_oracle(double, [0.5])) < 1e-9
 
 
 def test_contour_encloses_distant_poles():
     # residues 3/8 at y = 3 and 5/8 at y = -5; a circle missing -5 gives 3/8
     form = RationalForm1D(Y, (Y - 3) * (Y + 5))
     assert abs(contour_oracle(form, [0.0]) - 1) < 1e-12
-
-
-def test_oracle_report_rows():
-    form = RationalForm1D(Y, Y * Y - X)
-    rows = oracle_report(form, [[0.5], [1.5]])
-    assert len(rows) == 2
-    for row in rows:
-        assert row["contour_error"] < 1e-9
-        assert row["pointwise_error"] < 1e-9
 
 
 def test_oracle_agreement_random():
