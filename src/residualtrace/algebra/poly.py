@@ -102,7 +102,11 @@ _ZERO = Fraction(0)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int, string, or Fraction to Fraction. Floats and bools are refused."""
+    """Coerce an int, string, or Fraction to Fraction. Floats and bools are refused.
+
+    A string in exponent notation ("1e9") is refused, since its value can
+    take unbounded work to build; so is any string `Fraction` rejects.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -110,7 +114,12 @@ def as_fraction(value) -> Fraction:
             raise DomainError(f"{value!r} is a boolean, not a rational number")
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if "e" in value or "E" in value:
+            raise DomainError(f"exponent notation is not accepted: {value!r}")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"not a fraction string: {value!r}") from None
     if isinstance(value, float):
         raise DomainError("floating point coefficients are not exact; pass a Fraction or string")
     raise DomainError(f"cannot interpret {value!r} as a rational number")

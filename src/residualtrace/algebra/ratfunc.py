@@ -87,16 +87,10 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den.is_one()
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_one()
-
     def as_poly(self) -> MPoly:
         if not self.den.is_one():
             raise DomainError(f"{self} is not a polynomial")
         return self.num
-
-    def constant_value(self) -> Fraction:
-        return self.as_poly().constant_value()
 
     # ---- field operations ---------------------------------------------
 

@@ -12,7 +12,6 @@ A child loads only what its subcommand runs: the seeded self-check suites
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import jsonio
@@ -111,10 +110,8 @@ def cmd_continue(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import DEFAULT_SEED, DEFAULT_TOLERANCE, human_summary, verify_report
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    report = verify_report(seed=seed, tolerance=tolerance)
+    from .verify import DEFAULT_SEED, human_summary, verify_report
+    report = verify_report(seed=DEFAULT_SEED if args.seed is None else args.seed)
     _write(args.output, jsonio.canonical_dumps(report))
     print(human_summary(report), file=sys.stderr)
     return 0 if report["pass"] else DOMAIN_EXIT
@@ -133,17 +130,6 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at most {FLAG_LIMIT}, got {value}")
         return value
     return parse
-
-
-def _tolerance(text: str) -> float:
-    """argparse type: a finite float >= 0, so the report stays valid JSON."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,9 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded self-check suites")
     p.add_argument("-o", "--output", default=None,
                    help="output file for the JSON report (default: stdout)")
-    # None stands for verify.DEFAULT_SEED and verify.DEFAULT_TOLERANCE
+    # None stands for verify.DEFAULT_SEED
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", type=_tolerance, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import MPoly, RatFunc
+from .algebra import MPoly, RatFunc, as_fraction
 from .currents import ResidualCurrent, ZeroCurrent, validate
 from .errors import FLAG_LIMIT, DomainError, SchemaError
 from .reconstruct import SeriesSample
@@ -82,15 +82,12 @@ def _is_int(value) -> bool:
 
 
 def parse_fraction(value, field: str) -> Fraction:
-    if isinstance(value, str):
-        if "e" in value or "E" in value:
-            raise SchemaError(field, f"exponent notation is not accepted: {value!r}")
+    """A JSON integer or fraction string, read by `as_fraction`'s rule."""
+    if isinstance(value, str) or _is_int(value):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(field, f"not a fraction string: {value!r}") from None
-    if _is_int(value):
-        return Fraction(value)
+            return as_fraction(value)
+        except DomainError as exc:
+            raise SchemaError(field, str(exc)) from None
     raise SchemaError(field, f"expected a fraction string, got {type(value).__name__}")
 
 

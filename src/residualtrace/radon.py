@@ -80,8 +80,8 @@ class LineChart(Record):
 
     def __init__(self, n: int, a_names: tuple[str, ...], b_names: tuple[str, ...]):
         _set(self, "n", n)
-        _set(self, "a_names", a_names)
-        _set(self, "b_names", b_names)
+        _set(self, "a_names", tuple(a_names))
+        _set(self, "b_names", tuple(b_names))
 
     @property
     def vars(self) -> tuple[str, ...]:

@@ -15,9 +15,12 @@ the Hankel matrix H_d(x0) is invertible mod p, det H_d is nonzero and its
 exact solution is defined at x0, where it reduces to the mod-p solution;
 so a window of the recurrence that fails mod p fails exactly, and d is
 rejected.  When H_d(x0) is singular mod p nothing is known, and the exact
-solve and one exact certificate decide: the traces of the rebuilt (p, r)
-equal the input, or, for coefficients off the polynomial ring, the
-recurrence holds on every window.
+solve and one exact certificate decide.  A successful solve clears its
+solution and the traces of their denominators once; on that cleared view
+the certificate is that the traces of the rebuilt (p, r) equal the input,
+or, for coefficients off the polynomial ring, that the recurrence holds on
+every window.  Both window scans, mod p and exact, start at window d,
+since the solve itself makes windows 0 .. d-1 hold.
 
 Series-sampled traces go through a rationality test first: a kernel-based
 Pade candidate p / q within prescribed numerator and denominator degree
@@ -66,7 +69,6 @@ from .traces import (
     _check_count,
     _recurrence_sum,
     hankel,
-    recurrence_failures,
     traces,
 )
 
@@ -193,53 +195,66 @@ def _modular_failures(t: TraceSequence, top: int) -> list[int | None]:
                     rows[i] = [(v - g * w) % _P for v, w in zip(rows[i], rows[col])]
         else:
             a = [row[d] for row in rows]
+            # the solve makes windows 0 .. d-1 hold mod p
             out.append(next(
-                (k for k in range(len(u) - d)
+                (k for k in range(d, len(u) - d)
                  if (u[k + d] + sum(map(mul, a, u[k:k + d]))) % _P), None))
     return out
 
 
-def _candidate(t: TraceSequence, a: list[RatFunc]) -> ResidualCurrent | None:
-    """The current (p, r) of recurrence coefficients a, or None off the polynomial ring.
+def _candidate(variables: tuple[str, ...], u: list[MPoly], a: list[MPoly]) -> ResidualCurrent:
+    """The current (p, r) of polynomial traces u and recurrence coefficients a.
 
-    r's coefficient of y^{d-1-j} is r_j = sum_{i<=j} a_i u_{j-i} (a_0 = 1).
-    It is unit-triangular in u, so a and r are polynomial iff a and
-    u_0 .. u_{d-1} are.  When either has a denominator no current has them,
-    and None is returned before any sum is formed.  Otherwise the sums run
-    on the numerators in the order the RatFunc sums would, so they give the
-    same terms in the same order, and no product by 1 is formed.
+    a[i - 1] = a_i in monic order, p = y^d + a_1 y^{d-1} + ... + a_d.  r's
+    coefficient of y^{d-1-j} is r_j = sum_{i<=j} a_i u_{j-i} (a_0 = 1), the
+    recurrence sum at j; for j < d it reads only u_0 .. u_{d-1}.
     """
     d = len(a)
-    a, m = clear_denominators(a)
-    u, m_u = clear_denominators(list(t.entries[:d]))
-    if not (m.is_one() and m_u.is_one()):
-        return None
-    sums = [_recurrence_sum(u, a, m, j) for j in range(d)]
+    one = MPoly.constant(variables, 1)
+    sums = [_recurrence_sum(u, a, one, j) for j in range(d)]
     fiber = "y"
-    while fiber in t.vars:
+    while fiber in variables:
         fiber += "_"
-    variables = t.vars + (fiber,)
+    full = variables + (fiber,)
 
     def pieces(coeffs):  # coeffs[j] multiplies fiber^(d - 1 - j)
         return {d - 1 - j: c for j, c in enumerate(coeffs)}
 
-    p = MPoly.from_univariate(variables, fiber, {d: MPoly.constant(t.vars, 1), **pieces(a)})
-    r = MPoly.from_univariate(variables, fiber, pieces(sums))
+    p = MPoly.from_univariate(full, fiber, {d: one, **pieces(a)})
+    r = MPoly.from_univariate(full, fiber, pieces(sums))
     return ResidualCurrent(p=p, r=r)
 
 
-def _detect(t: TraceSequence, d_max: int):
-    """(d, current) for the minimal d whose candidate reproduces t; (0, None) for zero t.
+def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
+    """Rebuild the current whose first len(t) traces are t.
 
-    The traces of a polynomial candidate agree with t on u_0 .. u_{2d-1} and
-    obey its recurrence, so they equal t iff the recurrence holds on every
-    window, and the first index j where they differ is window j - d.  A
-    candidate off the polynomial ring (current None) is checked window by
-    window with `recurrence_failures`.
+    Degree detection tries d = 1 .. min(d_max, len(t) // 2) in turn; a d
+    the modular filter rejects, or with a singular Hankel matrix, fails at
+    once.  Otherwise the solution a and the traces are cleared once.  With
+    no denominator in either, the polynomial candidate (p, r) is accepted
+    iff `traces(current, len(t))` equals t entry for entry.  Its traces
+    agree with t on u_0 .. u_{2d-1} and obey its recurrence, so the first
+    index j where they differ is the first failing window j - d.  That
+    equality goes through the fiber-trace memo of `traces`, so after
+    `traces(c, len(t))` it is a lookup when the rebuilt current equals c.
+    Otherwise no current has these traces (`current` is None), and d is
+    accepted iff the cleared recurrence sum vanishes at j = 2d .. len(t) - 1.
+    The pair is canonical by construction, so it is not re-validated: p is
+    monic of degree d, deg_y r < d, and r != 0 (else u_0 .. u_{d-1} and so
+    all of t would vanish).  A common fiber factor of degree e >= 1 would
+    leave a pair of degree d - e with the same traces, whose recurrence
+    holds on every window with a nonsingular Hankel matrix (Kronecker);
+    smaller degrees are tried first and the modular filter never rejects a
+    true recurrence, so d - e or less would have been accepted.
+    Traces over no base variable are refused, zero traces included: neither
+    a current nor the zero current exists without one.
     """
+    if not t.vars:
+        raise DomainError("a current needs at least one base variable and one fiber variable")
     _check_count(d_max, "d_max", 1)
     if t.is_zero():
-        return 0, None
+        return ReconstructionReport(degree=0, current=ZeroCurrent(len(t.vars)),
+                                    residual_violations=0)
     top = min(d_max, len(t) // 2)
     # outcomes[d - 1]: a window where the depth-d recurrence fails, None if singular
     outcomes = _modular_failures(t, top)
@@ -250,45 +265,23 @@ def _detect(t: TraceSequence, d_max: int):
             sol = solve_linear(hankel(t, d), [-t[d + i] for i in range(d)])
         except SingularSystemError:
             continue
-        # sol[j] = a_{d-j}, so the recurrence reads u_{k+d} + sum_j sol[j] u_{k+j} = 0
-        current = _candidate(t, sol[::-1])
-        if current is None:
-            k = next(recurrence_failures(t, sol), None)
-        else:
+        # sol[j] = a_{d-j}, so a[i - 1] = m a_i and u[k] = m_u u_k
+        a, m = clear_denominators(sol[::-1])
+        u, m_u = clear_denominators(list(t.entries))
+        if m.is_one() and m_u.is_one():
+            current = _candidate(t.vars, u, a)
             rebuilt = traces(current, len(t)).entries
             k = None if rebuilt == t.entries else next(
-                j - d for j, (u, v) in enumerate(zip(rebuilt, t.entries)) if u != v)
+                j - d for j, (v, w) in enumerate(zip(rebuilt, t.entries)) if v != w)
+        else:
+            current = None
+            k = next((j - d for j in range(2 * d, len(t))
+                      if not _recurrence_sum(u, a, m, j).is_zero()), None)
         if k is None:
-            return d, current
+            return ReconstructionReport(degree=d, current=current, residual_violations=0,
+                                        meromorphic_coefficients=current is None)
         outcomes[d - 1] = k
     raise DegreeDetectionError(tuple(outcomes))
-
-
-def reconstruct(t: TraceSequence, d_max: int) -> ReconstructionReport:
-    """Rebuild the current whose first len(t) traces are t.
-
-    On success `traces(report.current, len(t))` equals t entry for entry:
-    that equality is the certificate on which `_detect` accepts d.  It goes
-    through the fiber-trace memo of `traces`, so after `traces(c, len(t))`
-    it is a lookup when the rebuilt current equals c.
-    The pair is canonical by construction, so it is not re-validated: p is
-    monic of degree d, deg_y r < d, and r != 0 (else u_0 .. u_{d-1} and so
-    all of t would vanish).  A common fiber factor of degree e >= 1 would
-    leave a pair of degree d - e with the same traces, whose recurrence
-    holds on every window with a nonsingular Hankel matrix (Kronecker);
-    `_detect` tries smaller degrees first and the modular filter never
-    rejects a true recurrence, so it would have accepted d - e or less.
-    Traces over no base variable are refused, zero traces included: neither
-    a current nor the zero current exists without one.
-    """
-    if not t.vars:
-        raise DomainError("a current needs at least one base variable and one fiber variable")
-    d, current = _detect(t, d_max)
-    if d == 0:
-        return ReconstructionReport(degree=0, current=ZeroCurrent(len(t.vars)),
-                                    residual_violations=0)
-    return ReconstructionReport(degree=d, current=current, residual_violations=0,
-                                meromorphic_coefficients=current is None)
 
 
 def detect_rational(sample: SeriesSample, max_num_deg: int, max_den_deg: int) -> RatFunc | None:

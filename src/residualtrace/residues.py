@@ -132,19 +132,19 @@ def residue_sum(form: RationalForm1D) -> RatFunc:
 def _specialize(form: RationalForm1D, x_values: Sequence[complex]):
     """The fiber coefficient lists of num and den at one base point, ascending.
 
-    A base value that is not finite (nan or inf in either part) raises
-    DomainError naming its index.  The den list is stripped of its zero top
-    coefficients; a den left of lower degree than the form's fiber degree
-    raises DomainError, since a pole has gone to infinity and the numeric
-    sums would miss its residue.
+    A base value that is a bool, a string, or not finite (nan or inf in
+    either part) raises DomainError naming its index.  The den list is
+    stripped of its zero top coefficients; a den left of lower degree than
+    the form's fiber degree raises DomainError, since a pole has gone to
+    infinity and the numeric sums would miss its residue.
     """
     if len(x_values) != len(form.base_vars):
         raise DomainError(
             f"expected {len(form.base_vars)} base values, got {len(x_values)}")
+    for i, x in enumerate(x_values):
+        if isinstance(x, (bool, str)) or not cmath.isfinite(complex(x)):
+            raise DomainError(f"base value {i} = {x!r} is not a finite number")
     values = [complex(x) for x in x_values]
-    for i, x in enumerate(values):
-        if not cmath.isfinite(x):
-            raise DomainError(f"base value {i} = {x_values[i]!r} is not finite")
     assign = dict(zip(form.base_vars, values))
 
     def coeffs(p: MPoly) -> list[complex]:

@@ -28,7 +28,7 @@ from .errors import DomainError
 from .record import Record, _set
 from .residues import trace_stream
 
-__all__ = ["TraceSequence", "traces", "recurrence_failures", "recurrence_check", "hankel"]
+__all__ = ["TraceSequence", "traces", "recurrence_check", "hankel"]
 
 # Entries of the fiber-trace memo, and of `radon`'s chart-trace memo: far
 # fewer than the currents of any batch, so only a trace followed by a check
@@ -42,6 +42,7 @@ class TraceSequence(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[RatFunc, ...]):
+        entries = tuple(entries)
         if not entries:
             raise DomainError("a trace sequence needs at least one entry")
         variables = entries[0].vars
@@ -111,23 +112,6 @@ def _recurrence_sum(u, a, m, j):
     return acc
 
 
-def recurrence_failures(t: TraceSequence, a):
-    """Lazily yield each window k where u_{k+d} + sum_i a[i] u_{k+i} != 0.
-
-    `a` holds the d = len(a) recurrence coefficients over the trace ring;
-    a[i] multiplies u_{k+i}.  Both are cleared to the polynomial ring
-    first, a by its common denominator m and t by its own, so window k is
-    the cleared recurrence sum at j = k + d, with a in monic order, in
-    MPoly arithmetic and with no gcd.
-    """
-    d = len(a)
-    coeffs, m = clear_denominators(list(a)[::-1])
-    u, _ = clear_denominators(list(t.entries))
-    for k in range(len(t) - d):
-        if not _recurrence_sum(u, coeffs, m, k + d).is_zero():
-            yield k
-
-
 def recurrence_check(t: TraceSequence, p) -> list[int]:
     """Indices k where the depth-d recurrence from p fails on t.
 
@@ -145,10 +129,14 @@ def recurrence_check(t: TraceSequence, p) -> list[int]:
         raise DomainError(
             f"need at least {d + 1} traces to check a depth-{d} recurrence, have {len(t)}")
     coeffs = p.as_univariate(fiber)
-    if not coeffs[-1].is_one():
+    one = coeffs[-1]
+    if not one.is_one():
         raise DomainError("p is not monic in the fiber variable")
-    # coeffs[i] multiplies u_{k+i}; coeffs[i] = a_{d-i} in monic order
-    return list(recurrence_failures(t, [RatFunc(c) for c in coeffs[:-1]]))
+    # coeffs[i] multiplies u_{k+i}, so in monic order a_i = coeffs[d - i];
+    # window k is the cleared recurrence sum at j = k + d
+    a = coeffs[-2::-1]
+    u, _ = clear_denominators(list(t.entries))
+    return [j - d for j in range(d, len(t)) if not _recurrence_sum(u, a, one, j).is_zero()]
 
 
 def hankel(t: TraceSequence, d: int) -> FracMatrix:

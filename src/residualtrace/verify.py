@@ -1,11 +1,12 @@
 """Self-check suites: exact identities plus the numeric oracle, seeded.
 
 Each suite draws its own deterministic family from one Random seed, so a
-suite's report is a pure function of its seed, count and tolerance, and
-`verify_report`, which runs every suite at its default count, of (seed,
-tolerance).  The CLI exposes it through the `verify` subcommand, and the
-acceptance gate (`tests/test_acceptance.py`, criteria 1-3 and 5) runs the
-suites with its own seeds and larger counts.
+suite's report is a pure function of its seed and count, and
+`verify_report`, which runs every suite at its default count, of its
+seed.  The numeric oracle passes an instance whose absolute error is at
+most `TOLERANCE`.  The CLI exposes `verify_report` through the `verify`
+subcommand, and the acceptance gate (`tests/test_acceptance.py`, criteria
+1-3 and 5) runs the suites with its own seeds and larger counts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .sampling import random_current, random_rational_point, random_weighted_cur
 from .traces import hankel, recurrence_check, traces
 
 DEFAULT_SEED = 1729
-DEFAULT_TOLERANCE = 1e-8
+TOLERANCE = 1e-8
 
 
 def _mixed_family(rng: Random, count: int, n1: tuple[int, int] = (5, 3),
@@ -132,8 +133,7 @@ def _oracle_one(form: RationalForm1D, point: dict) -> tuple[float | None, str | 
     return error, None
 
 
-def check_numeric_oracle(seed: int, tolerance: float = DEFAULT_TOLERANCE,
-                         count: int = 25) -> dict:
+def check_numeric_oracle(seed: int, count: int = 25) -> dict:
     """Exact residue sums against contour quadrature and pointwise residues.
 
     Base points are rational, drawn away from the discriminant zero set so
@@ -166,26 +166,26 @@ def check_numeric_oracle(seed: int, tolerance: float = DEFAULT_TOLERANCE,
     reasons = [[i, why] for i, (_, why) in enumerate(results) if why is not None]
     errors = [e for e, _ in results if e is not None]
     failures = [i for i, (e, why) in enumerate(results)
-                if why is not None or not (e <= tolerance)]
+                if why is not None or not (e <= TOLERANCE)]
     report = _suite("numeric-oracle", len(jobs), failures,
-                    max_abs_error=max(errors, default=0.0), tolerance=tolerance)
+                    max_abs_error=max(errors, default=0.0), tolerance=TOLERANCE)
     if reasons:
         report["failure_reasons"] = reasons
     return report
 
 
-def verify_report(seed: int = DEFAULT_SEED, tolerance: float = DEFAULT_TOLERANCE) -> dict:
+def verify_report(seed: int = DEFAULT_SEED) -> dict:
     """Run all five suites, each at its default count, and aggregate one JSON-ready report."""
     suites = [
         check_roundtrip(seed),
         check_recurrence(seed + 1),
         check_hankel_identity(seed + 2),
         check_closedness(seed + 3),
-        check_numeric_oracle(seed + 4, tolerance),
+        check_numeric_oracle(seed + 4),
     ]
     return {
         "seed": seed,
-        "tolerance": tolerance,
+        "tolerance": TOLERANCE,
         "suites": suites,
         "pass": all(s["pass"] for s in suites),
     }

@@ -331,6 +331,18 @@ def test_continue_reports_failing_index():
     assert "trace 0" in out.stderr
 
 
+def test_continue_meromorphic_exits_1():
+    # samples at x0 = 1 of u_k = 2^k / x: p = y - 2, but r = 1 / x is no polynomial
+    payload = ('{"series":[{"x0":"1","coeffs":["1","-1","1","-1"]},'
+               '{"x0":"1","coeffs":["2","-2","2","-2"]},'
+               '{"x0":"1","coeffs":["4","-4","4","-4"]},'
+               '{"x0":"1","coeffs":["8","-8","8","-8"]}]}')
+    out = run_cli(["continue", "--num-deg", "0", "--den-deg", "1"], payload)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "non-polynomial" in out.stderr
+
+
 def test_continue_requires_degree_flags():
     out = run_cli(["continue"], '{"series":[{"x0":"0","coeffs":["1"]}]}')
     assert out.returncode == 2
@@ -395,14 +407,6 @@ def test_numeric_flag_below_its_floor_exits_2(args, flag):
     assert out.returncode == 2
     assert out.stdout == ""
     assert flag in out.stderr
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_verify_rejects_nonfinite_or_negative_tolerance(value):
-    out = run_cli(["verify", "--tolerance", value])
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert "--tolerance" in out.stderr
 
 
 def test_oracle_domain_error_is_a_named_failure(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from residualtrace.algebra import (
     MPoly,
     RatFunc,
+    as_fraction,
     exact_div,
     poly_gcd,
     poly_gcd_fiber,
@@ -39,6 +40,22 @@ def test_float_coefficients_rejected():
     # bool is an int subclass, but no more exact a coefficient than a float
     with pytest.raises(DomainError, match="boolean"):
         MPoly(("x",), {(0,): True})
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1/0", "not a fraction string: '1/0'"),
+    ("zz", "not a fraction string: 'zz'"),
+    # jsonio's rule: an exponent can ask for unbounded work, so none is read
+    ("1e9", "exponent notation is not accepted: '1e9'"),
+])
+def test_as_fraction_refuses_a_string_by_name(text, reason):
+    with pytest.raises(DomainError, match=re.escape(reason)):
+        as_fraction(text)
+    with pytest.raises(DomainError, match=re.escape(reason)):
+        sample_series(RatFunc.variable(("x",), "x"), text, 2)
+    with pytest.raises(DomainError, match=re.escape(reason)):
+        MPoly.constant(V, text)
+    assert as_fraction(" -3/6 ") == Fraction(-1, 2)
 
 
 def test_bool_exponent_rejected():

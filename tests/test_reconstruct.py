@@ -18,7 +18,6 @@ from residualtrace.reconstruct import (
     _POINT_SEEDS,
     ReconstructionReport,
     SeriesSample,
-    _detect,
     _modular_failures,
     continue_current,
     detect_rational,
@@ -112,14 +111,15 @@ def descending(f, fiber, d):
 def assert_detect_matches_exact(t, d_max):
     d, a, outcomes = exact_detect(t, d_max)
     if d is not None:
-        got_d, candidate = _detect(t, d_max)
-        assert got_d == d
+        report = reconstruct(t, d_max)
+        assert report.degree == d
+        candidate = report.current
         if candidate is not None:
             assert descending(candidate.p, candidate.fiber, d) == tuple(a)
             assert traces(candidate, len(t)).entries == t.entries
         return
     with pytest.raises(DegreeDetectionError) as exc:
-        _detect(t, d_max)
+        reconstruct(t, d_max)
     assert len(exc.value.outcomes) == len(outcomes)
     for got, fails in zip(exc.value.outcomes, outcomes):
         # the filter may name a later failing window than the first one
@@ -271,39 +271,51 @@ def test_reconstruct_reproduces_traces():
 
 
 @pytest.fixture
-def recurrence_checks(monkeypatch) -> list:
-    """Each coefficient list `recurrence_failures` runs with from now, in any module."""
-    checks = []
-    for name in ("residualtrace.reconstruct", "residualtrace.traces"):
-        module = importlib.import_module(name)
-        honest = module.recurrence_failures
+def recurrence_sums(monkeypatch) -> list:
+    """Each (d, j) at which `reconstruct` evaluates `_recurrence_sum` from now."""
+    module = importlib.import_module("residualtrace.reconstruct")
+    honest = module._recurrence_sum
+    sums = []
 
-        def counting(t, a, honest=honest):
-            checks.append(list(a))
-            return honest(t, a)
+    def recording(u, a, m, j):
+        sums.append((len(a), j))
+        return honest(u, a, m, j)
 
-        monkeypatch.setattr(module, "recurrence_failures", counting)
-    return checks
+    monkeypatch.setattr(module, "_recurrence_sum", recording)
+    return sums
 
 
-def test_roundtrip_traces_each_current_once(trace_streams, recurrence_checks):
+def test_roundtrip_traces_each_current_once(trace_streams, recurrence_sums):
     # the acceptance test finds the traces the roundtrip just computed
     report = check_roundtrip(1729, 40)
     assert report["pass"]
     assert len(trace_streams) == report["instances"] == 40
-    # trace equality is the only certificate of a polynomial candidate
-    assert recurrence_checks == []
+    # a polynomial candidate sums only r's coefficients j < d: trace equality
+    # is its only certificate, and no window is scanned
+    assert recurrence_sums and all(j < d for d, j in recurrence_sums)
 
 
-def test_meromorphic_candidate_is_checked_window_by_window(trace_streams, recurrence_checks):
+def test_filter_rejected_degree_clears_nothing(monkeypatch):
+    # the second point of the filter rejects d = 1: no solve, so nothing is cleared
+    module = importlib.import_module("residualtrace.reconstruct")
+    clears = []
+    honest = module.clear_denominators
+    monkeypatch.setattr(module, "clear_denominators", lambda fs: clears.append(fs) or honest(fs))
+    with pytest.raises(DegreeDetectionError):
+        reconstruct(seq(1 / (XR - 101), 1, 1, 2), 1)
+    assert clears == []
+
+
+def test_meromorphic_candidate_is_checked_window_by_window(trace_streams, recurrence_sums):
     # the running example's traces over (x + 2)^k: p = y^2 - x / (x + 2)^2
     c = validate(Y * Y - X, MPoly.constant(V, 1))
     q = XB + 2
     t = with_denominators(traces(c, 6), q)
     del trace_streams[:]
     report = reconstruct(t, 2)
-    # the one window check runs on (a_2, a_1) = (-x / (x + 2)^2, 0)
-    assert recurrence_checks == [[-XR / RatFunc(q * q), RatFunc.zero(B)]]
+    # (a_1, a_2) = (0, -x / (x + 2)^2) is off the ring: the one window scan
+    # covers j = 2d .. 5, since the solve makes windows 0 .. d-1 hold
+    assert recurrence_sums == [(2, 4), (2, 5)]
     assert trace_streams == []
     assert report == ReconstructionReport(
         degree=2, current=None, residual_violations=0, meromorphic_coefficients=True)
@@ -393,7 +405,7 @@ def test_reconstruct_reduces_a_non_coprime_pair():
             assert report.current == c
 
 
-def test_reconstruct_flags_meromorphic_coefficients(recurrence_checks):
+def test_reconstruct_flags_meromorphic_coefficients(recurrence_sums):
     # u_k = 2^k / x: recurrence coefficient is polynomial but r_0 = 1/x is not
     entries = tuple(RatFunc.constant(B, 2 ** k) / XR for k in range(4))
     report = reconstruct(TraceSequence(entries=entries), 2)
@@ -401,7 +413,8 @@ def test_reconstruct_flags_meromorphic_coefficients(recurrence_checks):
     assert report.current is None
     assert report.meromorphic_coefficients
     assert report.residual_violations == 0
-    assert recurrence_checks == [[RatFunc.constant(B, -2)]]
+    # a_1 = -2 is polynomial, the traces are not: windows 1 and 2 are scanned
+    assert recurrence_sums == [(1, 2), (1, 3)]
 
 
 def test_detect_rational_geometric():

@@ -17,7 +17,7 @@ from residualtrace.algebra import FracMatrix, MPoly, RatFunc
 from residualtrace.currents import ResidualCurrent, ZeroCurrent, validate
 from residualtrace.errors import DomainError
 from residualtrace.radon import LineChart, line_chart
-from residualtrace.reconstruct import ReconstructionReport, SeriesSample
+from residualtrace.reconstruct import ReconstructionReport, SeriesSample, reconstruct
 from residualtrace.traces import TraceSequence
 
 V = ("x", "y")
@@ -68,6 +68,16 @@ def test_positional_and_keyword_construction_with_defaults():
     chart = LineChart(1, ("a",), ("b",))
     assert chart == LineChart(n=1, a_names=("a",), b_names=("b",)) == line_chart(1)
     assert chart.vars == ("a", "b")
+
+
+def test_records_built_from_lists_keep_tuples():
+    # a list is stored as a tuple, so the record hashes, and the certificate
+    # of reconstruct, which compares the rebuilt traces with the entries, holds
+    listed, chart = TraceSequence(list(U[:1]) * 2), LineChart(1, ["a"], ["b"])
+    assert listed == TraceSequence(U[:1] * 2) and hash(listed) == hash(TraceSequence(U[:1] * 2))
+    assert chart == line_chart(1) and hash(chart) == hash(line_chart(1))
+    assert reconstruct(listed, 1) == reconstruct(TraceSequence(U[:1] * 2), 1)
+    assert reconstruct(listed, 1).current == validate(Y - 1, X)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

@@ -72,9 +72,10 @@ def test_specialization_refuses_a_pole_gone_to_infinity():
     for oracle in (pointwise_residues, contour_oracle):
         with pytest.raises(DomainError, match="dropped degree"):
             oracle(form, [0.0])
-        # a base value that is not finite is refused by index, not left to numpy
-        for bad in (float("nan"), float("inf"), complex(0, float("inf"))):
-            with pytest.raises(DomainError, match="base value 0 = .* is not finite"):
+        # a base value that is not a finite number is refused by index, not
+        # left to numpy or read as the number complex() makes of it
+        for bad in (float("nan"), float("inf"), complex(0, float("inf")), True, "1"):
+            with pytest.raises(DomainError, match="base value 0 = .* is not a finite number"):
                 oracle(RationalForm1D(X, Y * Y - X), [bad])
     assert abs(contour_oracle(form, [1.0]) - residue_sum(form).eval_numeric({"x": 1.0})) < 1e-12
 
